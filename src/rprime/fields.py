@@ -160,6 +160,11 @@ def kronecker_symbol(D: int, p: int) -> int:
     """Kronecker symbol (D|p) for prime p and fundamental discriminant D."""
     if p < 2 or not _is_prime(p):
         raise ValueError(f"p={p} is not prime")
+    return _kronecker_prime(D, p)
+
+
+def _kronecker_prime(D: int, p: int) -> int:
+    # (D|p) for a p the caller knows to be prime
     if p == 2:
         if D % 2 == 0:
             return 0
@@ -167,8 +172,7 @@ def kronecker_symbol(D: int, p: int) -> int:
     d = D % p
     if d == 0:
         return 0
-    ls = pow(d, (p - 1) // 2, p)
-    return 1 if ls == 1 else -1
+    return 1 if pow(d, (p - 1) // 2, p) == 1 else -1
 
 
 def _is_prime(n: int) -> bool:
@@ -219,13 +223,7 @@ def splitting_type(field: FieldSpec, p: int, seed: int = DEFAULT_FACTOR_SEED) ->
         return _RATIONAL_SPLIT
     inv = field.invariants
     if n == 2 and inv is not None and inv.d_K is not None:
-        # inline Kronecker symbol of d_K; p is prime by precondition
-        D = inv.d_K
-        if p == 2:
-            symbol = 0 if D % 2 == 0 else (1 if D % 8 in (1, 7) else -1)
-        else:
-            d = D % p
-            symbol = 0 if d == 0 else (1 if pow(d, (p - 1) // 2, p) == 1 else -1)
+        symbol = _kronecker_prime(inv.d_K, p)  # p is prime by precondition
         if symbol == 1:
             return _QUADRATIC_SPLIT
         if symbol == -1:

@@ -92,8 +92,9 @@ def run_error_scan(
     """One ScanRecord per grid point, ascending in x.
 
     The coefficient table is built once (or supplied) and shared by all
-    grid points; the zeta value inside the main term is cached, so the
-    per-point cost is a single Mobius-sum pass.
+    grid points.  The zeta cache inside the main term is keyed on a
+    tolerance that changes with x, so most grid points recompute the
+    Euler product, and that dominates the per-point cost.
     """
     if x_max > table_N:
         raise ValueError(f"x_max={x_max} exceeds the table cap N={table_N}")

@@ -17,8 +17,11 @@ of relatively r-prime m-tuples with all norms <= x equals
 
     sum over n <= x^(1/r) of  b[n] * I_K(x / n^r)^m
 
-which turns an enumeration over ideals into a single O(x^(1/r)) array
-pass.
+floor(x / n^r) takes at most 2 x^(1/(r+1)) distinct values, so the sum
+runs over blocks of n sharing one value q, each adding
+(B(n_end) - B(n - 1)) * I_K(q)^m with B the prefix sum of b (the
+floor-value grouping of Deleglise and Rivat).  That is O(sqrt(x))
+exact Python-integer terms for r = 1, with no overflow bound.
 """
 
 from __future__ import annotations
@@ -35,8 +38,6 @@ from .fields import FieldSpec, SplittingType, splitting_type
 from .polygf import DEFAULT_FACTOR_SEED
 
 MAX_TABLE_N = 10**8  # beyond this the flat int32 layout stops fitting desk RAM
-
-_INT64_SAFE = 2**62  # headroom below int64 overflow for vectorized sums
 
 
 def local_series(split: SplittingType, p: int, N: int) -> tuple[list[int], list[int]]:
@@ -166,10 +167,9 @@ def _integer_root(n: int, r: int) -> int:
 def count_rprime_mobius(table: CoefficientTable, x: float, m: int, r: int) -> int:
     """Exact count of relatively r-prime m-tuples with all norms <= x.
 
-    Evaluates the Mobius-sum identity aggregated by norm.  The sum is
-    taken in int64 when a proven bound shows no overflow is possible
-    and falls back to arbitrary-precision integers otherwise, so the
-    result is exact either way.
+    Evaluates the Mobius-sum identity aggregated by norm, one term per
+    block of n on which floor(x / n^r) is constant (see the module
+    docstring), in Python integers, so the result is exact at every size.
     """
     if m < 1 or r < 1:
         raise ValueError(f"need m >= 1 and r >= 1, got m={m}, r={r}")
@@ -179,17 +179,15 @@ def count_rprime_mobius(table: CoefficientTable, x: float, m: int, r: int) -> in
         raise ValueError(f"x={x} exceeds the table cap N={table.N}")
     X = int(x)
     L = _integer_root(X, r)
-    ns = np.arange(1, L + 1, dtype=np.int64)
-    args = X // ns**r
-    ivals = table.I_prefix[args]
-    bvals = table.b[1 : L + 1].astype(np.int64)
-    bound = int(np.abs(bvals).sum()) * int(ivals.max()) ** m
-    if bound < _INT64_SAFE:
-        total = int(np.sum(bvals * ivals**m))
-    else:
-        total = sum(
-            int(bv) * int(iv) ** m for bv, iv in zip(bvals.tolist(), ivals.tolist()) if bv
-        )
+    # |B(n)| <= I_K(n), which I_prefix already holds in int64
+    B = np.cumsum(table.b[: L + 1], dtype=np.int64)
+    total = 0
+    n = 1
+    while n <= L:
+        q = X // n**r
+        n_end = _integer_root(X // q, r)  # last n with the same floor value q
+        total += int(B[n_end] - B[n - 1]) * int(table.I_prefix[q]) ** m
+        n = n_end + 1
     if total < 0:
         raise OverflowError("negative tuple count: table corrupt")
     return total

@@ -14,6 +14,7 @@ from rprime import (
     save_table,
 )
 from rprime.fields import SplittingType
+from rprime.sieve import _integer_root
 
 
 def test_local_series_inert_quadratic():
@@ -109,13 +110,58 @@ def test_mobius_count_range_checks(table_q_1e4):
         count_rprime_mobius(table_q_1e4, 2 * 10**4, 1, 1)
 
 
-def test_mobius_count_python_int_fallback_matches(table_qi_1e4, monkeypatch):
-    import rprime.sieve as sieve_mod
+def _mobius_count_reference(table, x, m, r):
+    # the identity term by term, one Python-int product per n
+    X = int(x)
+    total = 0
+    n = 1
+    while n**r <= X:
+        total += int(table.b[n]) * int(table.I_prefix[X // n**r]) ** m
+        n += 1
+    return total
 
-    fast = count_rprime_mobius(table_qi_1e4, 5000, 3, 1)
-    monkeypatch.setattr(sieve_mod, "_INT64_SAFE", 0)
-    slow = count_rprime_mobius(table_qi_1e4, 5000, 3, 1)
-    assert fast == slow
+
+@pytest.fixture(scope="module")
+def tables_all_fields(fields, table_q_1e4, table_qi_1e4):
+    tables = {"Q": table_q_1e4, "Qi": table_qi_1e4}
+    for name in ("Qsqrt2", "Qsqrtm5", "cubic"):
+        tables[name] = build_tables(fields[name], 10**4)
+    return tables
+
+
+@pytest.mark.parametrize("name", ["Q", "Qi", "Qsqrt2", "Qsqrtm5", "cubic"])
+def test_mobius_count_matches_per_n_reference(tables_all_fields, name):
+    table = tables_all_fields[name]
+    for x in (1, 7.5, 361, 2024.9, 10**4):
+        for m in range(1, 6):
+            for r in range(1, 5):
+                assert count_rprime_mobius(table, x, m, r) == _mobius_count_reference(
+                    table, x, m, r
+                ), (name, x, m, r)
+
+
+def test_mobius_count_exact_beyond_int64(table_qi_1e4):
+    expected = _mobius_count_reference(table_qi_1e4, 10**4, 5, 1)
+    assert expected > 2**63
+    assert count_rprime_mobius(table_qi_1e4, 10**4, 5, 1) == expected
+
+
+@pytest.mark.parametrize("r", range(1, 7))
+def test_integer_root_at_perfect_powers(r):
+    top = round(10 ** (8 / r))  # k**r near the table cap 1e8
+    for k in set(range(1, 60)) | set(range(max(1, top - 30), top + 30)):
+        n = k**r
+        assert _integer_root(n - 1, r) == k - 1
+        assert _integer_root(n, r) == k
+        assert _integer_root(n + 1, r) == (k + 1 if (k + 1) ** r <= n + 1 else k)
+    assert _integer_root(0, r) == 0
+
+
+def test_integer_root_rejects_bad_arguments():
+    with pytest.raises(ValueError):
+        _integer_root(-1, 2)
+    with pytest.raises(ValueError):
+        _integer_root(10, 0)
 
 
 def test_table_cache_roundtrip(tmp_path, field_qi, table_qi_1e4):
