@@ -80,6 +80,8 @@ def dedekind_zeta_with_cutoff(
         raise ValueError(f"zeta diverges for s <= 1, got s={s}")
     if tol <= 0:
         raise ValueError(f"tolerance must be positive, got {tol}")
+    if prime_cap < 2:
+        raise ValueError(f"prime cap must be >= 2, got {prime_cap}")
     return _zeta_cached(field, float(s), float(tol), int(prime_cap), bool(strict))
 
 

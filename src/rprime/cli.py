@@ -5,7 +5,7 @@ Results go to stdout or --out; scan emits plot-ready CSV/JSON records
 (never plots).  Slope-fit summaries accompanying a CSV scan go to
 stderr so the record stream stays pipeable; JSON output embeds them.
 
-All randomness is seeded (--seed), so identical invocations produce
+Every computation is deterministic, so identical invocations produce
 byte-identical output files.
 """
 
@@ -41,7 +41,6 @@ CSV_HEADER = "x,V,main,E,log10_x,log10_absE"
 def _add_common(parser: argparse.ArgumentParser, *, field_required: bool = True) -> None:
     parser.add_argument("--field", required=field_required, help="field-spec document (JSON)")
     parser.add_argument("--N", type=int, default=10**6, help="table cap (default 1e6)")
-    parser.add_argument("--seed", type=int, default=0, help="factorization seed (default 0)")
     parser.add_argument("--out", help="write results to this file instead of stdout")
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
     parser.add_argument("--tol", type=float, default=1e-9, help="zeta tolerance (default 1e-9)")
@@ -132,7 +131,7 @@ def _load_field(args: argparse.Namespace) -> FieldSpec:
 def _get_table(field: FieldSpec, args: argparse.Namespace):
     if getattr(args, "tables_file", None):
         return load_table(field, args.tables_file)
-    return build_tables(field, args.N, seed=args.seed)
+    return build_tables(field, args.N)
 
 
 def _scalar_output(args: argparse.Namespace, command: str, payload: dict) -> str:
@@ -199,7 +198,7 @@ def _fit_json(fit: SlopeFit) -> dict:
 
 def _cmd_tables(args: argparse.Namespace) -> int:
     field = _load_field(args)
-    table = build_tables(field, args.N, seed=args.seed)
+    table = build_tables(field, args.N)
     if not args.out:
         raise ValueError("tables requires --out CACHEFILE")
     save_table(table, args.out)
@@ -232,7 +231,7 @@ def _cmd_vmr(args: argparse.Namespace) -> int:
 
 def _cmd_direct(args: argparse.Namespace) -> int:
     field = _load_field(args)
-    value = count_rprime_direct(field, args.x, args.m, args.r, seed=args.seed)
+    value = count_rprime_direct(field, args.x, args.m, args.r)
     _emit(
         _scalar_output(
             args,
@@ -257,7 +256,6 @@ def _cmd_scan(args: argparse.Namespace) -> int:
         table_N=table.N,
         tol=args.tol,
         table=table,
-        seed=args.seed,
         prime_cap=args.prime_cap,
     )
     usable = [rec for rec in records if rec.log10_absE is not None]
@@ -270,7 +268,6 @@ def _cmd_scan(args: argparse.Namespace) -> int:
                 "m": args.m,
                 "r": args.r,
                 "N": table.N,
-                "seed": args.seed,
                 "tool_version": __version__,
             },
         }

@@ -8,8 +8,8 @@ the density constant assembled from the invariants.
 
 No ideal arithmetic happens here: splitting types are read off from
 per-prime overrides, from the Kronecker symbol of the field
-discriminant (quadratic fields), or from factoring the defining
-polynomial mod p.
+discriminant (quadratic fields), or from the factor degrees of the
+defining polynomial mod p (Dedekind-Kummer).
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import warnings
 from dataclasses import dataclass
 
 from .errors import FieldSpecError, IndexDivisorError
-from .polygf import DEFAULT_FACTOR_SEED, factor_mod_p, poly_from_int_coeffs
+from .polygf import factor_degrees, poly_from_int_coeffs
 
 
 @dataclass(frozen=True)
@@ -206,11 +206,11 @@ _QUADRATIC_INERT = SplittingType(((1, 2),))
 _QUADRATIC_RAMIFIED = SplittingType(((2, 1),))
 
 
-def splitting_type(field: FieldSpec, p: int, seed: int = DEFAULT_FACTOR_SEED) -> SplittingType:
+def splitting_type(field: FieldSpec, p: int) -> SplittingType:
     """Decomposition type of the prime p in the field.
 
     Resolution order: explicit override, Kronecker symbol of d_K for
-    quadratic fields with invariants, then factorization of the
+    quadratic fields with invariants, then the factor degrees of the
     defining polynomial mod p.  The last route is refused when
     p^2 | poly_disc without a maximality assertion, because the
     factorization may misreport splitting at index divisors.
@@ -234,8 +234,7 @@ def splitting_type(field: FieldSpec, p: int, seed: int = DEFAULT_FACTOR_SEED) ->
             f"{field.name}: cannot trust factorization mod p={p} "
             f"(p^2 | poly_disc={field.poly_disc}, order not asserted maximal, no override)"
         )
-    factors = factor_mod_p(poly_from_int_coeffs(p, field.poly), seed=seed)
-    return SplittingType(tuple((mult, g.degree) for g, mult in factors))
+    return SplittingType(tuple(factor_degrees(poly_from_int_coeffs(p, field.poly))))
 
 
 def ideal_density_constant(field: FieldSpec) -> float:

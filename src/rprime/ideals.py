@@ -24,7 +24,6 @@ import numpy as np
 
 from .errors import BudgetExceededError
 from .fields import FieldSpec, splitting_type
-from .polygf import DEFAULT_FACTOR_SEED
 from .sieve import prime_flags
 
 ENUMERATION_GUARD = 10**5  # largest X whose ideals we will materialize
@@ -87,7 +86,7 @@ class FactoredIdeal:
 UNIT_IDEAL = FactoredIdeal(factors=(), norm=1)
 
 
-def prime_labels(field: FieldSpec, X: int, seed: int = DEFAULT_FACTOR_SEED) -> list[PrimeLabel]:
+def prime_labels(field: FieldSpec, X: int) -> list[PrimeLabel]:
     """All prime ideals of norm <= X, sorted by (p, index)."""
     labels: list[PrimeLabel] = []
     if X < 2:
@@ -95,7 +94,7 @@ def prime_labels(field: FieldSpec, X: int, seed: int = DEFAULT_FACTOR_SEED) -> l
     flags = prime_flags(X)
     for p in np.flatnonzero(flags):
         p = int(p)
-        for index, (_, f) in enumerate(splitting_type(field, p, seed=seed).parts):
+        for index, (_, f) in enumerate(splitting_type(field, p).parts):
             if p**f <= X:
                 labels.append(PrimeLabel(p=p, index=index, f=f))
     return labels
@@ -104,7 +103,6 @@ def prime_labels(field: FieldSpec, X: int, seed: int = DEFAULT_FACTOR_SEED) -> l
 def enumerate_ideals(
     field: FieldSpec,
     X: float,
-    seed: int = DEFAULT_FACTOR_SEED,
     guard: int = ENUMERATION_GUARD,
 ) -> list[FactoredIdeal]:
     """All ideals of norm <= X, each once, sorted by (norm, factors).
@@ -119,7 +117,7 @@ def enumerate_ideals(
         raise BudgetExceededError(f"enumeration of norms <= {Xi} exceeds the guard {guard}")
     if Xi < 1:
         return []
-    labels = sorted(prime_labels(field, Xi, seed=seed), key=lambda lab: (lab.norm, lab.p, lab.index))
+    labels = sorted(prime_labels(field, Xi), key=lambda lab: (lab.norm, lab.p, lab.index))
     out: list[FactoredIdeal] = []
     stack: list[tuple[PrimeLabel, int]] = []
 
@@ -214,7 +212,6 @@ def count_rprime_direct_upto(
     X: float,
     m: int,
     r: int,
-    seed: int = DEFAULT_FACTOR_SEED,
     guard: int = ENUMERATION_GUARD,
 ) -> np.ndarray:
     """Counts of relatively r-prime m-tuples for every integer bound.
@@ -228,7 +225,7 @@ def count_rprime_direct_upto(
     Xi = int(X)
     if Xi < 0:
         raise ValueError(f"X must be nonnegative, got {X}")
-    ideals = enumerate_ideals(field, Xi, seed=seed, guard=guard)
+    ideals = enumerate_ideals(field, Xi, guard=guard)
     if len(ideals) ** m > DIRECT_COUNT_BUDGET:
         raise BudgetExceededError(
             f"I_K({Xi})^{m} = {len(ideals) ** m} exceeds the direct-count budget {DIRECT_COUNT_BUDGET}"
@@ -271,10 +268,9 @@ def count_rprime_direct(
     x: float,
     m: int,
     r: int,
-    seed: int = DEFAULT_FACTOR_SEED,
     guard: int = ENUMERATION_GUARD,
 ) -> int:
     """Exact number of relatively r-prime m-tuples with norms <= x,
     straight from the definition (no Mobius identity involved)."""
-    V = count_rprime_direct_upto(field, x, m, r, seed=seed, guard=guard)
+    V = count_rprime_direct_upto(field, x, m, r, guard=guard)
     return int(V[int(x)])

@@ -5,10 +5,10 @@ zero polynomial has an empty coefficient tuple.  All moduli are primes
 small enough that coefficient products fit in machine integers with
 room to spare (the sieves in this package never push p past 1e8).
 
-Factorization composes squarefree decomposition, distinct-degree
-splitting via Frobenius powers, and seeded Cantor-Zassenhaus
-equal-degree splitting, so identical (polynomial, seed) inputs always
-produce the identical, canonically sorted factor list.
+Squarefree decomposition and distinct-degree splitting give the factor
+degrees a splitting type needs (`factor_degrees`); `factor_mod_p` adds
+seeded Cantor-Zassenhaus equal-degree splitting to find the factors
+themselves, canonically sorted and reproducible for a given seed.
 """
 
 from __future__ import annotations
@@ -45,9 +45,6 @@ class PolyModP:
 
     def is_zero(self) -> bool:
         return not self.coeffs
-
-    def is_one(self) -> bool:
-        return self.coeffs == (1,)
 
     def is_monic(self) -> bool:
         return bool(self.coeffs) and self.coeffs[-1] == 1
@@ -320,10 +317,20 @@ def _equal_degree_split(h: list[int], d: int, p: int, rng: random.Random) -> lis
             return _equal_degree_split(g, d, p, rng) + _equal_degree_split(rest, d, p, rng)
 
 
-DEFAULT_FACTOR_SEED = 0
+def factor_degrees(f: PolyModP) -> list[tuple[int, int]]:
+    """Sorted (multiplicity, degree) of each irreducible factor of monic f.
+
+    A distinct-degree block of degree k*d is a product of exactly k
+    irreducibles of degree d, so no equal-degree splitting is needed.
+    """
+    out: list[tuple[int, int]] = []
+    for part, mult in squarefree_decomposition(f):
+        for same_deg, d in _distinct_degree_split(list(part.coeffs), f.p):
+            out += [(mult, d)] * ((len(same_deg) - 1) // d)
+    return sorted(out)
 
 
-def factor_mod_p(f: PolyModP, seed: int = DEFAULT_FACTOR_SEED) -> list[tuple[PolyModP, int]]:
+def factor_mod_p(f: PolyModP, seed: int = 0) -> list[tuple[PolyModP, int]]:
     """Complete factorization of monic f into monic irreducibles.
 
     Returns [(irreducible, multiplicity), ...] sorted by

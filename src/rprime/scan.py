@@ -17,7 +17,6 @@ import numpy as np
 
 from .analytic import DEFAULT_PRIME_CAP, main_term
 from .fields import FieldSpec
-from .polygf import DEFAULT_FACTOR_SEED
 from .sieve import CoefficientTable, build_tables, count_rprime_mobius
 
 
@@ -86,7 +85,6 @@ def run_error_scan(
     table_N: int,
     tol: float = 1e-9,
     table: CoefficientTable | None = None,
-    seed: int = DEFAULT_FACTOR_SEED,
     prime_cap: int = DEFAULT_PRIME_CAP,
 ) -> list[ScanRecord]:
     """One ScanRecord per grid point, ascending in x.
@@ -100,7 +98,7 @@ def run_error_scan(
         raise ValueError(f"x_max={x_max} exceeds the table cap N={table_N}")
     grid = geometric_grid(x_min, x_max, grid_points)
     if table is None:
-        table = build_tables(field, table_N, seed=seed)
+        table = build_tables(field, table_N)
     elif table.N < x_max:
         raise ValueError(f"supplied table stops at N={table.N} < x_max={x_max}")
     records = []

@@ -35,7 +35,6 @@ import numpy as np
 
 from .errors import BudgetExceededError, FieldSpecError
 from .fields import FieldSpec, SplittingType, splitting_type
-from .polygf import DEFAULT_FACTOR_SEED
 
 MAX_TABLE_N = 10**8  # beyond this the flat int32 layout stops fitting desk RAM
 
@@ -99,7 +98,7 @@ class CoefficientTable:
             arr.setflags(write=False)
 
 
-def build_tables(field: FieldSpec, N: int, seed: int = DEFAULT_FACTOR_SEED) -> CoefficientTable:
+def build_tables(field: FieldSpec, N: int) -> CoefficientTable:
     """Sieve the a/b tables for all norms up to N.
 
     Enumerates rational primes p <= N, asks the field for the splitting
@@ -118,7 +117,7 @@ def build_tables(field: FieldSpec, N: int, seed: int = DEFAULT_FACTOR_SEED) -> C
     flags = prime_flags(N)
     for p in np.flatnonzero(flags):
         p = int(p)
-        split = splitting_type(field, p, seed=seed)
+        split = splitting_type(field, p)
         a_loc, b_loc = local_series(split, p, N)
         kmax = len(a_loc) - 1
         if kmax == 1:

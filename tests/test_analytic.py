@@ -13,6 +13,7 @@ from rprime import (
     ideal_remainder_exponent,
     is_sharper,
     main_term,
+    run_error_scan,
     sittinger_exponent,
 )
 from rprime.analytic import ExponentResult
@@ -65,6 +66,16 @@ def test_zeta_rejects_pole(field_q):
 def test_zeta_unreachable_tolerance(field_q):
     with pytest.raises(ToleranceError, match="unreachable"):
         dedekind_zeta(field_q, 2, 1e-9, prime_cap=10**4)
+
+
+@pytest.mark.parametrize("cap", [1, 0, -5])
+def test_prime_cap_below_two_rejected(field_q, cap):
+    with pytest.raises(ValueError, match="prime cap"):
+        dedekind_zeta_with_cutoff(field_q, 2, 1e-6, prime_cap=cap)
+    with pytest.raises(ValueError, match="prime cap"):
+        main_term(field_q, 10, 2, 1, prime_cap=cap)
+    with pytest.raises(ValueError, match="prime cap"):
+        run_error_scan(field_q, 2, 1, 4, 64, 3, 64, prime_cap=cap)
 
 
 def test_main_term_example(field_q):

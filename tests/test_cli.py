@@ -91,6 +91,20 @@ def test_zeta_default_tol_unreachable_is_diagnosed(capsys):
     assert "unreachable" in err
 
 
+@pytest.mark.parametrize("cap", ["1", "0", "-5"])
+@pytest.mark.parametrize(
+    "command",
+    [
+        ("zeta", "--s", "2"),
+        ("scan", "--m", "2", "--r", "1", "--xmin", "4", "--xmax", "64", "--points", "3", "--N", "64"),
+    ],
+)
+def test_bad_prime_cap_is_diagnosed(capsys, command, cap):
+    code, _, err = run(capsys, *command, "--field", Q, "--prime-cap", cap)
+    assert code == 1
+    assert err.startswith("error:") and "prime cap" in err
+
+
 def test_scan_csv_schema_and_fit(tmp_path, capsys):
     out_file = tmp_path / "scan.csv"
     code, _, err = run(
@@ -136,7 +150,7 @@ def test_scan_deterministic_bytes(tmp_path, capsys):
     args = (
         "scan", "--field", QI, "--m", "1", "--r", "2",
         "--xmin", "16", "--xmax", "512", "--points", "5",
-        "--N", "512", "--seed", "0",
+        "--N", "512",
     )
     first = tmp_path / "a.csv"
     second = tmp_path / "b.csv"
@@ -176,7 +190,6 @@ def test_scan_json_payload(capsys):
     assert doc["metadata"]["field"] == "Q"
     assert doc["metadata"]["m"] == 1 and doc["metadata"]["r"] == 2
     assert doc["metadata"]["N"] == 1024
-    assert doc["metadata"]["seed"] == 0
     assert "tool_version" in doc["metadata"]
     assert doc["fit"] is not None and "slope" in doc["fit"]
 

@@ -2,17 +2,25 @@ import json
 import math
 import random
 
+import numpy as np
 import pytest
 
 from rprime import (
     FieldSpecError,
     IndexDivisorError,
+    build_tables,
     ideal_density_constant,
     kronecker_symbol,
     parse_field_spec,
     splitting_type,
 )
 from rprime.fields import FieldInvariants, FieldSpec, SplittingType
+from rprime.polygf import factor_mod_p, poly_from_int_coeffs
+from rprime.sieve import prime_flags
+
+
+def _primes_upto(n):
+    return [int(p) for p in np.flatnonzero(prime_flags(n))]
 
 
 def test_parse_rational_field():
@@ -146,10 +154,28 @@ def test_quadratic_kronecker_agrees_with_factorization(fields):
             poly_disc=field.poly_disc,
             poly_is_maximal=True,
         )
-        for p in (3, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43):
+        for p in _primes_upto(1999):
             if field.poly_disc % p == 0:
                 continue
             assert splitting_type(bare, p) == splitting_type(field, p), (name, p)
+
+
+def test_cubic_splitting_matches_full_factorization(field_cubic):
+    # the factor-degree route against the Cantor-Zassenhaus reference
+    for p in _primes_upto(2 * 10**4):
+        factors = factor_mod_p(poly_from_int_coeffs(p, field_cubic.poly))
+        expected = SplittingType(tuple((mult, g.degree) for g, mult in factors))
+        assert splitting_type(field_cubic, p) == expected, p
+
+
+@pytest.mark.parametrize("name", ["Q", "Qi", "Qsqrt2", "Qsqrtm5"])
+def test_invariants_match_observed_ideal_density(fields, name):
+    # a wrong h, R, w or d_K in a spec moves c far outside this margin
+    field = fields[name]
+    N = 10**4
+    c = ideal_density_constant(field)
+    observed = int(build_tables(field, N).I_prefix[N]) / N
+    assert abs(observed - c) / c < 1e-2
 
 
 def test_splitting_deterministic(field_cubic):

@@ -4,6 +4,7 @@ import pytest
 
 from rprime.polygf import (
     PolyModP,
+    factor_degrees,
     factor_mod_p,
     poly_add,
     poly_divmod,
@@ -124,6 +125,7 @@ def test_factor_reconstruction_random(p):
         degree = rng.randrange(1, 9)
         f = _random_monic(rng, p, degree)
         factors = factor_mod_p(f, seed=7)
+        assert factor_degrees(f) == sorted((mult, g.degree) for g, mult in factors)
         product = P(p, 1)
         total_degree = 0
         for g, mult in factors:
@@ -140,7 +142,9 @@ def test_factor_outputs_irreducible(p):
     rng = random.Random(999 + p)
     for _ in range(25):
         f = _random_monic(rng, p, rng.randrange(2, 9))
-        for g, _ in factor_mod_p(f, seed=3):
+        factors = factor_mod_p(f, seed=3)
+        assert factor_degrees(f) == sorted((mult, g.degree) for g, mult in factors)
+        for g, _ in factors:
             if g.degree <= 1:
                 continue
             if g.degree <= 3:
