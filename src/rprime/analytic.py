@@ -8,8 +8,16 @@ splitting type.  The truncation tail is certified by
               <= n * P^(1-s) / ((s - 1) * (1 - P^-s))
 
 (n local factors per prime, each at most (1 - p^-s)^-1, then an
-integral comparison), and P grows until the certified absolute error
-drops below the requested tolerance.
+integral comparison), and P climbs the ladder P_k = min(4096 * 4^k,
+prime cap) until the certified absolute error drops below the
+requested tolerance.
+
+Rung k of the ladder is the log of the product over p <= P_k.  It is
+cached per process under (field, s, prime cap, k) and computed once,
+as rung k-1 plus the log factors of the primes in (P_{k-1}, P_k], so
+every tolerance for one (field, s, prime cap) shares one Euler
+product.  For Q those factors are one vectorized log1p sum; other
+fields go through `splitting_type` one prime at a time.
 
 Exponent tables are exact rationals so tests compare them by equality.
 Bounds of the form x^(e + eps) are returned at eps = 0 with an epsilon
@@ -33,34 +41,31 @@ from .sieve import prime_flags
 DEFAULT_PRIME_CAP = 10**7
 
 
+def _rung_cutoff(prime_cap: int, k: int) -> int:
+    return min(4096 * 4**k, prime_cap)
+
+
+def _log_local_factors(field: FieldSpec, s: float, primes: np.ndarray) -> float:
+    """Sum of -log(1 - N(P)^-s) over the prime ideals P above `primes`."""
+    if field.degree == 1:
+        return -float(np.log1p(-(primes.astype(np.float64) ** -s)).sum())
+    total = 0.0
+    for p in primes.tolist():
+        for _, f in splitting_type(field, p).parts:
+            total -= math.log1p(-(p ** (-f * s)))
+    return total
+
+
 @functools.lru_cache(maxsize=None)
-def _zeta_cached(
-    field: FieldSpec, s: float, tol: float, prime_cap: int, strict: bool
-) -> tuple[float, int, float]:
-    n = field.degree
-    product = 1.0
-    P = 0
-    lo = 2
-    hi = 4096
-    while True:
-        flags = prime_flags(min(hi, prime_cap))
-        for p in np.flatnonzero(flags[lo:]) + lo:
-            p = int(p)
-            for _, f in splitting_type(field, p).parts:
-                product /= 1.0 - p ** (-f * s)
-        P = min(hi, prime_cap)
-        tail_log = n * P ** (1.0 - s) / ((s - 1.0) * (1.0 - P ** (-s)))
-        err = product * math.expm1(tail_log)
-        if err <= tol:
-            return product, P, err
-        if P >= prime_cap:
-            if strict:
-                raise ToleranceError(
-                    f"zeta tolerance {tol} unreachable: primes up to {prime_cap} "
-                    f"certify only {err:.3e}"
-                )
-            return product, P, err  # best effort; callers check the bound
-        lo, hi = hi + 1, hi * 4
+def _euler_log_sum(field: FieldSpec, s: float, prime_cap: int, k: int) -> float:
+    """Log of the Euler product over p <= P_k, rung k of the cutoff ladder."""
+    if k == 0:
+        lo, previous = 2, 0.0
+    else:
+        lo = _rung_cutoff(prime_cap, k - 1) + 1
+        previous = _euler_log_sum(field, s, prime_cap, k - 1)
+    primes = np.flatnonzero(prime_flags(_rung_cutoff(prime_cap, k))[lo:]) + lo
+    return previous + _log_local_factors(field, s, primes)
 
 
 def dedekind_zeta_with_cutoff(
@@ -72,17 +77,35 @@ def dedekind_zeta_with_cutoff(
 ) -> tuple[float, int, float]:
     """Zeta value plus the Euler cutoff P used and the certified error.
 
-    Raises when s <= 1 (divergence) or, in strict mode, when no P under
-    the cap certifies the tolerance; non-strict mode returns the best
-    value with a warning instead.
+    Walks the cutoff ladder to the first rung whose certified error is
+    at most tol.  Raises when s <= 1 (divergence) or, in strict mode,
+    when no P under the cap certifies the tolerance; non-strict mode
+    returns the cap rung and leaves the bound for the caller to check.
     """
-    if s <= 1:
-        raise ValueError(f"zeta diverges for s <= 1, got s={s}")
-    if tol <= 0:
+    if not s > 1:
+        raise ValueError(f"zeta needs s > 1 (it diverges at s <= 1), got s={s}")
+    if not tol > 0:
         raise ValueError(f"tolerance must be positive, got {tol}")
     if prime_cap < 2:
         raise ValueError(f"prime cap must be >= 2, got {prime_cap}")
-    return _zeta_cached(field, float(s), float(tol), int(prime_cap), bool(strict))
+    s, prime_cap = float(s), int(prime_cap)
+    n = field.degree
+    k = 0
+    while True:
+        P = _rung_cutoff(prime_cap, k)
+        value = math.exp(_euler_log_sum(field, s, prime_cap, k))
+        tail_log = n * P ** (1.0 - s) / ((s - 1.0) * (1.0 - P ** (-s)))
+        err = value * math.expm1(tail_log)
+        if err <= tol:
+            return value, P, err
+        if P >= prime_cap:
+            if strict:
+                raise ToleranceError(
+                    f"zeta tolerance {tol} unreachable: primes up to {prime_cap} "
+                    f"certify only {err:.3e}"
+                )
+            return value, P, err  # best effort; callers check the bound
+        k += 1
 
 
 def dedekind_zeta(
@@ -112,6 +135,8 @@ def main_term(
         raise ValueError(f"need m >= 1 and r >= 1, got m={m}, r={r}")
     if r * m < 2:
         raise ValueError("main term undefined for r*m < 2 (zeta pole at 1)")
+    if not (math.isfinite(x) and x >= 0):
+        raise ValueError(f"x must be finite and >= 0, got x={x}")
     c = ideal_density_constant(field)
     numerator = (c * x) ** m
     zeta_tol = min(tol, 0.5 / max(numerator, 1.0))

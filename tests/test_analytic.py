@@ -1,8 +1,11 @@
 import math
 from fractions import Fraction as F
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
+import rprime.analytic as analytic
 from rprime import (
     ToleranceError,
     abelian_exponent,
@@ -17,6 +20,8 @@ from rprime import (
     sittinger_exponent,
 )
 from rprime.analytic import ExponentResult
+from rprime.fields import splitting_type
+from rprime.sieve import prime_flags
 
 
 def _riemann_zeta_reference(s: float, terms: int = 10**4) -> float:
@@ -63,6 +68,18 @@ def test_zeta_rejects_pole(field_q):
         dedekind_zeta(field_q, 1.0, 1e-6)
 
 
+@pytest.mark.parametrize("strict", [True, False])
+def test_zeta_rejects_nan_before_the_cache(field_q, monkeypatch, strict):
+    def no_rungs(*args):
+        raise AssertionError("a NaN argument reached the Euler product")
+
+    monkeypatch.setattr(analytic, "_euler_log_sum", no_rungs)
+    with pytest.raises(ValueError, match="diverges"):
+        dedekind_zeta_with_cutoff(field_q, math.nan, 1e-6, strict=strict)
+    with pytest.raises(ValueError, match="tolerance"):
+        dedekind_zeta_with_cutoff(field_q, 2, math.nan, strict=strict)
+
+
 def test_zeta_unreachable_tolerance(field_q):
     with pytest.raises(ToleranceError, match="unreachable"):
         dedekind_zeta(field_q, 2, 1e-9, prime_cap=10**4)
@@ -91,6 +108,16 @@ def test_main_term_homogeneous_in_x(field_qi):
 def test_main_term_rejects_pole(field_q):
     with pytest.raises(ValueError, match="r\\*m"):
         main_term(field_q, 10, 1, 1)
+
+
+@pytest.mark.parametrize("x", [-5, -1e-9, math.nan, math.inf, -math.inf])
+def test_main_term_rejects_bad_x(field_q, x):
+    with pytest.raises(ValueError, match="x must be finite"):
+        main_term(field_q, x, 2, 1)
+
+
+def test_main_term_at_zero(field_q):
+    assert main_term(field_q, 0, 2, 1) == 0.0
 
 
 def test_main_term_warns_when_target_uncertifiable(field_q):
@@ -196,3 +223,78 @@ def test_improvement_over_classical_bound_sweep():
                 improved = error_term_exponent(n, m, r)
                 classical = sittinger_exponent(n, m, r)
                 assert is_sharper(improved, classical), (n, m, r)
+
+
+def _sequential_zeta_ladder(field, s, prime_cap):
+    """Reference: the per-prime sequential Euler product, one
+    (value, cutoff, certified error) triple per rung of the ladder."""
+    n = field.degree
+    ladder = []
+    product = 1.0
+    lo, hi = 2, 4096
+    while not ladder or ladder[-1][1] < prime_cap:
+        flags = prime_flags(min(hi, prime_cap))
+        for p in np.flatnonzero(flags[lo:]) + lo:
+            p = int(p)
+            for _, f in splitting_type(field, p).parts:
+                product /= 1.0 - p ** (-f * s)
+        P = min(hi, prime_cap)
+        tail_log = n * P ** (1.0 - s) / ((s - 1.0) * (1.0 - P ** (-s)))
+        ladder.append((product, P, product * math.expm1(tail_log)))
+        lo, hi = hi + 1, hi * 4
+    return ladder
+
+
+def _assert_triples_close(got, want):
+    assert got[1] == want[1]
+    assert got[0] == pytest.approx(want[0], rel=1e-12, abs=0)
+    assert got[2] == pytest.approx(want[2], rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("s", [2.0, 3.0])
+@pytest.mark.parametrize("name", ["Q", "Qi", "Qsqrt2", "Qsqrtm5", "cubic"])
+def test_zeta_ladder_matches_sequential_product(fields, name, s):
+    # a cubic splitting type costs a polynomial factorization, so it keeps to two rungs
+    cutoffs = [4096, 16384] if name == "cubic" else [4096, 16384, 65536, 262144, 300000]
+    field = fields[name]
+    cap = cutoffs[-1]
+    ladder = _sequential_zeta_ladder(field, s, cap)
+    assert [P for _, P, _ in ladder] == cutoffs
+    for want in ladder:
+        # just above this rung's error, well below the previous rung's
+        got = dedekind_zeta_with_cutoff(field, s, want[2] * (1 + 1e-9), prime_cap=cap)
+        _assert_triples_close(got, want)
+    got = dedekind_zeta_with_cutoff(field, s, 1e-30, prime_cap=cap, strict=False)
+    _assert_triples_close(got, ladder[-1])
+    with pytest.raises(ToleranceError, match="unreachable"):
+        dedekind_zeta_with_cutoff(field, s, 1e-30, prime_cap=cap)
+
+
+def test_zeta_triple_independent_of_cache_order(field_qi):
+    cap = 10**6
+    analytic._euler_log_sum.cache_clear()
+    cold = dedekind_zeta_with_cutoff(field_qi, 2, 1e-3, prime_cap=cap)
+    analytic._euler_log_sum.cache_clear()
+    dedekind_zeta_with_cutoff(field_qi, 2, 1e-30, prime_cap=cap, strict=False)
+    warm = dedekind_zeta_with_cutoff(field_qi, 2, 1e-3, prime_cap=cap)
+    assert warm == cold
+    assert cold[1] < cap
+
+
+def test_scan_sieves_each_rung_once(field_q, monkeypatch):
+    calls = []
+
+    def counting_prime_flags(N):
+        calls.append(N)
+        return prime_flags(N)
+
+    monkeypatch.setattr(analytic, "prime_flags", counting_prime_flags)
+    monkeypatch.setattr("rprime.scan.count_rprime_mobius", lambda table, x, m, r: 0)
+    analytic._euler_log_sum.cache_clear()
+    with pytest.warns(UserWarning, match="certified"):
+        records = run_error_scan(
+            field_q, 2, 1, 2**12, 2**22, 11, 2**22, table=SimpleNamespace(N=2**22)
+        )
+    assert len(records) == 11
+    # every point asks for more than the cap certifies, so each walks all 7 rungs
+    assert calls == [4096, 16384, 65536, 262144, 1048576, 4194304, 10**7]

@@ -105,6 +105,22 @@ def test_bad_prime_cap_is_diagnosed(capsys, command, cap):
     assert err.startswith("error:") and "prime cap" in err
 
 
+@pytest.mark.parametrize(
+    "command",
+    [
+        ("zeta", "--s", "nan", "--tol", "1e-6"),
+        ("zeta", "--s", "2", "--tol", "nan"),
+        ("scan", "--m", "2", "--r", "1", "--xmin", "nan", "--xmax", "64", "--points", "3"),
+        ("scan", "--m", "2", "--r", "1", "--xmin", "-5", "--xmax", "64", "--points", "3"),
+        ("scan", "--m", "2", "--r", "1", "--xmin", "4", "--xmax", "inf", "--points", "3"),
+    ],
+)
+def test_bad_real_input_is_diagnosed(capsys, command):
+    code, out, err = run(capsys, *command, "--field", Q, "--N", "64")
+    assert code == 1 and out == ""
+    assert err.startswith("error:")
+
+
 def test_scan_csv_schema_and_fit(tmp_path, capsys):
     out_file = tmp_path / "scan.csv"
     code, _, err = run(
