@@ -1,8 +1,8 @@
 """Zeta values, main terms, and the theoretical error-exponent tables.
 
 The zeta function of the field is evaluated as a truncated Euler
-product over rational primes, with the local factor at p read off the
-splitting type.  The truncation tail is certified by
+product over rational primes, the local factor at p read off the
+residue degrees of the prime ideals above p.  The tail is certified by
 
     log(tail) <= n * sum_{p > P} p^-s / (1 - p^-s)
               <= n * P^(1-s) / ((s - 1) * (1 - P^-s))
@@ -16,8 +16,8 @@ Rung k of the ladder is the log of the product over p <= P_k.  It is
 cached per process under (field, s, prime cap, k) and computed once,
 as rung k-1 plus the log factors of the primes in (P_{k-1}, P_k], so
 every tolerance for one (field, s, prime cap) shares one Euler
-product.  For Q those factors are one vectorized log1p sum; other
-fields go through `splitting_type` one prime at a time.
+product.  Those factors are one vectorized log1p sum per residue
+degree f, weighted by the column f of `fields.residue_degrees`.
 
 Exponent tables are exact rationals so tests compare them by equality.
 Bounds of the form x^(e + eps) are returned at eps = 0 with an epsilon
@@ -35,7 +35,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import ToleranceError
-from .fields import FieldSpec, ideal_density_constant, splitting_type
+from .fields import FieldSpec, ideal_density_constant, residue_degrees
 from .sieve import prime_flags
 
 DEFAULT_PRIME_CAP = 10**7
@@ -47,13 +47,9 @@ def _rung_cutoff(prime_cap: int, k: int) -> int:
 
 def _log_local_factors(field: FieldSpec, s: float, primes: np.ndarray) -> float:
     """Sum of -log(1 - N(P)^-s) over the prime ideals P above `primes`."""
-    if field.degree == 1:
-        return -float(np.log1p(-(primes.astype(np.float64) ** -s)).sum())
-    total = 0.0
-    for p in primes.tolist():
-        for _, f in splitting_type(field, p).parts:
-            total -= math.log1p(-(p ** (-f * s)))
-    return total
+    p = primes.astype(np.float64)
+    columns = enumerate(residue_degrees(field, primes).T, start=1)  # (f, count of degree f)
+    return -sum(float((g * np.log1p(-(p ** (-f * s)))).sum()) for f, g in columns)
 
 
 @functools.lru_cache(maxsize=None)
@@ -135,10 +131,13 @@ def main_term(
         raise ValueError(f"need m >= 1 and r >= 1, got m={m}, r={r}")
     if r * m < 2:
         raise ValueError("main term undefined for r*m < 2 (zeta pole at 1)")
-    if not (math.isfinite(x) and x >= 0):
-        raise ValueError(f"x must be finite and >= 0, got x={x}")
     c = ideal_density_constant(field)
-    numerator = (c * x) ** m
+    try:
+        numerator = (c * x) ** m
+    except OverflowError:
+        numerator = math.inf
+    if not (x >= 0 and math.isfinite(numerator)):
+        raise ValueError(f"x must be finite and >= 0 with (c*x)^m finite, got x={x}, m={m}")
     zeta_tol = min(tol, 0.5 / max(numerator, 1.0))
     value, _, certified = dedekind_zeta_with_cutoff(
         field, float(r * m), zeta_tol, prime_cap, strict=False

@@ -38,11 +38,22 @@ from .sieve import (
 CSV_HEADER = "x,V,main,E,log10_x,log10_absE"
 
 
-def _add_common(parser: argparse.ArgumentParser, *, field_required: bool = True) -> None:
-    parser.add_argument("--field", required=field_required, help="field-spec document (JSON)")
-    parser.add_argument("--N", type=int, default=10**6, help="table cap (default 1e6)")
+def _add_common(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--field", required=True, help="field-spec document (JSON)")
+    _add_output(parser)
+
+
+def _add_output(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", help="write results to this file instead of stdout")
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
+
+
+def _add_table_source(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--N", type=int, default=10**6, help="table cap (default 1e6)")
+    parser.add_argument("--tables", dest="tables_file", help="reuse a table cache file")
+
+
+def _add_zeta_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--tol", type=float, default=1e-9, help="zeta tolerance (default 1e-9)")
     parser.add_argument(
         "--prime-cap",
@@ -61,19 +72,21 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("tables", help="build a coefficient table and write a binary cache")
-    _add_common(p)
+    p.add_argument("--field", required=True, help="field-spec document (JSON)")
+    p.add_argument("--N", type=int, default=10**6, help="table cap (default 1e6)")
+    p.add_argument("--out", required=True, help="table cache file to write")
 
     p = sub.add_parser("count", help="number of ideals of norm <= x")
     _add_common(p)
+    _add_table_source(p)
     p.add_argument("--x", type=float, required=True)
-    p.add_argument("--tables", dest="tables_file", help="reuse a table cache file")
 
     p = sub.add_parser("vmr", help="relatively r-prime m-tuple count (Mobius identity)")
     _add_common(p)
+    _add_table_source(p)
     p.add_argument("--x", type=float, required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--r", type=int, required=True)
-    p.add_argument("--tables", dest="tables_file", help="reuse a table cache file")
 
     p = sub.add_parser("direct", help="the same count from the enumeration oracle")
     _add_common(p)
@@ -83,18 +96,18 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("scan", help="error-term scan over a geometric x-grid")
     _add_common(p)
+    _add_table_source(p)
+    _add_zeta_options(p)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--xmin", type=float, required=True)
     p.add_argument("--xmax", type=float, required=True)
     p.add_argument("--points", type=int, required=True)
     p.add_argument("--fit", action="store_true", help="also fit a log-log slope")
-    p.add_argument("--tables", dest="tables_file", help="reuse a table cache file")
 
     p = sub.add_parser("fit", help="fit a slope to a previously written scan CSV")
     p.add_argument("--in", dest="infile", required=True, help="scan CSV to read")
-    p.add_argument("--out", help="write results to this file instead of stdout")
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
+    _add_output(p)
 
     p = sub.add_parser("exponents", help="theoretical error exponents")
     p.add_argument("--n", type=int, required=True, help="field degree")
@@ -106,11 +119,11 @@ def _build_parser() -> argparse.ArgumentParser:
         default="improved",
         help="which exponent table to read (default: improved)",
     )
-    p.add_argument("--out", help="write results to this file instead of stdout")
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
+    _add_output(p)
 
     p = sub.add_parser("zeta", help="evaluate the zeta function of the field")
     _add_common(p)
+    _add_zeta_options(p)
     p.add_argument("--s", type=float, required=True)
 
     return parser
@@ -129,7 +142,7 @@ def _load_field(args: argparse.Namespace) -> FieldSpec:
 
 
 def _get_table(field: FieldSpec, args: argparse.Namespace):
-    if getattr(args, "tables_file", None):
+    if args.tables_file:
         return load_table(field, args.tables_file)
     return build_tables(field, args.N)
 
@@ -199,8 +212,6 @@ def _fit_json(fit: SlopeFit) -> dict:
 def _cmd_tables(args: argparse.Namespace) -> int:
     field = _load_field(args)
     table = build_tables(field, args.N)
-    if not args.out:
-        raise ValueError("tables requires --out CACHEFILE")
     save_table(table, args.out)
     sys.stdout.write(f"wrote table cache for {field.name} up to N={args.N}: {args.out}\n")
     return 0

@@ -3,13 +3,14 @@
 A field is given by a monic integer polynomial plus optional exact
 invariants (class number, regulator, unit count, field discriminant,
 signature) copied from standard tables.  Everything downstream needs
-only the splitting type of each rational prime and, for main terms,
-the density constant assembled from the invariants.
+only the density constant assembled from the invariants and, per
+rational prime, the residue degrees of the prime ideals above it,
+tabulated by `residue_degrees` for the sieve, zeta and the oracle.
 
-No ideal arithmetic happens here: splitting types are read off from
-per-prime overrides, from the Kronecker symbol of the field
-discriminant (quadratic fields), or from the factor degrees of the
-defining polynomial mod p (Dedekind-Kummer).
+No ideal arithmetic happens here: splitting types come from per-prime
+overrides, the Kronecker symbol of the field discriminant (quadratic
+fields), or the factor degrees of the defining polynomial mod p
+(Dedekind-Kummer).
 """
 
 from __future__ import annotations
@@ -18,6 +19,8 @@ import json
 import math
 import warnings
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import FieldSpecError, IndexDivisorError
 from .polygf import factor_degrees, poly_from_int_coeffs
@@ -200,7 +203,6 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-_RATIONAL_SPLIT = SplittingType(((1, 1),))
 _QUADRATIC_SPLIT = SplittingType(((1, 1), (1, 1)))
 _QUADRATIC_INERT = SplittingType(((1, 2),))
 _QUADRATIC_RAMIFIED = SplittingType(((2, 1),))
@@ -218,11 +220,8 @@ def splitting_type(field: FieldSpec, p: int) -> SplittingType:
     override = field.override_for(p)
     if override is not None:
         return override
-    n = field.degree
-    if n == 1:
-        return _RATIONAL_SPLIT
     inv = field.invariants
-    if n == 2 and inv is not None and inv.d_K is not None:
+    if field.degree == 2 and inv is not None and inv.d_K is not None:
         symbol = _kronecker_prime(inv.d_K, p)  # p is prime by precondition
         if symbol == 1:
             return _QUADRATIC_SPLIT
@@ -235,6 +234,20 @@ def splitting_type(field: FieldSpec, p: int) -> SplittingType:
             f"(p^2 | poly_disc={field.poly_disc}, order not asserted maximal, no override)"
         )
     return SplittingType(tuple(factor_degrees(poly_from_int_coeffs(p, field.poly))))
+
+
+def residue_degrees(field: FieldSpec, primes: np.ndarray) -> np.ndarray:
+    """Int8 table: entry [i, f - 1] counts the prime ideals of residue
+    degree f above primes[i].  Degree 1 is all ones; other fields fill
+    their rows from `splitting_type`, with its override, Kronecker and
+    index-divisor rules."""
+    if field.degree == 1:
+        return np.ones((len(primes), 1), dtype=np.int8)
+    degrees = np.zeros((len(primes), field.degree), dtype=np.int8)
+    for row, p in zip(degrees, primes):
+        for _, f in splitting_type(field, int(p)).parts:
+            row[f - 1] += 1
+    return degrees
 
 
 def ideal_density_constant(field: FieldSpec) -> float:

@@ -3,9 +3,9 @@
 The counting problems in this package depend only on norms and
 factorization structure, so an ideal is a sorted tuple of
 (prime label, exponent) pairs and never a lattice.  Distinct primes
-above the same rational p are told apart by their index within the
-canonical splitting type; any consistent labeling yields identical
-counts.
+above the same rational p are told apart by their index in order of
+residue degree, as read from `fields.residue_degrees`; any consistent
+labeling yields identical counts.
 
 Directly counting relatively r-prime m-tuples iterates the m-fold
 product in aggregated form: tuples are grouped by the set of prime
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BudgetExceededError
-from .fields import FieldSpec, splitting_type
+from .fields import FieldSpec, residue_degrees
 from .sieve import prime_flags
 
 ENUMERATION_GUARD = 10**5  # largest X whose ideals we will materialize
@@ -33,7 +33,7 @@ DIRECT_COUNT_BUDGET = 10**9  # cap on I_K(x)^m for direct counting
 @dataclass(frozen=True, order=True)
 class PrimeLabel:
     """One prime ideal: rational prime, index among the primes above
-    it (in canonical splitting order), and residue degree."""
+    it (in order of residue degree), and residue degree."""
 
     p: int
     index: int
@@ -91,12 +91,10 @@ def prime_labels(field: FieldSpec, X: int) -> list[PrimeLabel]:
     labels: list[PrimeLabel] = []
     if X < 2:
         return labels
-    flags = prime_flags(X)
-    for p in np.flatnonzero(flags):
-        p = int(p)
-        for index, (_, f) in enumerate(splitting_type(field, p).parts):
-            if p**f <= X:
-                labels.append(PrimeLabel(p=p, index=index, f=f))
+    primes = np.flatnonzero(prime_flags(X))
+    for p, row in zip(primes.tolist(), residue_degrees(field, primes)):
+        fs = np.repeat(np.arange(1, len(row) + 1), row).tolist()  # ascending residue degrees
+        labels += [PrimeLabel(p, i, f) for i, f in enumerate(fs) if p**f <= X]
     return labels
 
 

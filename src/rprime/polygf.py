@@ -53,21 +53,6 @@ class PolyModP:
         """Canonical ordering key: (degree, coefficient tuple)."""
         return (self.degree, self.coeffs)
 
-    def __str__(self) -> str:
-        if self.is_zero():
-            return "0"
-        terms = []
-        for k, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            if k == 0:
-                terms.append(str(c))
-            elif k == 1:
-                terms.append("x" if c == 1 else f"{c}*x")
-            else:
-                terms.append(f"x^{k}" if c == 1 else f"{c}*x^{k}")
-        return " + ".join(reversed(terms))
-
 
 def poly_from_int_coeffs(p: int, coeffs: list[int] | tuple[int, ...]) -> PolyModP:
     """Reduce an integer coefficient list (constant term first) mod p."""

@@ -6,11 +6,12 @@ For a field K the table holds, for every n <= N,
     b[n] = sum of the ideal Mobius function over ideals of norm n
 
 Both are multiplicative, so they are assembled prime by prime from the
-local factor determined by the splitting type: the a-values at p^k are
-the series coefficients of prod_i (1 - X^{f_i})^{-1} and the b-values
-those of prod_i (1 - X^{f_i}).  Spreading onto all n <= N touches each
-slot once per prime dividing it, about N log log N work in vectorized
-slices.
+residue degrees f_i of the prime ideals above p, one row of
+`fields.residue_degrees`: the a-values at p^k are the coefficients of
+prod_i (1 - X^{f_i})^{-1} and the b-values those of prod_i (1 - X^{f_i}),
+so a prime p > sqrt(N) gives a = g_1, b = -g_1 with g_1 = #{i: f_i = 1}.
+Spreading onto all n <= N touches each slot once per prime dividing
+it, about N log log N work in vectorized slices.
 
 The central consumer regroups the ideal Mobius sum by norm: the count
 of relatively r-prime m-tuples with all norms <= x equals
@@ -28,24 +29,25 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import BudgetExceededError, FieldSpecError
-from .fields import FieldSpec, SplittingType, splitting_type
+from .fields import FieldSpec, residue_degrees
 
 MAX_TABLE_N = 10**8  # beyond this the flat int32 layout stops fitting desk RAM
 
 
-def local_series(split: SplittingType, p: int, N: int) -> tuple[list[int], list[int]]:
+def local_series(degrees: np.ndarray | list[int], p: int, N: int) -> tuple[list[int], list[int]]:
     """Coefficients of the local factor at p, truncated to p^k <= N.
 
-    Returns (a_pows, b_pows) where index k corresponds to norm p^k:
-    a_pows are coefficients of prod_i (1 - X^{f_i})^{-1} and b_pows of
-    prod_i (1 - X^{f_i}).  Only residue degrees matter; ramification
-    indices never change norms.
+    `degrees[f - 1]` counts the prime ideals of residue degree f above
+    p (a row of `fields.residue_degrees`).  Returns (a_pows, b_pows)
+    where index k corresponds to norm p^k: a_pows are coefficients of
+    prod_i (1 - X^{f_i})^{-1} and b_pows of prod_i (1 - X^{f_i}).
     """
     if N < p:
         raise ValueError(f"need N >= p, got N={N}, p={p}")
@@ -58,13 +60,12 @@ def local_series(split: SplittingType, p: int, N: int) -> tuple[list[int], list[
     a[0] = 1
     b = [0] * (kmax + 1)
     b[0] = 1
-    for _, f in split.parts:
-        if f > kmax:
-            continue
-        for k in range(f, kmax + 1):  # multiply by 1/(1 - X^f)
-            a[k] += a[k - f]
-        for k in range(kmax, f - 1, -1):  # multiply by (1 - X^f)
-            b[k] -= b[k - f]
+    for f, count in enumerate(degrees[:kmax], start=1):
+        for _ in range(int(count)):
+            for k in range(f, kmax + 1):  # multiply by 1/(1 - X^f)
+                a[k] += a[k - f]
+            for k in range(kmax, f - 1, -1):  # multiply by (1 - X^f)
+                b[k] -= b[k - f]
     return a, b
 
 
@@ -101,10 +102,10 @@ class CoefficientTable:
 def build_tables(field: FieldSpec, N: int) -> CoefficientTable:
     """Sieve the a/b tables for all norms up to N.
 
-    Enumerates rational primes p <= N, asks the field for the splitting
-    type of each, and multiplies the local coefficients onto every slot
-    with p-adic valuation exactly k.  Index-divisor refusals from the
-    splitting computation propagate.
+    Enumerates rational primes p <= N, reads the residue degrees above
+    each from one `residue_degrees` table, and multiplies the local
+    coefficients onto every slot with p-adic valuation exactly k.
+    Index-divisor refusals from the splitting computation propagate.
     """
     if N < 1:
         raise ValueError(f"table cap must be >= 1, got {N}")
@@ -114,17 +115,12 @@ def build_tables(field: FieldSpec, N: int) -> CoefficientTable:
     b = np.ones(N + 1, dtype=np.int32)
     a[0] = 0
     b[0] = 0
-    flags = prime_flags(N)
-    for p in np.flatnonzero(flags):
-        p = int(p)
-        split = splitting_type(field, p)
-        a_loc, b_loc = local_series(split, p, N)
+    primes = np.flatnonzero(prime_flags(N))
+    degrees = residue_degrees(field, primes)
+    small = int(np.searchsorted(primes, math.isqrt(N), side="right"))  # count of p^2 <= N
+    for p, row in zip(primes[:small].tolist(), degrees[:small]):
+        a_loc, b_loc = local_series(row, p, N)
         kmax = len(a_loc) - 1
-        if kmax == 1:
-            # p^2 > N: every multiple of p has valuation exactly 1
-            a[p::p] *= a_loc[1]
-            b[p::p] *= b_loc[1]
-            continue
         for k in range(1, kmax + 1):
             step = p**k
             idx = np.arange(step, N + 1, step, dtype=np.int64)
@@ -132,6 +128,11 @@ def build_tables(field: FieldSpec, N: int) -> CoefficientTable:
                 idx = idx[(idx // step) % p != 0]  # valuation exactly k
             a[idx] *= a_loc[k]
             b[idx] *= b_loc[k]
+    for p, g1 in zip(primes[small:], degrees[small:, 0]):
+        # p^2 > N: every multiple of p has valuation exactly 1
+        p, g1 = int(p), int(g1)
+        a[p::p] *= g1
+        b[p::p] *= -g1
     # a counts ideals and dominates |b|; values at desk scale stay tiny
     # relative to int32, but fail loudly rather than ship a wrapped table.
     if int(a.min()) < 0 or bool(np.any(np.abs(b) > a)):

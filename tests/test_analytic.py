@@ -110,9 +110,10 @@ def test_main_term_rejects_pole(field_q):
         main_term(field_q, 10, 1, 1)
 
 
-@pytest.mark.parametrize("x", [-5, -1e-9, math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("x", [-5, -1e-9, math.nan, math.inf, -math.inf, 1e200])
 def test_main_term_rejects_bad_x(field_q, x):
-    with pytest.raises(ValueError, match="x must be finite"):
+    # 1e200 is finite, but (c*x)^2 leaves the float range
+    with pytest.raises(ValueError, match="x must be finite.*m=2"):
         main_term(field_q, x, 2, 1)
 
 
@@ -268,6 +269,18 @@ def test_zeta_ladder_matches_sequential_product(fields, name, s):
     _assert_triples_close(got, ladder[-1])
     with pytest.raises(ToleranceError, match="unreachable"):
         dedekind_zeta_with_cutoff(field, s, 1e-30, prime_cap=cap)
+
+
+def test_rational_rungs_are_plain_log1p_sums(field_q):
+    # Q's zeta value stays bit-identical to one log1p sum per rung
+    cap = 10**5
+    for s in (2.0, 3.0):
+        analytic._euler_log_sum.cache_clear()
+        total = 0.0
+        for k, (lo, hi) in enumerate([(2, 4096), (4097, 16384), (16385, 65536)]):
+            p = np.flatnonzero(prime_flags(hi)[lo:]) + lo
+            total += -np.log1p(-(p.astype(np.float64) ** -s)).sum()
+            assert analytic._euler_log_sum(field_q, s, cap, k) == total
 
 
 def test_zeta_triple_independent_of_cache_order(field_qi):

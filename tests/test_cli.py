@@ -110,13 +110,13 @@ def test_bad_prime_cap_is_diagnosed(capsys, command, cap):
     [
         ("zeta", "--s", "nan", "--tol", "1e-6"),
         ("zeta", "--s", "2", "--tol", "nan"),
-        ("scan", "--m", "2", "--r", "1", "--xmin", "nan", "--xmax", "64", "--points", "3"),
-        ("scan", "--m", "2", "--r", "1", "--xmin", "-5", "--xmax", "64", "--points", "3"),
-        ("scan", "--m", "2", "--r", "1", "--xmin", "4", "--xmax", "inf", "--points", "3"),
+        ("scan", "--m", "2", "--r", "1", "--xmin", "nan", "--xmax", "64", "--points", "3", "--N", "64"),
+        ("scan", "--m", "2", "--r", "1", "--xmin", "-5", "--xmax", "64", "--points", "3", "--N", "64"),
+        ("scan", "--m", "2", "--r", "1", "--xmin", "4", "--xmax", "inf", "--points", "3", "--N", "64"),
     ],
 )
 def test_bad_real_input_is_diagnosed(capsys, command):
-    code, out, err = run(capsys, *command, "--field", Q, "--N", "64")
+    code, out, err = run(capsys, *command, "--field", Q)
     assert code == 1 and out == ""
     assert err.startswith("error:")
 
@@ -221,6 +221,47 @@ def test_tables_cache_and_reuse(tmp_path, capsys):
     )
     assert code == 0
     assert out.strip() == "79"
+
+
+_REQUIRED_ARGS = {
+    "tables": ("--N", "100", "--out", "never-written.tab"),
+    "count": ("--N", "100", "--x", "10"),
+    "vmr": ("--N", "100", "--x", "10", "--m", "2", "--r", "1"),
+    "direct": ("--x", "10", "--m", "2", "--r", "1"),
+    "zeta": ("--s", "2"),
+}
+
+
+@pytest.mark.parametrize(
+    "command, flag, value",
+    [
+        ("tables", "--tol", "1e-6"),
+        ("tables", "--prime-cap", "100"),
+        ("tables", "--format", "json"),
+        ("count", "--tol", "1e-6"),
+        ("count", "--prime-cap", "100"),
+        ("vmr", "--tol", "-1"),
+        ("vmr", "--prime-cap", "-9"),
+        ("direct", "--N", "1000"),
+        ("direct", "--tol", "1e-6"),
+        ("direct", "--prime-cap", "100"),
+        ("zeta", "--N", "64"),
+    ],
+)
+def test_flag_the_subcommand_does_not_read_is_refused(capsys, command, flag, value):
+    code, out, err = run(capsys, command, "--field", Q, *_REQUIRED_ARGS[command], flag, value)
+    assert code == 2 and out == ""
+    assert f"unrecognized arguments: {flag}" in err
+
+
+def test_tables_without_out_is_refused_before_building(capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("build_tables ran")
+
+    monkeypatch.setattr("rprime.cli.build_tables", refuse)
+    code, out, err = run(capsys, "tables", "--field", Q, "--N", "100")
+    assert code == 2 and out == ""
+    assert "--out" in err
 
 
 def test_unknown_subcommand_fails(capsys):

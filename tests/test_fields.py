@@ -14,6 +14,7 @@ from rprime import (
     parse_field_spec,
     splitting_type,
 )
+from rprime.fields import residue_degrees
 from rprime.fields import FieldInvariants, FieldSpec, SplittingType
 from rprime.polygf import factor_mod_p, poly_from_int_coeffs
 from rprime.sieve import prime_flags
@@ -166,6 +167,31 @@ def test_cubic_splitting_matches_full_factorization(field_cubic):
         factors = factor_mod_p(poly_from_int_coeffs(p, field_cubic.poly))
         expected = SplittingType(tuple((mult, g.degree) for g, mult in factors))
         assert splitting_type(field_cubic, p) == expected, p
+
+
+@pytest.mark.parametrize("name", ["Q", "Qi", "Qsqrt2", "Qsqrtm5", "cubic"])
+def test_residue_degrees_match_splitting_types(fields, name):
+    # covers ramified primes, Q(sqrt-5)'s override at 2 and the cubic's 23;
+    # for Q it checks the all-ones shortcut against the polynomial route
+    field = fields[name]
+    primes = np.flatnonzero(prime_flags(1999))
+    degrees = residue_degrees(field, primes)
+    assert degrees.dtype == np.int8 and degrees.shape == (len(primes), field.degree)
+    for p, row in zip(primes.tolist(), degrees.tolist()):
+        expected = [0] * field.degree
+        for _, f in splitting_type(field, p).parts:
+            expected[f - 1] += 1
+        assert row == expected, p
+
+
+def test_degree_one_residue_degrees_are_ones(field_q):
+    shifted = FieldSpec(name="Q, shifted", poly=(3, 1), poly_disc=1)
+    primes = np.flatnonzero(prime_flags(10**5))
+    for field in (field_q, shifted):
+        degrees = residue_degrees(field, primes)
+        assert degrees.dtype == np.int8 and degrees.shape == (len(primes), 1)
+        assert (degrees == 1).all()
+    assert residue_degrees(field_q, primes[:0]).shape == (0, 1)
 
 
 @pytest.mark.parametrize("name", ["Q", "Qi", "Qsqrt2", "Qsqrtm5"])

@@ -13,24 +13,23 @@ from rprime import (
     local_series,
     save_table,
 )
-from rprime.fields import SplittingType
 from rprime.sieve import _integer_root
 
 
 def test_local_series_inert_quadratic():
-    a, b = local_series(SplittingType(((1, 2),)), 3, 81)
+    a, b = local_series([0, 1], 3, 81)
     assert a == [1, 0, 1, 0, 1]
     assert b == [1, 0, -1, 0, 0]
 
 
 def test_local_series_split_quadratic():
-    a, b = local_series(SplittingType(((1, 1), (1, 1))), 5, 625)
+    a, b = local_series([2, 0], 5, 625)
     assert a == [1, 2, 3, 4, 5]
     assert b == [1, -2, 1, 0, 0]
 
 
 def test_local_series_ramified_quadratic():
-    a, b = local_series(SplittingType(((2, 1),)), 2, 16)
+    a, b = local_series([1, 0], 2, 16)
     assert a == [1, 1, 1, 1, 1]
     assert b == [1, -1, 0, 0, 0]
 
