@@ -13,7 +13,6 @@ from .analytic import (
     abelian_exponent,
     dedekind_zeta,
     dedekind_zeta_with_cutoff,
-    error_term,
     error_term_exponent,
     ideal_remainder_exponent,
     is_sharper,
@@ -46,14 +45,6 @@ from .ideals import (
     is_relatively_r_prime,
     mobius_ideal,
 )
-from .polygf import (
-    PolyModP,
-    factor_mod_p,
-    poly_from_int_coeffs,
-    poly_gcd,
-    poly_powmod,
-    squarefree_decomposition,
-)
 from .scan import ScanRecord, SlopeFit, fit_slope, run_error_scan
 from .sieve import (
     CoefficientTable,
@@ -74,7 +65,6 @@ __all__ = [
     "FieldSpec",
     "FieldSpecError",
     "IndexDivisorError",
-    "PolyModP",
     "PrimeLabel",
     "RPrimeError",
     "ScanRecord",
@@ -89,9 +79,7 @@ __all__ = [
     "dedekind_zeta",
     "dedekind_zeta_with_cutoff",
     "enumerate_ideals",
-    "error_term",
     "error_term_exponent",
-    "factor_mod_p",
     "fit_slope",
     "ideal_count",
     "ideal_density_constant",
@@ -105,12 +93,8 @@ __all__ = [
     "main_term",
     "mobius_ideal",
     "parse_field_spec",
-    "poly_from_int_coeffs",
-    "poly_gcd",
-    "poly_powmod",
     "run_error_scan",
     "save_table",
     "sittinger_exponent",
     "splitting_type",
-    "squarefree_decomposition",
 ]

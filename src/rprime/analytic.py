@@ -154,22 +154,6 @@ def main_term(
     return numerator / value
 
 
-def error_term(
-    field: FieldSpec,
-    table,
-    x: float,
-    m: int,
-    r: int,
-    tol: float = 1e-9,
-    prime_cap: int = DEFAULT_PRIME_CAP,
-) -> float:
-    """Exact tuple count minus the main term."""
-    from .sieve import count_rprime_mobius
-
-    exact = count_rprime_mobius(table, x, m, r)
-    return exact - main_term(field, x, m, r, tol=tol, prime_cap=prime_cap)
-
-
 @dataclass(frozen=True)
 class ExponentResult:
     """One growth bound x^exponent * (log x)^log_power, with a flag for

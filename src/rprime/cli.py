@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 
 from . import __version__
 from .analytic import (
@@ -49,8 +50,10 @@ def _add_output(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_table_source(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--N", type=int, default=10**6, help="table cap (default 1e6)")
-    parser.add_argument("--tables", dest="tables_file", help="reuse a table cache file")
+    # a cache fixes its own N, so the two sources exclude each other
+    source = parser.add_mutually_exclusive_group()
+    source.add_argument("--N", type=int, default=10**6, help="table cap (default 1e6)")
+    source.add_argument("--tables", dest="tables_file", help="reuse a table cache file")
 
 
 def _add_zeta_options(parser: argparse.ArgumentParser) -> None:
@@ -137,10 +140,6 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _load_field(args: argparse.Namespace) -> FieldSpec:
-    return load_field_file(args.field)
-
-
 def _get_table(field: FieldSpec, args: argparse.Namespace):
     if args.tables_file:
         return load_table(field, args.tables_file)
@@ -157,17 +156,6 @@ def _scalar_output(args: argparse.Namespace, command: str, payload: dict) -> str
 def _record_csv(rec: ScanRecord) -> str:
     tail = "" if rec.log10_absE is None else repr(rec.log10_absE)
     return f"{rec.x!r},{rec.V},{rec.main!r},{rec.E!r},{rec.log10_x!r},{tail}"
-
-
-def _record_json(rec: ScanRecord) -> dict:
-    return {
-        "x": rec.x,
-        "V": rec.V,
-        "main": rec.main,
-        "E": rec.E,
-        "log10_x": rec.log10_x,
-        "log10_absE": rec.log10_absE,
-    }
 
 
 def parse_scan_csv(text: str) -> list[ScanRecord]:
@@ -200,17 +188,8 @@ def _fit_summary_text(fit: SlopeFit) -> str:
     )
 
 
-def _fit_json(fit: SlopeFit) -> dict:
-    return {
-        "slope": fit.slope,
-        "intercept": fit.intercept,
-        "r_squared": fit.r_squared,
-        "points_used": fit.points_used,
-    }
-
-
 def _cmd_tables(args: argparse.Namespace) -> int:
-    field = _load_field(args)
+    field = load_field_file(args.field)
     table = build_tables(field, args.N)
     save_table(table, args.out)
     sys.stdout.write(f"wrote table cache for {field.name} up to N={args.N}: {args.out}\n")
@@ -218,7 +197,7 @@ def _cmd_tables(args: argparse.Namespace) -> int:
 
 
 def _cmd_count(args: argparse.Namespace) -> int:
-    field = _load_field(args)
+    field = load_field_file(args.field)
     table = _get_table(field, args)
     value = ideal_count(table, args.x)
     _emit(_scalar_output(args, "count", {"field": field.name, "x": args.x, "value": value}), args.out)
@@ -226,7 +205,7 @@ def _cmd_count(args: argparse.Namespace) -> int:
 
 
 def _cmd_vmr(args: argparse.Namespace) -> int:
-    field = _load_field(args)
+    field = load_field_file(args.field)
     table = _get_table(field, args)
     value = count_rprime_mobius(table, args.x, args.m, args.r)
     _emit(
@@ -241,7 +220,7 @@ def _cmd_vmr(args: argparse.Namespace) -> int:
 
 
 def _cmd_direct(args: argparse.Namespace) -> int:
-    field = _load_field(args)
+    field = load_field_file(args.field)
     value = count_rprime_direct(field, args.x, args.m, args.r)
     _emit(
         _scalar_output(
@@ -255,7 +234,7 @@ def _cmd_direct(args: argparse.Namespace) -> int:
 
 
 def _cmd_scan(args: argparse.Namespace) -> int:
-    field = _load_field(args)
+    field = load_field_file(args.field)
     table = _get_table(field, args)
     records = run_error_scan(
         field,
@@ -273,7 +252,7 @@ def _cmd_scan(args: argparse.Namespace) -> int:
     zero_count = len(records) - len(usable)
     if args.format == "json":
         doc = {
-            "records": [_record_json(rec) for rec in records],
+            "records": [asdict(rec) for rec in records],
             "metadata": {
                 "field": field.name,
                 "m": args.m,
@@ -284,7 +263,7 @@ def _cmd_scan(args: argparse.Namespace) -> int:
         }
         if args.fit:
             doc["zero_error_points"] = zero_count
-            doc["fit"] = _fit_json(fit_slope(records)) if len(usable) >= 2 else None
+            doc["fit"] = asdict(fit_slope(records)) if len(usable) >= 2 else None
         _emit(json.dumps(doc, indent=2) + "\n", args.out)
     else:
         body = CSV_HEADER + "\n" + "".join(_record_csv(rec) + "\n" for rec in records)
@@ -307,7 +286,7 @@ def _cmd_fit(args: argparse.Namespace) -> int:
         records = parse_scan_csv(handle.read())
     fit = fit_slope(records)
     if args.format == "json":
-        _emit(json.dumps({"fit": _fit_json(fit)}, indent=2) + "\n", args.out)
+        _emit(json.dumps({"fit": asdict(fit)}, indent=2) + "\n", args.out)
     else:
         _emit(_fit_summary_text(fit), args.out)
     return 0
@@ -342,7 +321,7 @@ def _cmd_exponents(args: argparse.Namespace) -> int:
 
 
 def _cmd_zeta(args: argparse.Namespace) -> int:
-    field = _load_field(args)
+    field = load_field_file(args.field)
     value, cutoff, certified = dedekind_zeta_with_cutoff(
         field, args.s, args.tol, prime_cap=args.prime_cap
     )

@@ -10,7 +10,8 @@ tabulated by `residue_degrees` for the sieve, zeta and the oracle.
 No ideal arithmetic happens here: splitting types come from per-prime
 overrides, the Kronecker symbol of the field discriminant (quadratic
 fields), or the factor degrees of the defining polynomial mod p
-(Dedekind-Kummer).
+(Dedekind-Kummer), which `polygf.factor_degrees` reads straight off the
+integer coefficients without finding any factor.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FieldSpecError, IndexDivisorError
-from .polygf import factor_degrees, poly_from_int_coeffs
+from .polygf import factor_degrees
 
 
 @dataclass(frozen=True)
@@ -233,7 +234,7 @@ def splitting_type(field: FieldSpec, p: int) -> SplittingType:
             f"{field.name}: cannot trust factorization mod p={p} "
             f"(p^2 | poly_disc={field.poly_disc}, order not asserted maximal, no override)"
         )
-    return SplittingType(tuple(factor_degrees(poly_from_int_coeffs(p, field.poly))))
+    return SplittingType(tuple(factor_degrees(field.poly, p)))
 
 
 def residue_degrees(field: FieldSpec, primes: np.ndarray) -> np.ndarray:

@@ -11,7 +11,6 @@ from rprime import (
     abelian_exponent,
     dedekind_zeta,
     dedekind_zeta_with_cutoff,
-    error_term,
     error_term_exponent,
     ideal_remainder_exponent,
     is_sharper,
@@ -21,7 +20,7 @@ from rprime import (
 )
 from rprime.analytic import ExponentResult
 from rprime.fields import splitting_type
-from rprime.sieve import prime_flags
+from rprime.sieve import count_rprime_mobius, prime_flags
 
 
 def _riemann_zeta_reference(s: float, terms: int = 10**4) -> float:
@@ -127,12 +126,12 @@ def test_main_term_warns_when_target_uncertifiable(field_q):
 
 
 def test_error_term_examples(field_q, table_q_1e4):
-    e = error_term(field_q, table_q_1e4, 10, 2, 1)
-    assert e == pytest.approx(63 - 100 / (math.pi**2 / 6), abs=1e-3)
-    e = error_term(field_q, table_q_1e4, 10, 1, 2)
-    assert e == pytest.approx(7 - 10 / (math.pi**2 / 6), abs=1e-3)
-    e = error_term(field_q, table_q_1e4, 1, 1, 2)
-    assert e == pytest.approx(1 - 1 / (math.pi**2 / 6), abs=1e-4)
+    def error(x, m, r):
+        return count_rprime_mobius(table_q_1e4, x, m, r) - main_term(field_q, x, m, r)
+
+    assert error(10, 2, 1) == pytest.approx(63 - 100 / (math.pi**2 / 6), abs=1e-3)
+    assert error(10, 1, 2) == pytest.approx(7 - 10 / (math.pi**2 / 6), abs=1e-3)
+    assert error(1, 1, 2) == pytest.approx(1 - 1 / (math.pi**2 / 6), abs=1e-4)
 
 
 def test_remainder_exponents_pinned_values():

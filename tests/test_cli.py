@@ -264,6 +264,28 @@ def test_tables_without_out_is_refused_before_building(capsys, monkeypatch):
     assert "--out" in err
 
 
+@pytest.mark.parametrize(
+    "command, args",
+    [
+        ("count", ("--x", "500")),
+        ("vmr", ("--x", "500", "--m", "2", "--r", "1")),
+        ("scan", ("--m", "2", "--r", "1", "--xmin", "10", "--xmax", "500", "--points", "3")),
+    ],
+    ids=["count", "vmr", "scan"],
+)
+def test_table_cap_and_cache_are_exclusive(tmp_path, capsys, monkeypatch, command, args):
+    # a cache fixes its own N, so a --N next to --tables would be ignored
+    def refuse(*args):
+        raise AssertionError("a table was built or loaded")
+
+    monkeypatch.setattr("rprime.cli.build_tables", refuse)
+    monkeypatch.setattr("rprime.cli.load_table", refuse)
+    cache = str(tmp_path / "qi.tab")
+    code, out, err = run(capsys, command, "--field", QI, *args, "--tables", cache, "--N", "5")
+    assert code == 2 and out == ""
+    assert "not allowed with argument" in err
+
+
 def test_unknown_subcommand_fails(capsys):
     assert cli_dispatch(["frobnicate"]) != 0
 
