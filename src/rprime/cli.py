@@ -370,3 +370,7 @@ def cli_dispatch(argv: list[str]) -> int:
 
 def main() -> None:
     sys.exit(cli_dispatch(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    main()

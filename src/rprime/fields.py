@@ -11,7 +11,10 @@ No ideal arithmetic happens here: splitting types come from per-prime
 overrides, the Kronecker symbol of the field discriminant (quadratic
 fields), or the factor degrees of the defining polynomial mod p
 (Dedekind-Kummer), which `polygf.factor_degrees` reads straight off the
-integer coefficients without finding any factor.
+integer coefficients without finding any factor.  `splitting_type`
+answers for one prime; `residue_degrees` sends only the primes that
+divide the polynomial discriminant through it and fills every other
+prime in one batched int64 pass over Berlekamp's Frobenius matrix.
 """
 
 from __future__ import annotations
@@ -237,18 +240,141 @@ def splitting_type(field: FieldSpec, p: int) -> SplittingType:
     return SplittingType(tuple(factor_degrees(field.poly, p)))
 
 
+_LANE_CHUNK = 4096  # primes per batched pass; bounds the int64 temporaries
+
+
 def residue_degrees(field: FieldSpec, primes: np.ndarray) -> np.ndarray:
     """Int8 table: entry [i, f - 1] counts the prime ideals of residue
-    degree f above primes[i].  Degree 1 is all ones; other fields fill
-    their rows from `splitting_type`, with its override, Kronecker and
-    index-divisor rules."""
-    if field.degree == 1:
+    degree f above primes[i].
+
+    Degree 1 is all ones.  Otherwise a prime that divides `poly_disc`
+    takes `splitting_type`, with its override, Kronecker and
+    index-divisor rules; every other prime leaves f squarefree mod p,
+    and `_frobenius_degree_counts` reads its factor degrees (which are
+    the residue degrees, by Dedekind-Kummer) in one int64 pass over all
+    such primes.  That pass is exact while degree * p^2 < 2^63, which
+    holds for every p <= 1e8; a larger such prime raises ValueError.
+    """
+    primes = np.asarray(primes, dtype=np.int64)
+    n = field.degree
+    if n == 1:
         return np.ones((len(primes), 1), dtype=np.int8)
-    degrees = np.zeros((len(primes), field.degree), dtype=np.int8)
-    for row, p in zip(degrees, primes):
-        for _, f in splitting_type(field, int(p)).parts:
-            row[f - 1] += 1
+    degrees = np.zeros((len(primes), n), dtype=np.int8)
+    divides_disc = _mod_primes(field.poly_disc, primes) == 0
+    for i in np.flatnonzero(divides_disc):
+        for _, f in splitting_type(field, int(primes[i])).parts:
+            degrees[i, f - 1] += 1
+    lanes = np.flatnonzero(~divides_disc)
+    top = int(primes[lanes].max()) if len(lanes) else 0
+    if n * top**2 >= 2**63:
+        raise ValueError(
+            f"{field.name}: prime {top} is past the int64-exact range of the "
+            f"batched residue-degree fill (degree * p^2 < 2^63)"
+        )
+    for start in range(0, len(lanes), _LANE_CHUNK):
+        rows = lanes[start : start + _LANE_CHUNK]
+        degrees[rows] = _frobenius_degree_counts(field.poly, primes[rows])
     return degrees
+
+
+def _mod_primes(c: int, primes: np.ndarray) -> np.ndarray:
+    # c mod each prime, exact for an integer c of any size
+    if -(2**63) < c < 2**63:
+        return np.int64(c) % primes
+    return (c % primes.astype(object)).astype(np.int64)
+
+
+def _mobius(m: int) -> int:
+    sign, q = 1, 2
+    while q * q <= m:
+        if m % q == 0:
+            m //= q
+            if m % q == 0:
+                return 0
+            sign = -sign
+        q += 1
+    return -sign if m > 1 else sign
+
+
+def _frobenius_degree_counts(poly: tuple[int, ...], p: np.ndarray) -> np.ndarray:
+    """Row i counts the irreducible factors of each degree of poly mod
+    p[i]; poly must be squarefree mod every p[i].
+
+    Berlekamp's Frobenius matrix, batched over primes (Cohen, A Course
+    in Computational Algebraic Number Theory, 3.4): Q has column j equal
+    to x^(jp) mod f, and dim ker(Q^k - I) = sum_i gcd(k, f_i) over the
+    factor degrees f_i, for k = 1..n.  Lanes (one per prime) run along
+    the last axis.  Every value is reduced mod p before it is
+    multiplied, so no intermediate reaches n * p^2.
+    """
+    n = len(poly) - 1
+    low = np.stack([_mod_primes(c, p) for c in poly[:-1]])  # f = x^n + low
+
+    def times_x(a):
+        shifted = np.concatenate([np.zeros_like(a[:1]), a[:-1]])
+        return (shifted - a[-1] * low) % p
+
+    fold = [-low % p]  # fold[k] = x^(n+k) mod f
+    for _ in range(n - 2):
+        fold.append(times_x(fold[-1]))
+
+    def mul(a, b):
+        prod = np.zeros((2 * n - 1, len(p)), np.int64)
+        for i in range(n):
+            prod[i : i + n] += a[i] * b
+        prod %= p
+        out = prod[:n]
+        for k in range(n - 1):
+            out += prod[n + k] * fold[k]
+        return out % p
+
+    # x^p mod f, left to right over the bits of each lane's p
+    one = np.zeros((n, len(p)), np.int64)
+    one[0] = 1
+    xp = one
+    for bit in range(int(p.max()).bit_length() - 1, -1, -1):
+        xp = mul(xp, xp)
+        xp = np.where((p >> bit) & 1 == 1, times_x(xp), xp)
+    columns = [one, xp]
+    while len(columns) < n:
+        columns.append(mul(columns[-1], xp))
+    Q = np.stack(columns, axis=1)
+
+    identity = np.eye(n, dtype=np.int64)[:, :, None]
+    kernel_dim = [None]  # kernel_dim[k] = dim ker(Q^k - I)
+    Qk = Q
+    for k in range(1, n + 1):
+        if k > 1:
+            Qk = sum(Qk[:, m, None] * Q[m] for m in range(n)) % p
+        kernel_dim.append(n - _rank_mod_p((Qk - identity) % p, p))
+
+    # kernel_dim[k] = sum over e | k of phi(e) * S[e], S[e] = #{i : e | f_i}
+    S = [None]
+    for k in range(1, n + 1):
+        divisors = [e for e in range(1, k + 1) if k % e == 0]
+        phi = sum(_mobius(k // e) * e for e in divisors)
+        S.append(sum(_mobius(k // e) * kernel_dim[e] for e in divisors) // phi)
+    return np.stack(
+        [sum(_mobius(e // d) * S[e] for e in range(d, n + 1, d)) for d in range(1, n + 1)],
+        axis=1,
+    )
+
+
+def _rank_mod_p(A: np.ndarray, p: np.ndarray) -> np.ndarray:
+    # fraction-free Gaussian elimination on A[row, col, lane], one column
+    # per step: row_i <- piv*row_i - a_i*pivrow mod p in every lane at
+    # once, exact without inverses since p is prime
+    n = A.shape[0]
+    lanes = np.arange(A.shape[2])
+    used = np.zeros((n, len(lanes)), dtype=bool)
+    for _ in range(n):
+        a = np.where(used, 0, A[:, 0])
+        r = np.argmax(a != 0, axis=0)
+        has = a[r, lanes] != 0
+        piv = np.where(has, a[r, lanes], 1)
+        used[r, lanes] |= has  # the pivot row itself drops to zero
+        A = (piv * A[:, 1:] - a[:, None] * A[r, 1:, lanes].T) % p
+    return used.sum(axis=0)
 
 
 def ideal_density_constant(field: FieldSpec) -> float:

@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import rprime
 from rprime.cli import CSV_HEADER, cli_dispatch, parse_scan_csv
 from rprime.scan import fit_slope
 
@@ -50,6 +54,23 @@ def test_vmr_prints_count(capsys):
     )
     assert code == 0
     assert out.strip() == "63"
+
+
+def test_module_entry_point_runs_the_subcommand(capsys):
+    # `python -m rprime.cli` runs the same dispatcher as the console script
+    argv = ["vmr", "--field", QI, "--x", "300", "--m", "2", "--r", "1", "--N", "1000"]
+    src = str(Path(rprime.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "rprime.cli", *argv],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+        timeout=120,
+    )
+    code, out, _ = run(capsys, *argv)
+    assert (proc.returncode, code) == (0, 0)
+    assert proc.stdout.strip() == out.strip() == "37281"
 
 
 def test_direct_matches_vmr(capsys):

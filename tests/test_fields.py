@@ -14,9 +14,9 @@ from rprime import (
     parse_field_spec,
     splitting_type,
 )
-from rprime.fields import residue_degrees
+from rprime.fields import _is_prime, residue_degrees
 from rprime.fields import FieldInvariants, FieldSpec, SplittingType
-from rprime.polygf import factor_mod_p
+from rprime.polygf import factor_degrees, factor_mod_p
 from rprime.sieve import prime_flags
 
 
@@ -169,19 +169,78 @@ def test_cubic_splitting_matches_full_factorization(field_cubic):
         assert splitting_type(field_cubic, p) == expected, p
 
 
-@pytest.mark.parametrize("name", ["Q", "Qi", "Qsqrt2", "Qsqrtm5", "cubic"])
+# (poly, poly_disc) of fields of degree 3 to 5 whose polynomial order is
+# the full ring of integers; zeta5 and zeta8 have p^2 | poly_disc
+_MORE_FIELDS = {
+    "zeta5": ((1, 1, 1, 1, 1), 125),
+    "zeta8": ((1, 0, 0, 0, 1), 256),
+    "cyclic cubic": ((-1, -2, 1, 1), 49),
+    "quartic": ((-1, 1, 0, 0, 1), -283),
+    "quintic": ((-1, -1, 0, 0, 0, 1), 2869),
+}
+
+
+def _field(fields, name):
+    if name in fields:
+        return fields[name]
+    poly, disc = _MORE_FIELDS[name]
+    return FieldSpec(name=name, poly=poly, poly_disc=disc, poly_is_maximal=True)
+
+
+def _degree_row(field, p):
+    row = [0] * field.degree
+    for _, f in splitting_type(field, p).parts:
+        row[f - 1] += 1
+    return row
+
+
+@pytest.mark.parametrize("name", ["Q", "Qi", "Qsqrt2", "Qsqrtm5", "cubic", *_MORE_FIELDS])
 def test_residue_degrees_match_splitting_types(fields, name):
-    # covers ramified primes, Q(sqrt-5)'s override at 2 and the cubic's 23;
-    # for Q it checks the all-ones shortcut against the polynomial route
-    field = fields[name]
-    primes = np.flatnonzero(prime_flags(1999))
+    # covers ramified primes, Q(sqrt-5)'s override at 2, the cubic's 23 and
+    # the batched pass on every other prime; for Q it checks the all-ones
+    # shortcut against the polynomial route
+    field = _field(fields, name)
+    primes = np.flatnonzero(prime_flags(2 * 10**4 if name == "cubic" else 1999))
     degrees = residue_degrees(field, primes)
     assert degrees.dtype == np.int8 and degrees.shape == (len(primes), field.degree)
     for p, row in zip(primes.tolist(), degrees.tolist()):
+        assert row == _degree_row(field, p), p
+
+
+@pytest.mark.parametrize("name", ["Qi", "cubic", *_MORE_FIELDS])
+def test_residue_degrees_of_no_primes_and_of_two_alone(fields, name):
+    field = _field(fields, name)
+    assert residue_degrees(field, np.array([], dtype=np.int64)).shape == (0, field.degree)
+    assert residue_degrees(field, np.array([2])).tolist() == [_degree_row(field, 2)]
+
+
+@pytest.mark.parametrize("name", ["cubic", "zeta5", "quintic"])
+def test_batched_fill_is_exact_just_below_1e8(fields, name):
+    # the top of the table cap, where products come closest to int64
+    field = _field(fields, name)
+    primes = [p for p in range(10**8 - 3000, 10**8) if _is_prime(p)]
+    degrees = residue_degrees(field, np.array(primes))
+    for p, row in zip(primes, degrees.tolist()):
         expected = [0] * field.degree
-        for _, f in splitting_type(field, p).parts:
+        for _, f in factor_degrees(field.poly, p):
             expected[f - 1] += 1
         assert row == expected, p
+
+
+def test_discriminant_past_int64_splits_primes_exactly(field_cubic):
+    # poly_disc is reduced mod each prime exactly, not through int64; 2 and
+    # 5 then take the per-prime route, which agrees with the batched one
+    scaled = FieldSpec(
+        name="scaled", poly=field_cubic.poly, poly_disc=-23 * 10**20, poly_is_maximal=True
+    )
+    primes = np.flatnonzero(prime_flags(1999))
+    assert (residue_degrees(scaled, primes) == residue_degrees(field_cubic, primes)).all()
+
+
+def test_batched_fill_refuses_primes_past_int64_exact_range(field_cubic):
+    # 3 * (2^31 - 1)^2 >= 2^63: the pass would wrap, so it must refuse
+    with pytest.raises(ValueError, match="int64-exact"):
+        residue_degrees(field_cubic, np.array([2**31 - 1]))
 
 
 def test_degree_one_residue_degrees_are_ones(field_q):
