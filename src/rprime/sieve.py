@@ -11,7 +11,10 @@ residue degrees f_i of the prime ideals above p, one row of
 prod_i (1 - X^{f_i})^{-1} and the b-values those of prod_i (1 - X^{f_i}),
 so a prime p > sqrt(N) gives a = g_1, b = -g_1 with g_1 = #{i: f_i = 1}.
 Spreading onto all n <= N touches each slot once per prime dividing
-it, about N log log N work in vectorized slices.
+it, about N log log N element updates.  They take about sqrt(N) numpy
+ops, not pi(N): one strided multiply per prime p <= sqrt(N), and one
+fancy-index multiply per cofactor s <= sqrt(N) that covers every
+multiple s p with p > sqrt(N) at once.
 
 The central consumer regroups the ideal Mobius sum by norm: the count
 of relatively r-prime m-tuples with all norms <= x equals
@@ -21,8 +24,10 @@ of relatively r-prime m-tuples with all norms <= x equals
 floor(x / n^r) takes at most 2 x^(1/(r+1)) distinct values, so the sum
 runs over blocks of n sharing one value q, each adding
 (B(n_end) - B(n - 1)) * I_K(q)^m with B the prefix sum of b (the
-floor-value grouping of Deleglise and Rivat).  That is O(sqrt(x))
-exact Python-integer terms for r = 1, with no overflow bound.
+floor-value grouping of Deleglise and Rivat).  Both I_K and B are read
+from the table's stored prefix sums, so a count allocates no array.
+That is O(sqrt(x)) exact Python-integer terms for r = 1, with no
+overflow bound.
 """
 
 from __future__ import annotations
@@ -82,10 +87,12 @@ def prime_flags(N: int) -> np.ndarray:
 class CoefficientTable:
     """Immutable a/b tables for one field up to norm N.
 
-    Arrays are flat int32 (a, b) with the cumulative ideal count in
-    int64; they are marked read-only, so a built table can be shared
-    across threads and queried concurrently.  Tables compare by
-    identity (the arrays make value equality a trap).
+    Four flat int32 arrays: a and b, and their prefix sums
+    I_prefix[n] = I_K(n) and B_prefix[n] = B(n).  I_K(N) < 2^31 is
+    checked before the prefixes are taken, and |B(n)| <= I_K(n), so
+    neither wraps.  The arrays are marked read-only, so a built table
+    can be shared across threads and queried concurrently.  Tables
+    compare by identity (the arrays make value equality a trap).
     """
 
     field: FieldSpec
@@ -93,19 +100,40 @@ class CoefficientTable:
     a: np.ndarray
     b: np.ndarray
     I_prefix: np.ndarray
+    B_prefix: np.ndarray
 
     def __post_init__(self) -> None:
-        for arr in (self.a, self.b, self.I_prefix):
+        for arr in (self.a, self.b, self.I_prefix, self.B_prefix):
             arr.setflags(write=False)
+
+
+def _finish_table(field: FieldSpec, N: int, a: np.ndarray, b: np.ndarray) -> CoefficientTable:
+    """Check a/b and wrap them with their int32 prefix sums.
+
+    a counts ideals and dominates |b|; a value outside that, or a total
+    I_K(N) that int32 cannot hold, raises `OverflowError` rather than
+    ship a wrapped table.
+    """
+    # a >= 0 first, so -a cannot wrap
+    if int(a.min()) < 0 or bool(np.any(b > a)) or bool(np.any(b < -a)):
+        raise OverflowError("coefficient table left its 32-bit layout: some a < 0 or |b| > a")
+    total = int(a.sum(dtype=np.int64))
+    if total >= 2**31:
+        raise OverflowError(f"I_K(N) = {total} does not fit the int32 prefix sums")
+    I_prefix = np.cumsum(a, dtype=np.int32)
+    B_prefix = np.cumsum(b, dtype=np.int32)
+    return CoefficientTable(field=field, N=N, a=a, b=b, I_prefix=I_prefix, B_prefix=B_prefix)
 
 
 def build_tables(field: FieldSpec, N: int) -> CoefficientTable:
     """Sieve the a/b tables for all norms up to N.
 
-    Enumerates rational primes p <= N, reads the residue degrees above
-    each from one `residue_degrees` table, and multiplies the local
-    coefficients onto every slot with p-adic valuation exactly k.
-    Index-divisor refusals from the splitting computation propagate.
+    Enumerates rational primes p <= N and reads the residue degrees
+    above each from one `residue_degrees` table.  A prime p <= sqrt(N)
+    multiplies its local coefficients onto its multiples in one strided
+    op; the primes above sqrt(N) are spread together, one op per
+    cofactor s.  Index-divisor refusals from the splitting computation
+    propagate.
     """
     if N < 1:
         raise ValueError(f"table cap must be >= 1, got {N}")
@@ -120,25 +148,28 @@ def build_tables(field: FieldSpec, N: int) -> CoefficientTable:
     small = int(np.searchsorted(primes, math.isqrt(N), side="right"))  # count of p^2 <= N
     for p, row in zip(primes[:small].tolist(), degrees[:small]):
         a_loc, b_loc = local_series(row, p, N)
-        kmax = len(a_loc) - 1
-        for k in range(1, kmax + 1):
-            step = p**k
-            idx = np.arange(step, N + 1, step, dtype=np.int64)
-            if k < kmax:
-                idx = idx[(idx // step) % p != 0]  # valuation exactly k
-            a[idx] *= a_loc[k]
-            b[idx] *= b_loc[k]
-    for p, g1 in zip(primes[small:], degrees[small:, 0]):
-        # p^2 > N: every multiple of p has valuation exactly 1
-        p, g1 = int(p), int(g1)
-        a[p::p] *= g1
-        b[p::p] *= -g1
-    # a counts ideals and dominates |b|; values at desk scale stay tiny
-    # relative to int32, but fail loudly rather than ship a wrapped table.
-    if int(a.min()) < 0 or bool(np.any(np.abs(b) > a)):
-        raise OverflowError("coefficient table overflowed its 32-bit layout")
-    I_prefix = np.cumsum(a, dtype=np.int64)
-    return CoefficientTable(field=field, N=N, a=a, b=b, I_prefix=I_prefix)
+        # entry j is the multiple (j + 1) p, whose valuation is >= k
+        # exactly when p^(k-1) divides j + 1
+        ta = np.full(N // p, a_loc[1], dtype=np.int32)
+        tb = np.full(N // p, b_loc[1], dtype=np.int32)
+        for k in range(2, len(a_loc)):
+            step = p ** (k - 1)
+            ta[step - 1 :: step] = a_loc[k]
+            tb[step - 1 :: step] = b_loc[k]
+        a[p::p] *= ta
+        b[p::p] *= tb
+    # p^2 > N: every multiple s p <= N has s < p, so valuation exactly 1;
+    # group the multiples by s, one fancy-index op over all p <= N // s
+    large = primes[small:]
+    g1 = degrees[small:, 0].astype(np.int32)
+    neg_g1 = -g1
+    s_max = N // int(large[0]) if len(large) else 0
+    for s in range(1, s_max + 1):
+        cnt = int(np.searchsorted(large, N // s, side="right"))
+        idx = s * large[:cnt]
+        a[idx] *= g1[:cnt]
+        b[idx] *= neg_g1[:cnt]
+    return _finish_table(field, N, a, b)
 
 
 def ideal_count(table: CoefficientTable, x: float) -> int:
@@ -179,14 +210,15 @@ def count_rprime_mobius(table: CoefficientTable, x: float, m: int, r: int) -> in
         raise ValueError(f"x={x} exceeds the table cap N={table.N}")
     X = int(x)
     L = _integer_root(X, r)
-    # |B(n)| <= I_K(n), which I_prefix already holds in int64
-    B = np.cumsum(table.b[: L + 1], dtype=np.int64)
+    # |B(n)| <= I_K(n) < 2^31, so the stored int32 B_prefix holds B
+    # exactly; block differences and products are taken in Python ints
+    B = table.B_prefix
     total = 0
     n = 1
     while n <= L:
         q = X // n**r
         n_end = _integer_root(X // q, r)  # last n with the same floor value q
-        total += int(B[n_end] - B[n - 1]) * int(table.I_prefix[q]) ** m
+        total += (int(B[n_end]) - int(B[n - 1])) * int(table.I_prefix[q]) ** m
         n = n_end + 1
     if total < 0:
         raise OverflowError("negative tuple count: table corrupt")
@@ -215,7 +247,8 @@ def save_table(table: CoefficientTable, path: str) -> None:
 
 
 def load_table(field: FieldSpec, path: str) -> CoefficientTable:
-    """Load a cached table, validating magic, version and fingerprint."""
+    """Load a cached table, validating magic, version, fingerprint and
+    the a/b values (a >= 0, |b| <= a, I_K(N) < 2^31)."""
     with open(path, "rb") as handle:
         blob = handle.read()
     header = len(_CACHE_MAGIC) + 4 + 32 + 8
@@ -233,5 +266,7 @@ def load_table(field: FieldSpec, path: str) -> CoefficientTable:
         raise FieldSpecError(f"{path}: truncated cache (have {len(blob)} bytes, want {expected})")
     a = np.frombuffer(blob, dtype="<i4", count=N + 1, offset=header).astype(np.int32)
     b = np.frombuffer(blob, dtype="<i4", count=N + 1, offset=header + 4 * (N + 1)).astype(np.int32)
-    I_prefix = np.cumsum(a, dtype=np.int64)
-    return CoefficientTable(field=field, N=int(N), a=a, b=b, I_prefix=I_prefix)
+    try:
+        return _finish_table(field, int(N), a, b)
+    except OverflowError as exc:
+        raise FieldSpecError(f"{path}: corrupt cache: {exc}") from exc

@@ -13,7 +13,10 @@ from rprime import (
     local_series,
     save_table,
 )
-from rprime.sieve import _integer_root
+from rprime.fields import residue_degrees
+from rprime.sieve import _finish_table, _integer_root, prime_flags
+
+from test_fields import _MORE_FIELDS, _field
 
 
 def test_local_series_inert_quadratic():
@@ -70,6 +73,50 @@ def test_tables_multiplicative_spot_check(table_qi_1e4):
         assert a[u * v] == a[u] * a[v]
         assert b[u * v] == b[u] * b[v]
         checked += 1
+
+
+def _spread_per_prime(field, N):
+    # reference spread: one strided slice pair per prime and valuation,
+    # with an int64 index filter and no grouping by cofactor
+    a = np.ones(N + 1, dtype=np.int32)
+    b = np.ones(N + 1, dtype=np.int32)
+    a[0] = b[0] = 0
+    primes = np.flatnonzero(prime_flags(N))
+    degrees = residue_degrees(field, primes)
+    small = int(np.searchsorted(primes, math.isqrt(N), side="right"))
+    for p, row in zip(primes[:small].tolist(), degrees[:small]):
+        a_loc, b_loc = local_series(row, p, N)
+        kmax = len(a_loc) - 1
+        for k in range(1, kmax + 1):
+            step = p**k
+            idx = np.arange(step, N + 1, step, dtype=np.int64)
+            if k < kmax:
+                idx = idx[(idx // step) % p != 0]
+            a[idx] *= a_loc[k]
+            b[idx] *= b_loc[k]
+    for p, g1 in zip(primes[small:].tolist(), degrees[small:, 0].tolist()):
+        a[p::p] *= g1
+        b[p::p] *= -g1
+    return a, b
+
+
+# both sides of every p^2 boundary (small set empty below 4, large set
+# almost empty right after it), plus a size where most primes are large
+_SPREAD_SIZES = [
+    *range(1, 65),
+    *sorted({p * p + d for p in (2, 3, 5, 7, 31) for d in (-1, 0, 1)}),
+    10**4,
+]
+
+
+@pytest.mark.parametrize("name", ["Q", "Qi", "Qsqrt2", "Qsqrtm5", "cubic", *_MORE_FIELDS])
+def test_spread_matches_per_prime_reference(fields, name):
+    field = _field(fields, name)
+    for N in _SPREAD_SIZES:
+        table = build_tables(field, N)
+        a, b = _spread_per_prime(field, N)
+        assert np.array_equal(table.a, a), (name, N)
+        assert np.array_equal(table.b, b), (name, N)
 
 
 def test_ideal_count_floor_semantics(table_q_1e4):
@@ -171,6 +218,21 @@ def test_table_cache_roundtrip(tmp_path, field_qi, table_qi_1e4):
     assert np.array_equal(loaded.a, table_qi_1e4.a)
     assert np.array_equal(loaded.b, table_qi_1e4.b)
     assert np.array_equal(loaded.I_prefix, table_qi_1e4.I_prefix)
+    assert np.array_equal(loaded.B_prefix, table_qi_1e4.B_prefix)
+
+
+@pytest.mark.parametrize("column, value", [("b", 2), ("b", -(2**31)), ("a", -1)])
+def test_table_cache_rejects_corrupt_slot(tmp_path, field_qi, table_qi_1e4, column, value):
+    # a cache of the right length whose slot n = 7 (a = b = 0 in Q(i))
+    # breaks a >= 0 or |b| <= a; -2^31 is the value whose abs wraps
+    path = tmp_path / "qi.tab"
+    save_table(table_qi_1e4, str(path))
+    blob = bytearray(path.read_bytes())
+    offset = len(blob) - 4 * (table_qi_1e4.N + 1) * (2 if column == "a" else 1) + 4 * 7
+    blob[offset : offset + 4] = value.to_bytes(4, "little", signed=True)
+    path.write_bytes(bytes(blob))
+    with pytest.raises(FieldSpecError, match="corrupt"):
+        load_table(field_qi, str(path))
 
 
 def test_table_cache_rejects_wrong_field(tmp_path, field_q, table_qi_1e4):
@@ -190,3 +252,21 @@ def test_table_cache_rejects_garbage(tmp_path, field_q):
 def test_tables_are_read_only(table_q_1e4):
     with pytest.raises(ValueError):
         table_q_1e4.a[3] = 99
+
+
+@pytest.mark.parametrize("name", ["Q", "Qi", "Qsqrt2", "Qsqrtm5", "cubic"])
+def test_prefix_sums_are_int32_read_only_cumsums(tables_all_fields, name):
+    table = tables_all_fields[name]
+    for values, prefix in ((table.a, table.I_prefix), (table.b, table.B_prefix)):
+        assert prefix.dtype == np.int32
+        assert np.array_equal(prefix, np.cumsum(values, dtype=np.int64))
+        with pytest.raises(ValueError):
+            prefix[1] = 0
+
+
+def test_finish_table_refuses_ideal_count_past_int32(field_q):
+    b = np.zeros(3, dtype=np.int32)
+    fits = _finish_table(field_q, 2, np.array([0, 2**30, 2**30 - 1], dtype=np.int32), b)
+    assert int(fits.I_prefix[2]) == 2**31 - 1
+    with pytest.raises(OverflowError, match="2147483648"):
+        _finish_table(field_q, 2, np.array([0, 2**30, 2**30], dtype=np.int32), b)
