@@ -8,16 +8,30 @@ residue degree, as read from `fields.residue_degrees`; any consistent
 labeling yields identical counts.
 
 Directly counting relatively r-prime m-tuples iterates the m-fold
-product in aggregated form: tuples are grouped by the set of prime
-labels still "surviving" (exponent >= r in every member so far), and a
-group whose surviving set goes empty is completed freely.  A tuple is
-relatively r-prime exactly when its surviving set is empty, so summing
-the free completions reproduces the naive count; tests pin this
-against a literal itertools.product enumeration.
+product in aggregated form.  A prefix (a_1..a_k) is summarized by its
+surviving set, the prime labels with exponent >= r in every member so
+far, and by its largest norm.  Ideals are grouped by their own
+surviving set T, with one histogram over norms per group.  Step k
+extends each surviving set S by every group; the new set is S & T.
+Extension is a max-convolution of norm histograms, which is linear in
+the group histogram, so the groups are first bucketed by S & T and
+summed, and each (S, bucket) pair takes one convolution.  The empty
+bucket, every group disjoint from S, is the histogram of all ideals
+less the other buckets, so a state adds up only the groups it meets.
+A prefix whose set goes empty is completed freely.  On the last step
+only the empty bucket is convolved, because a label that survives all
+m steps makes the tuple not r-prime.
+
+A tuple is relatively r-prime exactly when its surviving set is empty,
+so the count is the definition's finite sum over tuples, regrouped; no
+Mobius identity enters, which keeps the oracle independent of the
+Mobius route.  Tests pin it against a literal itertools.product
+enumeration.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +42,7 @@ from .sieve import prime_flags
 
 ENUMERATION_GUARD = 10**5  # largest X whose ideals we will materialize
 DIRECT_COUNT_BUDGET = 10**9  # cap on I_K(x)^m for direct counting
+STEP_CELL_BUDGET = 10**9  # cap on G^2 * (x + 1) for G surviving sets
 
 
 @dataclass(frozen=True, order=True)
@@ -98,6 +113,13 @@ def prime_labels(field: FieldSpec, X: int) -> list[PrimeLabel]:
     return labels
 
 
+def _norm_bound(x: float) -> int:
+    """floor(x) for a finite x >= 0; ValueError naming x otherwise."""
+    if not math.isfinite(x) or x < 0:
+        raise ValueError(f"x must be finite and nonnegative, got {x}")
+    return int(x)
+
+
 def enumerate_ideals(
     field: FieldSpec,
     X: float,
@@ -108,9 +130,7 @@ def enumerate_ideals(
     Recursive descent over prime labels ordered by norm, dividing the
     remaining norm budget at each step.
     """
-    if X < 0:
-        raise ValueError(f"X must be nonnegative, got {X}")
-    Xi = int(X)
+    Xi = _norm_bound(X)
     if Xi > guard:
         raise BudgetExceededError(f"enumeration of norms <= {Xi} exceeds the guard {guard}")
     if Xi < 1:
@@ -170,34 +190,47 @@ def is_relatively_r_prime(ideals: list[FactoredIdeal], r: int) -> bool:
 
 def _support_groups(
     ideals: list[FactoredIdeal], r: int, Xi: int
-) -> tuple[dict[frozenset[int], np.ndarray], np.ndarray]:
-    """Histogram ideals by their set of labels with exponent >= r.
+) -> tuple[dict[int, np.ndarray], np.ndarray]:
+    """Histogram ideals by their surviving set, the labels with exponent >= r.
 
     Returns (groups, total) where groups maps each distinct surviving
-    set to an int64 histogram over norms and total is the histogram of
-    all ideals.
+    set, as a label bitmask, to an int64 histogram over norms and total
+    is the histogram of all ideals.
+
+    Every prefix state of the oracle is itself one of the G sets: the
+    ideal prod P^r over a state's labels divides each member of the
+    prefix, so its norm is <= Xi.  Hence a step adds at most G * G
+    histograms of Xi + 1 cells.  Before allocating any histogram this
+    raises BudgetExceededError when G^2 (Xi + 1) exceeds
+    STEP_CELL_BUDGET; with the default enumeration guard (Xi <= 10^5)
+    that also caps the G histograms at 10^7 cells.
     """
-    label_ids: dict[PrimeLabel, int] = {}
-    groups: dict[frozenset[int], np.ndarray] = {}
-    total = np.zeros(Xi + 1, dtype=np.int64)
+    bits: dict[PrimeLabel, int] = {}
+    masks = []
     for ideal in ideals:
-        ids = []
+        mask = 0
         for label, exp in ideal.factors:
             if exp >= r:
-                if label not in label_ids:
-                    label_ids[label] = len(label_ids)
-                ids.append(label_ids[label])
-        key = frozenset(ids)
-        if key not in groups:
-            groups[key] = np.zeros(Xi + 1, dtype=np.int64)
-        groups[key][ideal.norm] += 1
+                mask |= bits.setdefault(label, 1 << len(bits))
+        masks.append(mask)
+    distinct = dict.fromkeys(masks)  # first-seen order
+    G = len(distinct)
+    if G * G * (Xi + 1) > STEP_CELL_BUDGET:
+        raise BudgetExceededError(
+            f"{G} surviving sets at x = {Xi}: G^2 (x + 1) = {G * G * (Xi + 1)} "
+            f"exceeds the step-cell budget {STEP_CELL_BUDGET}"
+        )
+    groups = {mask: np.zeros(Xi + 1, dtype=np.int64) for mask in distinct}
+    total = np.zeros(Xi + 1, dtype=np.int64)
+    for mask, ideal in zip(masks, ideals):
+        groups[mask][ideal.norm] += 1
         total[ideal.norm] += 1
     return groups, total
 
 
 def _max_convolve(C: np.ndarray, H: np.ndarray) -> np.ndarray:
     """D[t] = number of pairs (u, v) with C-weight at u, H-weight at v
-    and max(u, v) = t."""
+    and max(u, v) = t.  Linear in each argument."""
     cum_c = np.cumsum(C)
     cum_h = np.cumsum(H)
     D = C * cum_h
@@ -217,12 +250,19 @@ def count_rprime_direct_upto(
     Returns an int64 array V with V[x] = number of m-tuples of ideals,
     all norms <= x, passing the r-prime predicate, for 0 <= x <=
     floor(X).  One enumeration pass serves every x.
+
+    Step k extends each surviving prefix set S by every ideal, grouped
+    by surviving set T; the extended set is S & T.  The groups are first
+    bucketed by S & T and their histograms summed (the empty bucket as
+    the total less the others), so each (S, bucket) takes one
+    max-convolution.  On step m only the empty bucket is convolved: a
+    prefix with a label left in its set is never r-prime.  Both only
+    regroup the definition's finite sum over tuples; no Mobius identity
+    is used.
     """
     if m < 1 or r < 1:
         raise ValueError(f"need m >= 1 and r >= 1, got m={m}, r={r}")
-    Xi = int(X)
-    if Xi < 0:
-        raise ValueError(f"X must be nonnegative, got {X}")
+    Xi = _norm_bound(X)
     ideals = enumerate_ideals(field, Xi, guard=guard)
     if len(ideals) ** m > DIRECT_COUNT_BUDGET:
         raise BudgetExceededError(
@@ -234,25 +274,34 @@ def count_rprime_direct_upto(
     # events[k][v]: prefixes (a_1..a_k) whose surviving set first went
     # empty at step k, with max norm v; all completions are free.
     events = np.zeros((m + 1, Xi + 1), dtype=np.int64)
-    level: dict[frozenset[int], np.ndarray] = {}
+    level: dict[int, np.ndarray] = {}
     for supp, hist in groups.items():
         if supp:
-            level[supp] = hist.copy()
+            level[supp] = hist
         else:
             events[1] += hist
     for k in range(2, m + 1):
-        nxt: dict[frozenset[int], np.ndarray] = {}
+        nxt: dict[int, np.ndarray] = {}
         for state, counts in level.items():
+            buckets: dict[int, np.ndarray] = {}  # nonempty S & T -> summed histograms
             for supp, hist in groups.items():
-                joined = _max_convolve(counts, hist)
                 narrowed = state & supp
-                if narrowed:
-                    if narrowed in nxt:
-                        nxt[narrowed] += joined
-                    else:
-                        nxt[narrowed] = joined
+                if not narrowed:
+                    continue
+                if narrowed in buckets:
+                    buckets[narrowed] += hist
                 else:
-                    events[k] += joined
+                    buckets[narrowed] = hist.copy()
+            # The empty bucket holds every group not met above.
+            events[k] += _max_convolve(counts, total_hist - sum(buckets.values()))
+            if k == m:
+                continue  # a label survives all m steps: never r-prime
+            for narrowed, hist in buckets.items():
+                joined = _max_convolve(counts, hist)
+                if narrowed in nxt:
+                    nxt[narrowed] += joined
+                else:
+                    nxt[narrowed] = joined
         level = nxt
     counts_by_x = np.cumsum(total_hist)
     V = np.zeros(Xi + 1, dtype=np.int64)

@@ -14,6 +14,7 @@ from rprime import (
     is_relatively_r_prime,
     mobius_ideal,
 )
+from rprime import ideals
 from rprime.ideals import UNIT_IDEAL, FactoredIdeal, PrimeLabel
 
 
@@ -115,8 +116,11 @@ def _count_naive(field, x, m, r):
 
 @pytest.mark.parametrize("m,r", [(1, 1), (1, 2), (2, 1), (2, 2), (3, 1), (3, 2)])
 def test_direct_count_matches_naive_product(fields, m, r):
+    # Norm 30 = 2*3*5 is Q's first surviving set of 3 primes, so x = 31
+    # reaches buckets S & T of two or more labels.
+    xs = (1, 4, 11, 23) + ((31,) if m <= 2 or (m, r) == (3, 1) else ())
     for field in fields.values():
-        for x in (1, 4, 11, 23):
+        for x in xs:
             assert count_rprime_direct(field, x, m, r) == _count_naive(field, x, m, r)
 
 
@@ -144,12 +148,39 @@ def test_direct_count_budget_guard(field_q):
         count_rprime_direct(field_q, 10**4, 3, 1)
 
 
+def test_direct_count_step_cell_guard(field_q, monkeypatch):
+    # 30000^2 passes the direct-count budget, but Q has 18,242 surviving
+    # sets at x = 30000; their dense histograms alone would be 4.4 GB,
+    # so the oracle must refuse before it allocates any array.
+    class NoAllocation:
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        def zeros(self, *args, **kwargs):
+            raise AssertionError("histograms allocated before the guard")
+
+    monkeypatch.setattr(ideals, "np", NoAllocation())
+    with pytest.raises(BudgetExceededError, match="budget"):
+        count_rprime_direct(field_q, 30000, 2, 1)
+
+
+@pytest.mark.parametrize("x", [-0.5, -1, float("-inf"), float("inf"), float("nan")])
+def test_direct_count_refuses_bad_x(field_q, x):
+    for call in (count_rprime_direct, count_rprime_direct_upto):
+        with pytest.raises(ValueError, match="x must be finite and nonnegative"):
+            call(field_q, x, 2, 1)
+    with pytest.raises(ValueError, match="x must be finite and nonnegative"):
+        enumerate_ideals(field_q, x)
+
+
 def test_direct_matches_mobius_medium(fields):
     from rprime import build_tables
 
-    for field in fields.values():
-        table = build_tables(field, 150)
-        for m, r in ((1, 2), (2, 1), (2, 2)):
-            direct = count_rprime_direct_upto(field, 150, m, r)
-            for x in range(1, 151, 7):
-                assert count_rprime_mobius(table, x, m, r) == int(direct[x])
+    for name, field in fields.items():
+        X = 400 if name == "cubic" else 150
+        table = build_tables(field, X)
+        for m, r in ((1, 2), (2, 1), (2, 2), (3, 1), (3, 2)):
+            direct = count_rprime_direct_upto(field, X, m, r)
+            xs = range(1, X + 1) if name == "cubic" else range(1, X + 1, 7)
+            for x in xs:
+                assert count_rprime_mobius(table, x, m, r) == int(direct[x]), (name, m, r, x)
