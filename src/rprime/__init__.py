@@ -31,7 +31,6 @@ from .fields import (
     FieldSpec,
     SplittingType,
     ideal_density_constant,
-    kronecker_symbol,
     load_field_file,
     parse_field_spec,
     splitting_type,
@@ -43,7 +42,6 @@ from .ideals import (
     count_rprime_direct_upto,
     enumerate_ideals,
     is_relatively_r_prime,
-    mobius_ideal,
 )
 from .scan import ScanRecord, SlopeFit, fit_slope, run_error_scan
 from .sieve import (
@@ -86,12 +84,10 @@ __all__ = [
     "ideal_remainder_exponent",
     "is_relatively_r_prime",
     "is_sharper",
-    "kronecker_symbol",
     "load_field_file",
     "load_table",
     "local_series",
     "main_term",
-    "mobius_ideal",
     "parse_field_spec",
     "run_error_scan",
     "save_table",

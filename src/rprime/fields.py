@@ -1,27 +1,30 @@
 """Number fields described by their defining data.
 
-A field is given by a monic integer polynomial plus optional exact
-invariants (class number, regulator, unit count, field discriminant,
-signature) copied from standard tables.  Everything downstream needs
-only the density constant assembled from the invariants and, per
-rational prime, the residue degrees of the prime ideals above it,
-tabulated by `residue_degrees` for the sieve, zeta and the oracle.
+A field is given by a monic integer polynomial plus, optionally, one
+block of exact invariants (signature, class number, regulator, roots
+of unity, field discriminant) copied from standard tables.  Everything
+downstream needs only two things: the density constant c, assembled
+from the invariants and from nothing else, and, per rational prime,
+the residue degrees of the prime ideals above it, tabulated by
+`residue_degrees` for the sieve, zeta and the oracle.  `FieldSpec`
+checks d_K against the polynomial discriminant, so the invariants
+cannot describe another field than `poly`.
 
 No ideal arithmetic happens here: splitting types come from per-prime
-overrides, the Kronecker symbol of the field discriminant (quadratic
-fields), or the factor degrees of the defining polynomial mod p
+overrides or from the factor degrees of the defining polynomial mod p
 (Dedekind-Kummer), which `polygf.factor_degrees` reads straight off the
-integer coefficients without finding any factor.  `splitting_type`
-answers for one prime; `residue_degrees` sends only the primes that
-divide the polynomial discriminant through it and fills every other
-prime in one batched int64 pass over Berlekamp's Frobenius matrix.
+integer coefficients without finding any factor.  The invariants never
+choose a splitting type; a d_K equal to poly_disc only vouches that the
+polynomial order is maximal.  `splitting_type` answers for one prime;
+`residue_degrees` sends only the primes that divide the polynomial
+discriminant through it and fills every other prime in one batched
+int64 pass over Berlekamp's Frobenius matrix.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,24 +60,20 @@ class SplittingType:
 
 @dataclass(frozen=True)
 class FieldInvariants:
-    """Optional exact invariants; all fields independent, all optional.
+    """Exact invariants, one all-or-nothing block.
 
     r1/r2 are the real/complex place counts, h the class number, R the
     regulator, w the number of roots of unity, d_K the field
-    discriminant.  c, when given, short-circuits the density-constant
-    formula (useful when copied straight from a table).
+    discriminant.  They determine the density constant c and nothing
+    else; splitting types never read them.
     """
 
-    r1: int | None = None
-    r2: int | None = None
-    h: int | None = None
-    R: float | None = None
-    w: int | None = None
-    d_K: int | None = None
-    c: float | None = None
-
-    def has_classical_set(self) -> bool:
-        return None not in (self.r1, self.r2, self.h, self.R, self.w, self.d_K)
+    r1: int
+    r2: int
+    h: int
+    R: float
+    w: int
+    d_K: int
 
 
 @dataclass(frozen=True)
@@ -86,9 +85,11 @@ class FieldSpec:
     the full ring of integers; when the polynomial discriminant is
     squarefree that assertion is automatic, and otherwise factoring mod
     a prime p with p^2 | poly_disc is refused unless an override is
-    supplied.  Instances are immutable and hashable, and every
-    operation on them is a pure function, so they are safe to share
-    across threads.
+    supplied.  Invariants must satisfy poly_disc = k^2 * d_K for an
+    integer k >= 1, the index of the polynomial order; k = 1 is
+    required of a maximal order and in turn proves one.  Instances are
+    immutable and hashable, and every operation on them is a pure
+    function, so they are safe to share across threads.
     """
 
     name: str
@@ -109,22 +110,25 @@ class FieldSpec:
             raise FieldSpecError("polynomial discriminant must be nonzero")
         inv = self.invariants
         if inv is not None:
-            if (inv.r1 is None) != (inv.r2 is None):
-                raise FieldSpecError("r1 and r2 must be supplied together")
-            if inv.r1 is not None and inv.r1 + 2 * inv.r2 != self.degree:
+            if min(inv.r1, inv.r2) < 0 or inv.r1 + 2 * inv.r2 != self.degree:
                 raise FieldSpecError(
                     f"signature mismatch: r1 + 2*r2 = {inv.r1 + 2 * inv.r2} != degree {self.degree}"
                 )
-            if inv.w is not None and inv.w < 2:
+            if inv.w < 2:
                 raise FieldSpecError("roots-of-unity count w must be >= 2")
-            if inv.h is not None and inv.h < 1:
+            if inv.h < 1:
                 raise FieldSpecError("class number h must be >= 1")
-            if inv.R is not None and inv.R <= 0:
+            if inv.R <= 0:
                 raise FieldSpecError("regulator R must be positive")
-            if inv.d_K == 0:
-                raise FieldSpecError("field discriminant d_K must be nonzero")
-            if inv.c is not None and inv.c <= 0:
-                raise FieldSpecError("density constant c must be positive")
+            # poly_disc = k^2 d_K, k the index of Z[x]/(poly) in the ring
+            # of integers
+            k2 = self.poly_disc // inv.d_K if inv.d_K else 0
+            fits = k2 >= 1 and k2 * inv.d_K == self.poly_disc and math.isqrt(k2) ** 2 == k2
+            if not fits or (self.poly_is_maximal and k2 != 1):
+                raise FieldSpecError(
+                    f"field discriminant d_K={inv.d_K} does not fit poly_disc={self.poly_disc}: "
+                    "need poly_disc = k^2 * d_K for an integer k >= 1, k = 1 for a maximal order"
+                )
         seen = set()
         for p, split in self.splitting_overrides:
             if p in seen:
@@ -151,6 +155,9 @@ class FieldSpec:
 
     def fingerprint_data(self) -> dict:
         """Everything that determines splitting types and hence tables."""
+        # d_K stays: d_K = poly_disc proves the order maximal, which lets
+        # p^2 | poly_disc be factored, and dropping the key would change
+        # the digest of every cache already written
         return {
             "poly": list(self.poly),
             "poly_disc": self.poly_disc,
@@ -161,25 +168,6 @@ class FieldSpec:
                 for p, split in self.splitting_overrides
             ],
         }
-
-
-def kronecker_symbol(D: int, p: int) -> int:
-    """Kronecker symbol (D|p) for prime p and fundamental discriminant D."""
-    if p < 2 or not _is_prime(p):
-        raise ValueError(f"p={p} is not prime")
-    return _kronecker_prime(D, p)
-
-
-def _kronecker_prime(D: int, p: int) -> int:
-    # (D|p) for a p the caller knows to be prime
-    if p == 2:
-        if D % 2 == 0:
-            return 0
-        return 1 if D % 8 in (1, 7) else -1
-    d = D % p
-    if d == 0:
-        return 0
-    return 1 if pow(d, (p - 1) // 2, p) == 1 else -1
 
 
 def _is_prime(n: int) -> bool:
@@ -207,35 +195,24 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-_QUADRATIC_SPLIT = SplittingType(((1, 1), (1, 1)))
-_QUADRATIC_INERT = SplittingType(((1, 2),))
-_QUADRATIC_RAMIFIED = SplittingType(((2, 1),))
-
-
 def splitting_type(field: FieldSpec, p: int) -> SplittingType:
     """Decomposition type of the prime p in the field.
 
-    Resolution order: explicit override, Kronecker symbol of d_K for
-    quadratic fields with invariants, then the factor degrees of the
-    defining polynomial mod p.  The last route is refused when
-    p^2 | poly_disc without a maximality assertion, because the
-    factorization may misreport splitting at index divisors.
+    An explicit override wins; otherwise the factor degrees of the
+    defining polynomial mod p (Dedekind-Kummer).  That route is refused
+    when p^2 | poly_disc and the order is not known to be maximal
+    (`poly_is_maximal`, or invariants with d_K = poly_disc), because
+    the factorization may misreport splitting at index divisors.
     """
     override = field.override_for(p)
     if override is not None:
         return override
     inv = field.invariants
-    if field.degree == 2 and inv is not None and inv.d_K is not None:
-        symbol = _kronecker_prime(inv.d_K, p)  # p is prime by precondition
-        if symbol == 1:
-            return _QUADRATIC_SPLIT
-        if symbol == -1:
-            return _QUADRATIC_INERT
-        return _QUADRATIC_RAMIFIED
-    if field.poly_disc % (p * p) == 0 and not field.poly_is_maximal:
+    maximal = field.poly_is_maximal or (inv is not None and inv.d_K == field.poly_disc)
+    if field.poly_disc % (p * p) == 0 and not maximal:
         raise IndexDivisorError(
             f"{field.name}: cannot trust factorization mod p={p} "
-            f"(p^2 | poly_disc={field.poly_disc}, order not asserted maximal, no override)"
+            f"(p^2 | poly_disc={field.poly_disc}, order not known to be maximal, no override)"
         )
     return SplittingType(tuple(factor_degrees(field.poly, p)))
 
@@ -248,10 +225,10 @@ def residue_degrees(field: FieldSpec, primes: np.ndarray) -> np.ndarray:
     degree f above primes[i].
 
     Degree 1 is all ones.  Otherwise a prime that divides `poly_disc`
-    takes `splitting_type`, with its override, Kronecker and
-    index-divisor rules; every other prime leaves f squarefree mod p,
-    and `_frobenius_degree_counts` reads its factor degrees (which are
-    the residue degrees, by Dedekind-Kummer) in one int64 pass over all
+    takes `splitting_type`, with its override and index-divisor rules;
+    every other prime leaves f squarefree mod p, and
+    `_frobenius_degree_counts` reads its factor degrees (which are the
+    residue degrees, by Dedekind-Kummer) in one int64 pass over all
     such primes.  That pass is exact while degree * p^2 < 2^63, which
     holds for every p <= 1e8; a larger such prime raises ValueError.
     """
@@ -378,35 +355,21 @@ def _rank_mod_p(A: np.ndarray, p: np.ndarray) -> np.ndarray:
 
 
 def ideal_density_constant(field: FieldSpec) -> float:
-    """Constant c with ideal count I_K(x) ~ c*x.
-
-    Assembled as 2^r1 (2*pi)^r2 h R / (w sqrt(|d_K|)); an explicitly
-    supplied c takes precedence, with a consistency warning when both
-    are present and disagree by more than 1e-9 relative.
-    """
+    """Constant c with ideal count I_K(x) ~ c*x, assembled from the
+    invariants as 2^r1 (2*pi)^r2 h R / (w sqrt(|d_K|))."""
     inv = field.invariants
-    if inv is None or (inv.c is None and not inv.has_classical_set()):
-        raise FieldSpecError(
-            f"{field.name}: density constant needs invariants (r1, r2, h, R, w, d_K) or explicit c"
-        )
-    formula = None
-    if inv.has_classical_set():
-        formula = (
-            (2.0**inv.r1)
-            * (2.0 * math.pi) ** inv.r2
-            * inv.h
-            * inv.R
-            / (inv.w * math.sqrt(abs(inv.d_K)))
-        )
-    if inv.c is not None:
-        if formula is not None and abs(inv.c - formula) > 1e-9 * abs(formula):
-            warnings.warn(
-                f"{field.name}: supplied c={inv.c!r} disagrees with invariant "
-                f"formula {formula!r}; using the supplied value",
-                stacklevel=2,
-            )
-        return inv.c
-    return formula
+    if inv is None:
+        raise FieldSpecError(f"{field.name}: density constant needs invariants")
+    return (
+        (2.0**inv.r1)
+        * (2.0 * math.pi) ** inv.r2
+        * inv.h
+        * inv.R
+        / (inv.w * math.sqrt(abs(inv.d_K)))
+    )
+
+
+_INVARIANT_KEYS = {"r1", "r2", "h", "R", "w", "d_K"}
 
 
 def parse_field_spec(text: str) -> FieldSpec:
@@ -414,8 +377,8 @@ def parse_field_spec(text: str) -> FieldSpec:
 
     Recognized keys: name (string), poly (integer array, constant term
     first), poly_disc (integer), poly_is_maximal (bool, default false),
-    invariants (object with any of r1, r2, h, R, w, d_K, c), overrides
-    (array of {"p": prime, "parts": [[e, f], ...]}).
+    invariants (object with exactly the keys r1, r2, h, R, w, d_K),
+    overrides (array of {"p": prime, "parts": [[e, f], ...]}).
     """
     try:
         doc = json.loads(text)
@@ -444,24 +407,19 @@ def parse_field_spec(text: str) -> FieldSpec:
         raw = doc["invariants"]
         if not isinstance(raw, dict):
             raise FieldSpecError("invariants must be an object")
-        unknown = set(raw) - {"r1", "r2", "h", "R", "w", "d_K", "c"}
-        if unknown:
-            raise FieldSpecError(f"unknown invariant keys: {sorted(unknown)}")
+        if set(raw) != _INVARIANT_KEYS:
+            missing = sorted(_INVARIANT_KEYS - set(raw))
+            unknown = sorted(set(raw) - _INVARIANT_KEYS)
+            raise FieldSpecError(
+                f"invariants need exactly the keys {sorted(_INVARIANT_KEYS)}: "
+                f"missing {missing}, unknown {unknown}"
+            )
         for key in ("r1", "r2", "h", "w", "d_K"):
-            if key in raw and not isinstance(raw[key], int):
+            if not isinstance(raw[key], int):
                 raise FieldSpecError(f"invariant {key} must be an integer")
-        for key in ("R", "c"):
-            if key in raw and not isinstance(raw[key], (int, float)):
-                raise FieldSpecError(f"invariant {key} must be a number")
-        invariants = FieldInvariants(
-            r1=raw.get("r1"),
-            r2=raw.get("r2"),
-            h=raw.get("h"),
-            R=float(raw["R"]) if "R" in raw else None,
-            w=raw.get("w"),
-            d_K=raw.get("d_K"),
-            c=float(raw["c"]) if "c" in raw else None,
-        )
+        if not isinstance(raw["R"], (int, float)):
+            raise FieldSpecError("invariant R must be a number")
+        invariants = FieldInvariants(**{**raw, "R": float(raw["R"])})
 
     overrides: list[tuple[int, SplittingType]] = []
     for entry in doc.get("overrides", []):

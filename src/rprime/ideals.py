@@ -31,14 +31,13 @@ enumeration.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import BudgetExceededError
 from .fields import FieldSpec, residue_degrees
-from .sieve import prime_flags
+from .sieve import _norm_bound, prime_flags
 
 ENUMERATION_GUARD = 10**5  # largest X whose ideals we will materialize
 DIRECT_COUNT_BUDGET = 10**9  # cap on I_K(x)^m for direct counting
@@ -113,13 +112,6 @@ def prime_labels(field: FieldSpec, X: int) -> list[PrimeLabel]:
     return labels
 
 
-def _norm_bound(x: float) -> int:
-    """floor(x) for a finite x >= 0; ValueError naming x otherwise."""
-    if not math.isfinite(x) or x < 0:
-        raise ValueError(f"x must be finite and nonnegative, got {x}")
-    return int(x)
-
-
 def enumerate_ideals(
     field: FieldSpec,
     X: float,
@@ -162,15 +154,6 @@ def enumerate_ideals(
     descend(0, Xi)
     out.sort(key=lambda ideal: (ideal.norm, tuple((l.p, l.index, e) for l, e in ideal.factors)))
     return out
-
-
-def mobius_ideal(a: FactoredIdeal) -> int:
-    """Ideal Mobius function: 1 on the unit, (-1)^s on s distinct
-    primes, 0 when any prime divides to order >= 2."""
-    for _, exp in a.factors:
-        if exp >= 2:
-            return 0
-    return -1 if len(a.factors) % 2 else 1
 
 
 def is_relatively_r_prime(ideals: list[FactoredIdeal], r: int) -> bool:

@@ -172,13 +172,19 @@ def build_tables(field: FieldSpec, N: int) -> CoefficientTable:
     return _finish_table(field, N, a, b)
 
 
+def _norm_bound(x: float) -> int:
+    """floor(x) for a finite x >= 0; ValueError naming x otherwise."""
+    if not math.isfinite(x) or x < 0:
+        raise ValueError(f"x must be finite and nonnegative, got {x}")
+    return int(x)
+
+
 def ideal_count(table: CoefficientTable, x: float) -> int:
     """Number of ideals with norm <= x (floor semantics on x)."""
-    if x < 0:
-        raise ValueError(f"x must be nonnegative, got {x}")
+    X = _norm_bound(x)
     if x > table.N:
         raise ValueError(f"x={x} exceeds the table cap N={table.N}")
-    return int(table.I_prefix[int(x)])
+    return int(table.I_prefix[X])
 
 
 def _integer_root(n: int, r: int) -> int:
@@ -204,11 +210,11 @@ def count_rprime_mobius(table: CoefficientTable, x: float, m: int, r: int) -> in
     """
     if m < 1 or r < 1:
         raise ValueError(f"need m >= 1 and r >= 1, got m={m}, r={r}")
+    X = _norm_bound(x)
     if x < 1:
         raise ValueError(f"x must be >= 1, got x={x}")
     if x > table.N:
         raise ValueError(f"x={x} exceeds the table cap N={table.N}")
-    X = int(x)
     L = _integer_root(X, r)
     # |B(n)| <= I_K(n) < 2^31, so the stored int32 B_prefix holds B
     # exactly; block differences and products are taken in Python ints

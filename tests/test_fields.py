@@ -10,7 +10,6 @@ from rprime import (
     IndexDivisorError,
     build_tables,
     ideal_density_constant,
-    kronecker_symbol,
     parse_field_spec,
     splitting_type,
 )
@@ -57,20 +56,23 @@ def test_parse_gaussian_field():
     )
     assert field.degree == 2
     assert ideal_density_constant(field) == pytest.approx(math.pi / 4, rel=1e-12)
+    # d_K = poly_disc proves the order maximal, so 2 may be factored
+    assert splitting_type(field, 2).parts == ((2, 1),)
 
 
 def test_parse_rejects_signature_mismatch():
-    with pytest.raises(FieldSpecError, match="signature"):
-        parse_field_spec(
-            json.dumps(
-                {
-                    "name": "bad",
-                    "poly": [1, 0, 1],
-                    "poly_disc": -4,
-                    "invariants": {"r1": 1, "r2": 1, "h": 1, "R": 1.0, "w": 2, "d_K": -4},
-                }
+    for r1, r2 in ((1, 1), (4, -1)):
+        with pytest.raises(FieldSpecError, match="signature"):
+            parse_field_spec(
+                json.dumps(
+                    {
+                        "name": "bad",
+                        "poly": [1, 0, 1],
+                        "poly_disc": -4,
+                        "invariants": {"r1": r1, "r2": r2, "h": 1, "R": 1.0, "w": 2, "d_K": -4},
+                    }
+                )
             )
-        )
 
 
 def test_parse_rejects_override_at_good_prime():
@@ -92,17 +94,47 @@ def test_parse_malformed_document():
         parse_field_spec("{not json")
 
 
-def test_kronecker_examples():
-    assert kronecker_symbol(-4, 5) == 1
-    assert kronecker_symbol(-4, 3) == -1
-    assert kronecker_symbol(-4, 2) == 0
-    assert kronecker_symbol(8, 7) == 1
-    assert kronecker_symbol(8, 3) == -1
+def _qsqrtm5_doc(**changes):
+    doc = {
+        "name": "Q(sqrt-5)",
+        "poly": [5, 0, 1],
+        "poly_disc": -20,
+        "poly_is_maximal": True,
+        "invariants": {"r1": 0, "r2": 1, "h": 2, "R": 1.0, "w": 2, "d_K": -20},
+    }
+    for key, value in changes.items():
+        if key in doc["invariants"] or key == "c":
+            doc["invariants"][key] = value
+        else:
+            doc[key] = value
+    return json.dumps(doc)
 
 
-def test_kronecker_rejects_composite():
-    with pytest.raises(ValueError, match="not prime"):
-        kronecker_symbol(-4, 6)
+@pytest.mark.parametrize(
+    "changes",
+    [
+        {"d_K": -4},  # maximal, d_K != poly_disc: c would be pi, not 1.405
+        {"d_K": -4, "poly_is_maximal": False},  # ratio 5 is no square
+        {"d_K": 20, "poly_is_maximal": False},  # ratio -1 is negative
+        {"d_K": -3, "poly_is_maximal": False},  # d_K does not divide poly_disc
+        {"d_K": 0, "poly_is_maximal": False},
+    ],
+)
+def test_parse_rejects_d_K_that_does_not_fit_poly_disc(changes):
+    with pytest.raises(FieldSpecError, match="does not fit poly_disc"):
+        parse_field_spec(_qsqrtm5_doc(**changes))
+
+
+def test_parse_rejects_partial_invariant_block():
+    doc = json.loads(_qsqrtm5_doc())
+    del doc["invariants"]["R"]
+    with pytest.raises(FieldSpecError, match=r"exactly the keys.*missing \['R'\]"):
+        parse_field_spec(json.dumps(doc))
+
+
+def test_parse_rejects_density_constant_key():
+    with pytest.raises(FieldSpecError, match=r"unknown \['c'\]"):
+        parse_field_spec(_qsqrtm5_doc(c=1.405))
 
 
 def test_splitting_gaussian(field_qi):
@@ -135,6 +167,46 @@ def test_splitting_refuses_index_divisor_without_assertion():
     assert splitting_type(field, 3).parts == ((1, 1), (1, 1))
 
 
+def _x2m5(overrides=()):
+    # x^2 - 5 generates the order of index 2 in Q(sqrt5): poly_disc = 2^2 * 5
+    return parse_field_spec(
+        json.dumps(
+            {
+                "name": "Z[sqrt5]",
+                "poly": [-5, 0, 1],
+                "poly_disc": 20,
+                "invariants": {
+                    "r1": 2,
+                    "r2": 0,
+                    "h": 1,
+                    "R": math.log((1 + math.sqrt(5)) / 2),
+                    "w": 2,
+                    "d_K": 5,
+                },
+                "overrides": list(overrides),
+            }
+        )
+    )
+
+
+def test_non_maximal_quadratic_needs_an_override_at_its_index_divisor():
+    # x^2 - 5 = (x + 1)^2 mod 2 would call 2 ramified; it is inert in Q(sqrt5)
+    field = _x2m5()
+    with pytest.raises(IndexDivisorError, match="p=2"):
+        splitting_type(field, 2)
+    with pytest.raises(IndexDivisorError):
+        residue_degrees(field, np.array([2, 3, 5]))
+    assert splitting_type(field, 5).parts == ((2, 1),)
+    field = _x2m5([{"p": 2, "parts": [[1, 2]]}])
+    assert splitting_type(field, 2).parts == ((1, 2),)
+    assert residue_degrees(field, np.array([2, 3, 5, 11])).tolist() == [
+        [0, 1],
+        [0, 1],
+        [1, 0],
+        [2, 0],
+    ]
+
+
 def test_splitting_degree_sum_matches_field_degree(fields):
     rng = random.Random(11)
     primes = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 97, 101, 997]
@@ -142,23 +214,6 @@ def test_splitting_degree_sum_matches_field_degree(fields):
         for p in rng.sample(primes, 8):
             split = splitting_type(field, p)
             assert split.degree_sum == field.degree
-
-
-def test_quadratic_kronecker_agrees_with_factorization(fields):
-    # strip the invariants so the polynomial route is forced, then
-    # compare with the Kronecker route at primes not dividing poly_disc
-    for name in ("Qi", "Qsqrt2", "Qsqrtm5"):
-        field = fields[name]
-        bare = FieldSpec(
-            name=field.name,
-            poly=field.poly,
-            poly_disc=field.poly_disc,
-            poly_is_maximal=True,
-        )
-        for p in _primes_upto(1999):
-            if field.poly_disc % p == 0:
-                continue
-            assert splitting_type(bare, p) == splitting_type(field, p), (name, p)
 
 
 def test_cubic_splitting_matches_full_factorization(field_cubic):
@@ -279,24 +334,6 @@ def test_density_constant_rational(field_q):
 
 def test_density_constant_real_quadratic(fields):
     assert ideal_density_constant(fields["Qsqrt2"]) == pytest.approx(0.62323, abs=5e-6)
-
-
-def test_density_constant_explicit_c_wins_with_warning():
-    inv = FieldInvariants(r1=1, r2=0, h=1, R=1.0, w=2, d_K=1, c=2.0)
-    field = FieldSpec(name="odd", poly=(0, 1), poly_disc=1, invariants=inv)
-    with pytest.warns(UserWarning, match="disagrees"):
-        assert ideal_density_constant(field) == 2.0
-
-
-def test_density_constant_explicit_c_alone():
-    field = FieldSpec(
-        name="tabulated",
-        poly=(-1, -1, 0, 1),
-        poly_disc=-23,
-        poly_is_maximal=True,
-        invariants=FieldInvariants(c=0.5),
-    )
-    assert ideal_density_constant(field) == 0.5
 
 
 def test_density_constant_requires_data(field_cubic):

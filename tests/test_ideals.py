@@ -12,7 +12,6 @@ from rprime import (
     enumerate_ideals,
     ideal_count,
     is_relatively_r_prime,
-    mobius_ideal,
 )
 from rprime import ideals
 from rprime.ideals import UNIT_IDEAL, FactoredIdeal, PrimeLabel
@@ -54,18 +53,6 @@ def test_enumerate_matches_ideal_count(fields):
         norms = np.array([ideal.norm for ideal in ideals])
         for x in (1, 2, 3, 10, 99, 100, 250, 500):
             assert int((norms <= x).sum()) == ideal_count(table, x)
-
-
-def test_mobius_values(field_qi):
-    ideals = enumerate_ideals(field_qi, 5)
-    by_norm = {}
-    for ideal in ideals:
-        by_norm.setdefault(ideal.norm, []).append(ideal)
-    assert mobius_ideal(UNIT_IDEAL) == 1
-    assert mobius_ideal(by_norm[2][0]) == -1  # single prime above 2
-    assert mobius_ideal(by_norm[4][0]) == 0  # its square
-    ten = [i for i in enumerate_ideals(field_qi, 10) if i.norm == 10]
-    assert all(mobius_ideal(i) == 1 for i in ten)  # two distinct primes
 
 
 def test_factored_ideal_validation():
@@ -165,12 +152,18 @@ def test_direct_count_step_cell_guard(field_q, monkeypatch):
 
 
 @pytest.mark.parametrize("x", [-0.5, -1, float("-inf"), float("inf"), float("nan")])
-def test_direct_count_refuses_bad_x(field_q, x):
-    for call in (count_rprime_direct, count_rprime_direct_upto):
+def test_direct_count_refuses_bad_x(field_q, table_q_1e4, x):
+    # the oracle and the table route refuse alike
+    for call, source in (
+        (count_rprime_direct, field_q),
+        (count_rprime_direct_upto, field_q),
+        (count_rprime_mobius, table_q_1e4),
+    ):
         with pytest.raises(ValueError, match="x must be finite and nonnegative"):
-            call(field_q, x, 2, 1)
-    with pytest.raises(ValueError, match="x must be finite and nonnegative"):
-        enumerate_ideals(field_q, x)
+            call(source, x, 2, 1)
+    for call, source in ((enumerate_ideals, field_q), (ideal_count, table_q_1e4)):
+        with pytest.raises(ValueError, match="x must be finite and nonnegative"):
+            call(source, x)
 
 
 def test_direct_matches_mobius_medium(fields):
