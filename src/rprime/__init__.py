@@ -35,14 +35,7 @@ from .fields import (
     parse_field_spec,
     splitting_type,
 )
-from .ideals import (
-    FactoredIdeal,
-    PrimeLabel,
-    count_rprime_direct,
-    count_rprime_direct_upto,
-    enumerate_ideals,
-    is_relatively_r_prime,
-)
+from .ideals import count_rprime_direct, count_rprime_direct_upto, enumerate_ideals
 from .scan import ScanRecord, SlopeFit, fit_slope, run_error_scan
 from .sieve import (
     CoefficientTable,
@@ -58,12 +51,10 @@ __all__ = [
     "BudgetExceededError",
     "CoefficientTable",
     "ExponentResult",
-    "FactoredIdeal",
     "FieldInvariants",
     "FieldSpec",
     "FieldSpecError",
     "IndexDivisorError",
-    "PrimeLabel",
     "RPrimeError",
     "ScanRecord",
     "SlopeFit",
@@ -82,7 +73,6 @@ __all__ = [
     "ideal_count",
     "ideal_density_constant",
     "ideal_remainder_exponent",
-    "is_relatively_r_prime",
     "is_sharper",
     "load_field_file",
     "load_table",

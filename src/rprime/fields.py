@@ -372,6 +372,11 @@ def ideal_density_constant(field: FieldSpec) -> float:
 _INVARIANT_KEYS = {"r1", "r2", "h", "R", "w", "d_K"}
 
 
+def _is_int(v: object) -> bool:
+    # JSON true/false load as bool, a subclass of int
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def parse_field_spec(text: str) -> FieldSpec:
     """Parse a JSON field-spec document and validate every invariant.
 
@@ -394,9 +399,9 @@ def parse_field_spec(text: str) -> FieldSpec:
         raise FieldSpecError(f"missing required key {exc.args[0]!r}") from exc
     if not isinstance(name, str):
         raise FieldSpecError("name must be a string")
-    if not isinstance(poly, list) or not all(isinstance(c, int) for c in poly):
+    if not isinstance(poly, list) or not all(_is_int(c) for c in poly):
         raise FieldSpecError("poly must be an array of integers")
-    if not isinstance(poly_disc, int):
+    if not _is_int(poly_disc):
         raise FieldSpecError("poly_disc must be an integer")
     maximal = doc.get("poly_is_maximal", False)
     if not isinstance(maximal, bool):
@@ -415,9 +420,9 @@ def parse_field_spec(text: str) -> FieldSpec:
                 f"missing {missing}, unknown {unknown}"
             )
         for key in ("r1", "r2", "h", "w", "d_K"):
-            if not isinstance(raw[key], int):
+            if not _is_int(raw[key]):
                 raise FieldSpecError(f"invariant {key} must be an integer")
-        if not isinstance(raw["R"], (int, float)):
+        if not isinstance(raw["R"], (int, float)) or isinstance(raw["R"], bool):
             raise FieldSpecError("invariant R must be a number")
         invariants = FieldInvariants(**{**raw, "R": float(raw["R"])})
 
@@ -426,13 +431,15 @@ def parse_field_spec(text: str) -> FieldSpec:
         if not isinstance(entry, dict) or "p" not in entry or "parts" not in entry:
             raise FieldSpecError("each override needs keys 'p' and 'parts'")
         p = entry["p"]
-        if not isinstance(p, int) or not _is_prime(p):
+        if not _is_int(p) or not _is_prime(p):
             raise FieldSpecError(f"override key p={p!r} is not a prime")
         parts = entry["parts"]
         if not isinstance(parts, list) or not all(
-            isinstance(part, list) and len(part) == 2 for part in parts
+            isinstance(part, list) and len(part) == 2 and all(map(_is_int, part)) for part in parts
         ):
-            raise FieldSpecError(f"override at p={p}: parts must be an array of [e, f] pairs")
+            raise FieldSpecError(
+                f"override at p={p}: parts must be an array of [e, f] integer pairs"
+            )
         overrides.append((p, SplittingType(tuple((e, f) for e, f in parts))))
 
     return FieldSpec(

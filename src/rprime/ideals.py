@@ -1,17 +1,18 @@
-"""Brute-force oracle over ideals as formal products of labeled primes.
+"""Brute-force oracle over ideals as (norm, surviving-set) pairs.
 
-The counting problems in this package depend only on norms and
-factorization structure, so an ideal is a sorted tuple of
-(prime label, exponent) pairs and never a lattice.  Distinct primes
-above the same rational p are told apart by their index in order of
-residue degree, as read from `fields.residue_degrees`; any consistent
-labeling yields identical counts.
+The counting problems in this package ask two things of an ideal: its
+norm, and which prime ideals divide it to exponent >= r.  So an ideal
+is enumerated as a pair (norm, mask), never a lattice: bit j of the
+mask is the j-th prime ideal in order of norm, as read from
+`fields.residue_degrees`.  Distinct primes of equal norm lie above the
+same rational p and get consecutive bits; any consistent order yields
+identical counts.
 
 Directly counting relatively r-prime m-tuples iterates the m-fold
 product in aggregated form.  A prefix (a_1..a_k) is summarized by its
-surviving set, the prime labels with exponent >= r in every member so
-far, and by its largest norm.  Ideals are grouped by their own
-surviving set T, with one histogram over norms per group.  Step k
+surviving set, the primes with exponent >= r in every member so far,
+and by its largest norm.  Ideals are grouped by their own surviving
+set T, the mask, with one histogram over norms per group.  Step k
 extends each surviving set S by every group; the new set is S & T.
 Extension is a max-convolution of norm histograms, which is linear in
 the group histogram, so the groups are first bucketed by S & T and
@@ -19,7 +20,7 @@ summed, and each (S, bucket) pair takes one convolution.  The empty
 bucket, every group disjoint from S, is the histogram of all ideals
 less the other buckets, so a state adds up only the groups it meets.
 A prefix whose set goes empty is completed freely.  On the last step
-only the empty bucket is convolved, because a label that survives all
+only the empty bucket is convolved, because a prime that survives all
 m steps makes the tuple not r-prime.
 
 A tuple is relatively r-prime exactly when its surviving set is empty,
@@ -30,8 +31,6 @@ enumeration.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,159 +43,76 @@ DIRECT_COUNT_BUDGET = 10**9  # cap on I_K(x)^m for direct counting
 STEP_CELL_BUDGET = 10**9  # cap on G^2 * (x + 1) for G surviving sets
 
 
-@dataclass(frozen=True, order=True)
-class PrimeLabel:
-    """One prime ideal: rational prime, index among the primes above
-    it (in order of residue degree), and residue degree."""
-
-    p: int
-    index: int
-    f: int
-
-    @property
-    def norm(self) -> int:
-        return self.p**self.f
-
-
-@dataclass(frozen=True)
-class FactoredIdeal:
-    """Formal product of labeled primes; the empty product is the unit
-    ideal of norm 1.  Factors are strictly sorted by (p, index)."""
-
-    factors: tuple[tuple[PrimeLabel, int], ...]
-    norm: int
-
-    def __post_init__(self) -> None:
-        expected = 1
-        prev = None
-        for label, exp in self.factors:
-            if exp < 1:
-                raise ValueError("factor exponents must be >= 1")
-            key = (label.p, label.index)
-            if prev is not None and key <= prev:
-                raise ValueError("factors must be strictly sorted by (p, index)")
-            prev = key
-            expected *= label.p ** (label.f * exp)
-        if expected != self.norm:
-            raise ValueError(f"cached norm {self.norm} != product formula {expected}")
-
-    @classmethod
-    def from_factors(cls, factors: tuple[tuple[PrimeLabel, int], ...]) -> "FactoredIdeal":
-        norm = 1
-        for label, exp in factors:
-            norm *= label.p ** (label.f * exp)
-        return cls(factors=factors, norm=norm)
-
-    def is_unit(self) -> bool:
-        return not self.factors
-
-    def exponent_of(self, label: PrimeLabel) -> int:
-        for lab, exp in self.factors:
-            if lab == label:
-                return exp
-        return 0
-
-
-UNIT_IDEAL = FactoredIdeal(factors=(), norm=1)
-
-
-def prime_labels(field: FieldSpec, X: int) -> list[PrimeLabel]:
-    """All prime ideals of norm <= X, sorted by (p, index)."""
-    labels: list[PrimeLabel] = []
-    if X < 2:
-        return labels
-    primes = np.flatnonzero(prime_flags(X))
-    for p, row in zip(primes.tolist(), residue_degrees(field, primes)):
-        fs = np.repeat(np.arange(1, len(row) + 1), row).tolist()  # ascending residue degrees
-        labels += [PrimeLabel(p, i, f) for i, f in enumerate(fs) if p**f <= X]
-    return labels
-
-
 def enumerate_ideals(
     field: FieldSpec,
     X: float,
+    r: int,
     guard: int = ENUMERATION_GUARD,
-) -> list[FactoredIdeal]:
-    """All ideals of norm <= X, each once, sorted by (norm, factors).
+) -> list[tuple[int, int]]:
+    """All ideals of norm <= X as sorted (norm, mask) pairs, one per ideal.
 
-    Recursive descent over prime labels ordered by norm, dividing the
-    remaining norm budget at each step.
+    Bit j of mask stands for the j-th prime ideal in order of norm and
+    is set when that prime divides the ideal to exponent >= r.
+    Recursive descent over the prime ideals ordered by norm, dividing
+    the remaining norm budget at each step.
     """
+    if r < 1:
+        raise ValueError(f"r must be >= 1, got {r}")
     Xi = _norm_bound(X)
     if Xi > guard:
         raise BudgetExceededError(f"enumeration of norms <= {Xi} exceeds the guard {guard}")
     if Xi < 1:
         return []
-    labels = sorted(prime_labels(field, Xi), key=lambda lab: (lab.norm, lab.p, lab.index))
-    out: list[FactoredIdeal] = []
-    stack: list[tuple[PrimeLabel, int]] = []
+    primes = np.flatnonzero(prime_flags(Xi))
+    norms: list[int] = []
+    for p, row in zip(primes.tolist(), residue_degrees(field, primes).tolist()):
+        for f, count in enumerate(row, start=1):
+            if p**f <= Xi:
+                norms += [p**f] * count
+    norms.sort()
+    out: list[tuple[int, int]] = []
 
-    def descend(start: int, budget: int) -> None:
-        out.append(
-            FactoredIdeal.from_factors(tuple(sorted(stack, key=lambda fe: (fe[0].p, fe[0].index))))
-        )
-        for j in range(start, len(labels)):
-            q = labels[j].norm
+    def descend(start: int, budget: int, norm: int, mask: int) -> None:
+        out.append((norm, mask))
+        for j in range(start, len(norms)):
+            q = norms[j]
             if q > budget:
-                break  # labels sorted by norm: nothing further fits
+                break  # norms ascending: nothing further fits
             rem = budget // q
+            power = q
             exp = 1
             while True:
-                stack.append((labels[j], exp))
-                descend(j + 1, rem)
-                stack.pop()
+                descend(j + 1, rem, norm * power, mask | (1 << j) if exp >= r else mask)
                 if q <= rem:
                     rem //= q
+                    power *= q
                     exp += 1
                 else:
                     break
 
-    descend(0, Xi)
-    out.sort(key=lambda ideal: (ideal.norm, tuple((l.p, l.index, e) for l, e in ideal.factors)))
+    descend(0, Xi, 1, 0)
+    out.sort()
     return out
 
 
-def is_relatively_r_prime(ideals: list[FactoredIdeal], r: int) -> bool:
-    """True when no prime label has exponent >= r in every member."""
-    if not ideals:
-        raise ValueError("tuple must be nonempty")
-    if r < 1:
-        raise ValueError(f"r must be >= 1, got {r}")
-    first = ideals[0]
-    for label, exp in first.factors:
-        if exp < r:
-            continue
-        if all(other.exponent_of(label) >= r for other in ideals[1:]):
-            return False
-    return True
-
-
 def _support_groups(
-    ideals: list[FactoredIdeal], r: int, Xi: int
+    ideals: list[tuple[int, int]], Xi: int
 ) -> tuple[dict[int, np.ndarray], np.ndarray]:
-    """Histogram ideals by their surviving set, the labels with exponent >= r.
+    """Histogram (norm, mask) pairs by their surviving set, the mask.
 
     Returns (groups, total) where groups maps each distinct surviving
-    set, as a label bitmask, to an int64 histogram over norms and total
-    is the histogram of all ideals.
+    set to an int64 histogram over norms and total is the histogram of
+    all ideals.
 
     Every prefix state of the oracle is itself one of the G sets: the
-    ideal prod P^r over a state's labels divides each member of the
+    ideal prod P^r over a state's primes divides each member of the
     prefix, so its norm is <= Xi.  Hence a step adds at most G * G
     histograms of Xi + 1 cells.  Before allocating any histogram this
     raises BudgetExceededError when G^2 (Xi + 1) exceeds
     STEP_CELL_BUDGET; with the default enumeration guard (Xi <= 10^5)
     that also caps the G histograms at 10^7 cells.
     """
-    bits: dict[PrimeLabel, int] = {}
-    masks = []
-    for ideal in ideals:
-        mask = 0
-        for label, exp in ideal.factors:
-            if exp >= r:
-                mask |= bits.setdefault(label, 1 << len(bits))
-        masks.append(mask)
-    distinct = dict.fromkeys(masks)  # first-seen order
+    distinct = dict.fromkeys(mask for _, mask in ideals)  # first-seen order
     G = len(distinct)
     if G * G * (Xi + 1) > STEP_CELL_BUDGET:
         raise BudgetExceededError(
@@ -205,9 +121,9 @@ def _support_groups(
         )
     groups = {mask: np.zeros(Xi + 1, dtype=np.int64) for mask in distinct}
     total = np.zeros(Xi + 1, dtype=np.int64)
-    for mask, ideal in zip(masks, ideals):
-        groups[mask][ideal.norm] += 1
-        total[ideal.norm] += 1
+    for norm, mask in ideals:
+        groups[mask][norm] += 1
+        total[norm] += 1
     return groups, total
 
 
@@ -231,29 +147,29 @@ def count_rprime_direct_upto(
     """Counts of relatively r-prime m-tuples for every integer bound.
 
     Returns an int64 array V with V[x] = number of m-tuples of ideals,
-    all norms <= x, passing the r-prime predicate, for 0 <= x <=
-    floor(X).  One enumeration pass serves every x.
+    all norms <= x, whose surviving-set masks have an empty AND, for
+    0 <= x <= floor(X).  One enumeration pass serves every x.
 
     Step k extends each surviving prefix set S by every ideal, grouped
     by surviving set T; the extended set is S & T.  The groups are first
     bucketed by S & T and their histograms summed (the empty bucket as
     the total less the others), so each (S, bucket) takes one
     max-convolution.  On step m only the empty bucket is convolved: a
-    prefix with a label left in its set is never r-prime.  Both only
+    prefix with a prime left in its set is never r-prime.  Both only
     regroup the definition's finite sum over tuples; no Mobius identity
     is used.
     """
     if m < 1 or r < 1:
         raise ValueError(f"need m >= 1 and r >= 1, got m={m}, r={r}")
     Xi = _norm_bound(X)
-    ideals = enumerate_ideals(field, Xi, guard=guard)
+    ideals = enumerate_ideals(field, Xi, r, guard=guard)
     if len(ideals) ** m > DIRECT_COUNT_BUDGET:
         raise BudgetExceededError(
             f"I_K({Xi})^{m} = {len(ideals) ** m} exceeds the direct-count budget {DIRECT_COUNT_BUDGET}"
         )
     if Xi == 0:
         return np.zeros(1, dtype=np.int64)
-    groups, total_hist = _support_groups(ideals, r, Xi)
+    groups, total_hist = _support_groups(ideals, Xi)
     # events[k][v]: prefixes (a_1..a_k) whose surviving set first went
     # empty at step k, with max norm v; all completions are free.
     events = np.zeros((m + 1, Xi + 1), dtype=np.int64)
@@ -278,7 +194,7 @@ def count_rprime_direct_upto(
             # The empty bucket holds every group not met above.
             events[k] += _max_convolve(counts, total_hist - sum(buckets.values()))
             if k == m:
-                continue  # a label survives all m steps: never r-prime
+                continue  # a prime survives all m steps: never r-prime
             for narrowed, hist in buckets.items():
                 joined = _max_convolve(counts, hist)
                 if narrowed in nxt:

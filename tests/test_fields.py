@@ -137,6 +137,36 @@ def test_parse_rejects_density_constant_key():
         parse_field_spec(_qsqrtm5_doc(c=1.405))
 
 
+def _override_at_2(parts):
+    return [{"p": 2, "parts": parts}]
+
+
+@pytest.mark.parametrize(
+    "changes,message",
+    [
+        # JSON true/false are bools, which Python counts as ints
+        ({"poly": [5, 0, True]}, "poly must be an array of integers"),
+        ({"poly_disc": True}, "poly_disc must be an integer"),
+        ({"r1": False}, "invariant r1 must be an integer"),
+        ({"r2": True}, "invariant r2 must be an integer"),
+        ({"h": True}, "invariant h must be an integer"),
+        ({"w": True}, "invariant w must be an integer"),
+        ({"d_K": True}, "invariant d_K must be an integer"),
+        ({"R": True}, "invariant R must be a number"),
+        # 2^2 | 20, so 2 may carry an override; its parts must be integers
+        ({"overrides": _override_at_2([["a", 1]])}, r"\[e, f\] integer pairs"),
+        ({"overrides": _override_at_2([[2.0, 1]])}, r"\[e, f\] integer pairs"),
+        ({"overrides": _override_at_2([[True, 1], [True, 1]])}, r"\[e, f\] integer pairs"),
+    ],
+    ids=["poly", "poly_disc", "r1", "r2", "h", "w", "d_K", "R"]
+    + ["part-str", "part-float", "part-bool"],
+)
+def test_parse_refuses_bools_and_non_integers(changes, message):
+    parse_field_spec(_qsqrtm5_doc(overrides=_override_at_2([[2, 1]])))  # the valid form
+    with pytest.raises(FieldSpecError, match=message):
+        parse_field_spec(_qsqrtm5_doc(**changes))
+
+
 def test_splitting_gaussian(field_qi):
     assert splitting_type(field_qi, 5).parts == ((1, 1), (1, 1))
     assert splitting_type(field_qi, 3).parts == ((1, 2),)

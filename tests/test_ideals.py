@@ -1,5 +1,6 @@
+import functools
 import itertools
-import random
+import operator
 
 import numpy as np
 import pytest
@@ -11,37 +12,56 @@ from rprime import (
     count_rprime_mobius,
     enumerate_ideals,
     ideal_count,
-    is_relatively_r_prime,
 )
 from rprime import ideals
-from rprime.ideals import UNIT_IDEAL, FactoredIdeal, PrimeLabel
 
 
 def test_enumerate_gaussian_small(field_qi):
-    ideals = enumerate_ideals(field_qi, 5)
-    assert [ideal.norm for ideal in ideals] == [1, 2, 4, 5, 5]
-    assert ideals[0].is_unit()
+    pairs = enumerate_ideals(field_qi, 5, 1)
+    assert [norm for norm, _ in pairs] == [1, 2, 4, 5, 5]
+    assert pairs[0] == (1, 0)
 
 
 def test_enumerate_below_one_is_empty(field_qi):
-    assert enumerate_ideals(field_qi, 0.5) == []
+    assert enumerate_ideals(field_qi, 0.5, 1) == []
 
 
 def test_enumerate_rational_is_integers(field_q):
-    ideals = enumerate_ideals(field_q, 10)
-    assert [ideal.norm for ideal in ideals] == list(range(1, 11))
+    pairs = enumerate_ideals(field_q, 10, 1)
+    assert [norm for norm, _ in pairs] == list(range(1, 11))
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_enumerate_rational_masks_by_trial_division(field_q, r):
+    # over Q the ideals are the integers n and the primes ascend with
+    # their norms, so bit j of n's mask is set exactly when p_j^r | n
+    X = 200
+    primes = [p for p in range(2, X + 1) if all(p % d for d in range(2, p))]
+    expected = [
+        (n, sum(1 << j for j, p in enumerate(primes) if n % p**r == 0))
+        for n in range(1, X + 1)
+    ]
+    assert enumerate_ideals(field_q, X, r) == expected
+
+
+def test_enumerate_refuses_r_below_one(field_q):
+    with pytest.raises(ValueError, match="r must be >= 1"):
+        enumerate_ideals(field_q, 10, 0)
 
 
 def test_enumerate_guard(field_q):
     with pytest.raises(BudgetExceededError):
-        enumerate_ideals(field_q, 10**6)
+        enumerate_ideals(field_q, 10**6, 1)
 
 
 def test_enumerate_no_duplicates(fields):
+    # one pair per ideal: a[n] ideals of norm n, for every n <= 200
+    from rprime import build_tables
+
     for field in fields.values():
-        ideals = enumerate_ideals(field, 200)
-        keys = {(ideal.norm, ideal.factors) for ideal in ideals}
-        assert len(keys) == len(ideals)
+        table = build_tables(field, 200)
+        norms = [norm for norm, _ in enumerate_ideals(field, 200, 1)]
+        assert np.array_equal(np.bincount(norms, minlength=201), table.a[:201])
 
 
 def test_enumerate_matches_ideal_count(fields):
@@ -49,55 +69,17 @@ def test_enumerate_matches_ideal_count(fields):
 
     for field in fields.values():
         table = build_tables(field, 500)
-        ideals = enumerate_ideals(field, 500)
-        norms = np.array([ideal.norm for ideal in ideals])
+        norms = np.array([norm for norm, _ in enumerate_ideals(field, 500, 1)])
         for x in (1, 2, 3, 10, 99, 100, 250, 500):
             assert int((norms <= x).sum()) == ideal_count(table, x)
 
 
-def test_factored_ideal_validation():
-    label = PrimeLabel(p=2, index=0, f=1)
-    with pytest.raises(ValueError, match="norm"):
-        FactoredIdeal(factors=((label, 1),), norm=3)
-    with pytest.raises(ValueError, match="exponents"):
-        FactoredIdeal(factors=((label, 0),), norm=1)
-    with pytest.raises(ValueError, match="sorted"):
-        FactoredIdeal.from_factors(((label, 1), (label, 2)))
-
-
-def test_r_prime_predicate():
-    p2 = PrimeLabel(p=2, index=0, f=1)
-    one = FactoredIdeal.from_factors(((p2, 1),))
-    two = FactoredIdeal.from_factors(((p2, 2),))
-    three = FactoredIdeal.from_factors(((p2, 3),))
-    assert is_relatively_r_prime([one, one], 1) is False
-    assert is_relatively_r_prime([two, one], 2) is True
-    assert is_relatively_r_prime([two, three], 2) is False
-    assert is_relatively_r_prime([UNIT_IDEAL, one], 1) is True
-
-
-def test_r_prime_predicate_empty_tuple():
-    with pytest.raises(ValueError):
-        is_relatively_r_prime([], 1)
-
-
-def test_r_prime_predicate_symmetric(field_qi):
-    ideals = enumerate_ideals(field_qi, 12)
-    rng = random.Random(5)
-    for _ in range(200):
-        tup = [rng.choice(ideals) for _ in range(3)]
-        r = rng.choice([1, 2])
-        base = is_relatively_r_prime(tup, r)
-        for perm in itertools.permutations(tup):
-            assert is_relatively_r_prime(list(perm), r) == base
-
-
 def _count_naive(field, x, m, r):
-    ideals = enumerate_ideals(field, x)
+    # the definition: no prime divides every member to order >= r, i.e.
+    # the AND of the surviving-set masks is empty
+    masks = [mask for _, mask in enumerate_ideals(field, x, r)]
     return sum(
-        1
-        for tup in itertools.product(ideals, repeat=m)
-        if is_relatively_r_prime(list(tup), r)
+        1 for tup in itertools.product(masks, repeat=m) if functools.reduce(operator.and_, tup) == 0
     )
 
 
@@ -161,9 +143,10 @@ def test_direct_count_refuses_bad_x(field_q, table_q_1e4, x):
     ):
         with pytest.raises(ValueError, match="x must be finite and nonnegative"):
             call(source, x, 2, 1)
-    for call, source in ((enumerate_ideals, field_q), (ideal_count, table_q_1e4)):
-        with pytest.raises(ValueError, match="x must be finite and nonnegative"):
-            call(source, x)
+    with pytest.raises(ValueError, match="x must be finite and nonnegative"):
+        enumerate_ideals(field_q, x, 1)
+    with pytest.raises(ValueError, match="x must be finite and nonnegative"):
+        ideal_count(table_q_1e4, x)
 
 
 def test_direct_matches_mobius_medium(fields):
