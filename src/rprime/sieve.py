@@ -24,10 +24,11 @@ of relatively r-prime m-tuples with all norms <= x equals
 floor(x / n^r) takes at most 2 x^(1/(r+1)) distinct values, so the sum
 runs over blocks of n sharing one value q, each adding
 (B(n_end) - B(n - 1)) * I_K(q)^m with B the prefix sum of b (the
-floor-value grouping of Deleglise and Rivat).  Both I_K and B are read
-from the table's stored prefix sums, so a count allocates no array.
-That is O(sqrt(x)) exact Python-integer terms for r = 1, with no
-overflow bound.
+floor-value grouping of Deleglise and Rivat).  The block ends come from
+one numpy pass, and I_K and B are read at all of them with one fancy
+index each from the table's stored prefix sums.  The products and their
+sum are then one Python-integer term per block, O(sqrt(x)) terms for
+r = 1, with no overflow bound.
 """
 
 from __future__ import annotations
@@ -37,6 +38,8 @@ import json
 import math
 import struct
 from dataclasses import dataclass
+from itertools import repeat
+from operator import mul
 
 import numpy as np
 
@@ -75,11 +78,14 @@ def local_series(degrees: np.ndarray | list[int], p: int, N: int) -> tuple[list[
 
 
 def prime_flags(N: int) -> np.ndarray:
-    flags = np.ones(N + 1, dtype=bool)
-    flags[:2] = False
-    for p in range(2, int(N**0.5) + 1):
+    """Boolean array whose entry n is True exactly when n <= N is prime."""
+    flags = np.zeros(N + 1, dtype=bool)
+    flags[2:3] = True
+    flags[3::2] = True
+    # even multiples are already False, so an odd p strikes p^2, p^2 + 2p, ...
+    for p in range(3, math.isqrt(N) + 1, 2):
         if flags[p]:
-            flags[p * p :: p] = False
+            flags[p * p :: 2 * p] = False
     return flags
 
 
@@ -182,7 +188,7 @@ def _norm_bound(x: float) -> int:
 def ideal_count(table: CoefficientTable, x: float) -> int:
     """Number of ideals with norm <= x (floor semantics on x)."""
     X = _norm_bound(x)
-    if x > table.N:
+    if X > table.N:
         raise ValueError(f"x={x} exceeds the table cap N={table.N}")
     return int(table.I_prefix[X])
 
@@ -201,31 +207,54 @@ def _integer_root(n: int, r: int) -> int:
     return k
 
 
+def _block_ends(X: int, r: int) -> np.ndarray:
+    """Sorted int64 array [0, e_1, ..., L] of the block ends for floor(X / n^r).
+
+    e_i runs over the n in [1, L], L = floor(X^(1/r)), with
+    X // n^r != X // (n + 1)^r: the last n of each block of the Mobius
+    sum.  Below T = floor(X^(1/(r+1))) the blocks are read off the floor
+    values directly; above it every value q <= X // (T + 1)^r gets the
+    end floor((X // q)^(1/r)), the largest n with X // n^r >= q.
+    """
+    T = _integer_root(X, r + 1)
+    n = np.arange(1, T + 1, dtype=np.int64)
+    q_small = X // n**r  # n^r <= X, so no power wraps
+    q_T = X // (T + 1) ** r  # Python int: (T + 1)^r can pass int64
+    small = n[q_small != np.concatenate((q_small[1:], [q_T]))]
+    v = X // np.arange(q_T, 0, -1, dtype=np.int64)
+    if r == 1:
+        return np.concatenate(([0], small, v))
+    L = _integer_root(X, r)
+    k = np.minimum(np.floor(v ** (1.0 / r)).astype(np.int64), L)
+    k -= k**r > v
+    # k < L keeps k + 1 <= L, so (k + 1)^r <= X cannot wrap
+    k += (k < L) & (np.minimum(k + 1, L) ** r <= v)
+    # k does not decrease; a q that no n reaches repeats the end of the
+    # next larger value reached, so keep the first of each run
+    return np.concatenate(([0], small, k[:1], k[1:][k[1:] != k[:-1]]))
+
+
 def count_rprime_mobius(table: CoefficientTable, x: float, m: int, r: int) -> int:
     """Exact count of relatively r-prime m-tuples with all norms <= x.
 
-    Evaluates the Mobius-sum identity aggregated by norm, one term per
-    block of n on which floor(x / n^r) is constant (see the module
-    docstring), in Python integers, so the result is exact at every size.
+    Evaluates the Mobius-sum identity aggregated by norm (see the module
+    docstring): the block ends and the prefix reads at them are numpy
+    passes, and each block adds one Python-integer term, so the result
+    is exact at every size.
     """
     if m < 1 or r < 1:
         raise ValueError(f"need m >= 1 and r >= 1, got m={m}, r={r}")
     X = _norm_bound(x)
     if x < 1:
         raise ValueError(f"x must be >= 1, got x={x}")
-    if x > table.N:
+    if X > table.N:
         raise ValueError(f"x={x} exceeds the table cap N={table.N}")
-    L = _integer_root(X, r)
-    # |B(n)| <= I_K(n) < 2^31, so the stored int32 B_prefix holds B
-    # exactly; block differences and products are taken in Python ints
-    B = table.B_prefix
-    total = 0
-    n = 1
-    while n <= L:
-        q = X // n**r
-        n_end = _integer_root(X // q, r)  # last n with the same floor value q
-        total += (int(B[n_end]) - int(B[n - 1])) * int(table.I_prefix[q]) ** m
-        n = n_end + 1
+    ends = _block_ends(X, r)
+    # |B(n)| <= I_K(n) < 2^31, so the int64 differences of the stored
+    # int32 B_prefix are exact; products are taken in Python ints
+    dB = np.diff(table.B_prefix[ends].astype(np.int64)).tolist()
+    I_q = table.I_prefix[X // ends[1:] ** r].tolist()
+    total = sum(map(mul, dB, map(pow, I_q, repeat(m))))
     if total < 0:
         raise OverflowError("negative tuple count: table corrupt")
     return total

@@ -14,7 +14,7 @@ from rprime import (
     save_table,
 )
 from rprime.fields import residue_degrees
-from rprime.sieve import _finish_table, _integer_root, prime_flags
+from rprime.sieve import _block_ends, _finish_table, _integer_root, prime_flags
 
 from test_fields import _MORE_FIELDS, _field
 
@@ -134,6 +134,14 @@ def test_ideal_count_range_error(table_q_1e4):
         ideal_count(table_q_1e4, 10**4 + 1)
 
 
+@pytest.mark.parametrize("count", [ideal_count, lambda table, x: count_rprime_mobius(table, x, 2, 1)])
+def test_table_cap_compares_floor_of_x(table_q_1e4, count):
+    N = table_q_1e4.N
+    assert count(table_q_1e4, N + 0.5) == count(table_q_1e4, N)
+    with pytest.raises(ValueError, match=f"x={N + 1} exceeds the table cap N={N}"):
+        count(table_q_1e4, N + 1)
+
+
 def test_mobius_count_examples(table_q_1e4):
     assert count_rprime_mobius(table_q_1e4, 10, 2, 1) == 63
     assert count_rprime_mobius(table_q_1e4, 10, 1, 2) == 7
@@ -184,6 +192,43 @@ def test_mobius_count_matches_per_n_reference(tables_all_fields, name):
                 assert count_rprime_mobius(table, x, m, r) == _mobius_count_reference(
                     table, x, m, r
                 ), (name, x, m, r)
+
+
+def test_mobius_count_dense_sweep(table_qi_1e4):
+    for x in range(1, 1001):
+        for m in (1, 2, 3):
+            for r in (1, 2, 3, 4):
+                assert count_rprime_mobius(table_qi_1e4, x, m, r) == _mobius_count_reference(
+                    table_qi_1e4, x, m, r
+                ), (x, m, r)
+
+
+def _block_ends_reference(X, r):
+    # the scalar block walk: from each n, jump to the last n sharing X // n^r
+    ends = [0]
+    n = 1
+    while n**r <= X:
+        ends.append(_integer_root(X // (X // n**r), r))
+        n = ends[-1] + 1
+    return ends
+
+
+@pytest.mark.parametrize("r", range(1, 7))
+def test_block_ends_match_scalar_walk(r):
+    top = round(10 ** (8 / r))  # k**r near the table cap 1e8
+    near_cap = {k**r + d for k in range(max(2, top - 30), top + 30) for d in (-1, 0, 1)}
+    for X in sorted(set(range(1, 2001)) | near_cap):
+        ends = _block_ends(X, r)
+        assert ends.tolist() == _block_ends_reference(X, r), (X, r)
+        assert ends[0] == 0 and ends[-1] == _integer_root(X, r)
+        assert np.all(np.diff(ends) > 0)
+
+
+@pytest.mark.parametrize("r", [30, 64, 100])
+def test_block_ends_when_powers_pass_int64(r):
+    # 2^r may not fit int64, so the helper must not form it in numpy
+    for X in (1, 2, 3, 2**30 - 1, 2**30, 2**30 + 1, 10**8):
+        assert _block_ends(X, r).tolist() == _block_ends_reference(X, r), (X, r)
 
 
 def test_mobius_count_exact_beyond_int64(table_qi_1e4):
