@@ -17,8 +17,9 @@ integer coefficients without finding any factor.  The invariants never
 choose a splitting type; a d_K equal to poly_disc only vouches that the
 polynomial order is maximal.  `splitting_type` answers for one prime;
 `residue_degrees` sends only the primes that divide the polynomial
-discriminant through it and fills every other prime in one batched
-int64 pass over Berlekamp's Frobenius matrix.
+discriminant or are at most the degree through it, and fills every
+other prime in one batched int64 pass that reads the factor degrees off
+the traces of the powers of Berlekamp's Frobenius matrix.
 """
 
 from __future__ import annotations
@@ -225,28 +226,29 @@ def residue_degrees(field: FieldSpec, primes: np.ndarray) -> np.ndarray:
     degree f above primes[i].
 
     Degree 1 is all ones.  Otherwise a prime that divides `poly_disc`
-    takes `splitting_type`, with its override and index-divisor rules;
-    every other prime leaves f squarefree mod p, and
-    `_frobenius_degree_counts` reads its factor degrees (which are the
-    residue degrees, by Dedekind-Kummer) in one int64 pass over all
-    such primes.  That pass is exact while degree * p^2 < 2^63, which
-    holds for every p <= 1e8; a larger such prime raises ValueError.
+    or is at most the degree takes `splitting_type`, with its override
+    and index-divisor rules; every other prime leaves f squarefree mod
+    p, and `_frobenius_degree_counts` reads its factor degrees (which
+    are the residue degrees, by Dedekind-Kummer) in one int64 pass over
+    all such primes.  That pass is exact while 2 * degree * p^2 < 2^63,
+    which holds for every p <= 1e8 at any degree below 400; a larger
+    such prime raises ValueError.
     """
     primes = np.asarray(primes, dtype=np.int64)
     n = field.degree
     if n == 1:
         return np.ones((len(primes), 1), dtype=np.int8)
     degrees = np.zeros((len(primes), n), dtype=np.int8)
-    divides_disc = _mod_primes(field.poly_disc, primes) == 0
-    for i in np.flatnonzero(divides_disc):
+    per_prime = (_mod_primes(field.poly_disc, primes) == 0) | (primes <= n)
+    for i in np.flatnonzero(per_prime):
         for _, f in splitting_type(field, int(primes[i])).parts:
             degrees[i, f - 1] += 1
-    lanes = np.flatnonzero(~divides_disc)
+    lanes = np.flatnonzero(~per_prime)
     top = int(primes[lanes].max()) if len(lanes) else 0
-    if n * top**2 >= 2**63:
+    if 2 * n * top**2 >= 2**63:
         raise ValueError(
             f"{field.name}: prime {top} is past the int64-exact range of the "
-            f"batched residue-degree fill (degree * p^2 < 2^63)"
+            f"batched residue-degree fill (2 * degree * p^2 < 2^63)"
         )
     for start in range(0, len(lanes), _LANE_CHUNK):
         rows = lanes[start : start + _LANE_CHUNK]
@@ -275,83 +277,62 @@ def _mobius(m: int) -> int:
 
 def _frobenius_degree_counts(poly: tuple[int, ...], p: np.ndarray) -> np.ndarray:
     """Row i counts the irreducible factors of each degree of poly mod
-    p[i]; poly must be squarefree mod every p[i].
+    p[i]; poly must be squarefree mod every p[i], and every p[i] must
+    exceed the degree n.
 
-    Berlekamp's Frobenius matrix, batched over primes (Cohen, A Course
-    in Computational Algebraic Number Theory, 3.4): Q has column j equal
-    to x^(jp) mod f, and dim ker(Q^k - I) = sum_i gcd(k, f_i) over the
-    factor degrees f_i, for k = 1..n.  Lanes (one per prime) run along
-    the last axis.  Every value is reduced mod p before it is
-    multiplied, so no intermediate reaches n * p^2.
+    Q is the Frobenius a -> a^p on F_p[x]/poly, column j holding
+    x^(jp) mod poly (Berlekamp's matrix; Cohen, A Course in
+    Computational Algebraic Number Theory, 3.4).  Over the algebraic
+    closure F_p[x]/poly splits into one coordinate per root, and Q^k
+    permutes them as Frobenius^k permutes the roots, so tr(Q^k) mod p
+    counts the roots that Frobenius^k fixes: the sum of f_i over the
+    factor degrees f_i that divide k.  That count is at most n < p, so
+    the residue is the count itself, and the necklace formula
+    N_f = (1/f) sum over d | f of mu(f/d) tr(Q^d) gives the number of
+    factors of degree f.  Lanes (one per prime) run along the last
+    axis.  No intermediate reaches 2n * p^2.
     """
     n = len(poly) - 1
-    low = np.stack([_mod_primes(c, p) for c in poly[:-1]])  # f = x^n + low
+    xn = np.stack([-_mod_primes(c, p) % p for c in poly[:-1]])  # x^n mod poly
 
-    def times_x(a):
-        shifted = np.concatenate([np.zeros_like(a[:1]), a[:-1]])
-        return (shifted - a[-1] * low) % p
-
-    fold = [-low % p]  # fold[k] = x^(n+k) mod f
-    for _ in range(n - 2):
-        fold.append(times_x(fold[-1]))
-
-    def mul(a, b):
-        prod = np.zeros((2 * n - 1, len(p)), np.int64)
+    def mul(a, b, times_x=None):
+        # a * b mod (poly, p), times x in the lanes where times_x holds:
+        # the product rows move up one, then each row of degree >= n,
+        # reduced mod p, folds through x^n = xn; every row takes at most
+        # n products and n folds below p^2 before the one final reduction
+        prod = np.zeros((2 * n, len(p)), np.int64)
         for i in range(n):
             prod[i : i + n] += a[i] * b
-        prod %= p
-        out = prod[:n]
-        for k in range(n - 1):
-            out += prod[n + k] * fold[k]
-        return out % p
+        if times_x is not None:
+            shifted = np.concatenate([np.zeros_like(prod[:1]), prod[:-1]])
+            prod = np.where(times_x, shifted, prod)
+        for k in range(2 * n - 1, n - 1, -1):
+            prod[k - n : k] += prod[k] % p * xn
+        return prod[:n] % p
 
-    # x^p mod f, left to right over the bits of each lane's p
+    # x^p mod poly, left to right over the bits of each lane's p
     one = np.zeros((n, len(p)), np.int64)
     one[0] = 1
     xp = one
     for bit in range(int(p.max()).bit_length() - 1, -1, -1):
-        xp = mul(xp, xp)
-        xp = np.where((p >> bit) & 1 == 1, times_x(xp), xp)
+        xp = mul(xp, xp, (p >> bit) & 1 == 1)
     columns = [one, xp]
     while len(columns) < n:
         columns.append(mul(columns[-1], xp))
     Q = np.stack(columns, axis=1)
 
-    identity = np.eye(n, dtype=np.int64)[:, :, None]
-    kernel_dim = [None]  # kernel_dim[k] = dim ker(Q^k - I)
+    traces = [None, np.trace(Q) % p]  # traces[k] = tr(Q^k) mod p
     Qk = Q
-    for k in range(1, n + 1):
-        if k > 1:
-            Qk = sum(Qk[:, m, None] * Q[m] for m in range(n)) % p
-        kernel_dim.append(n - _rank_mod_p((Qk - identity) % p, p))
-
-    # kernel_dim[k] = sum over e | k of phi(e) * S[e], S[e] = #{i : e | f_i}
-    S = [None]
-    for k in range(1, n + 1):
-        divisors = [e for e in range(1, k + 1) if k % e == 0]
-        phi = sum(_mobius(k // e) * e for e in divisors)
-        S.append(sum(_mobius(k // e) * kernel_dim[e] for e in divisors) // phi)
+    while len(traces) <= n:
+        Qk = sum(Qk[:, m, None] * Q[m] for m in range(n)) % p
+        traces.append(np.trace(Qk) % p)
     return np.stack(
-        [sum(_mobius(e // d) * S[e] for e in range(d, n + 1, d)) for d in range(1, n + 1)],
+        [
+            sum(_mobius(f // d) * traces[d] for d in range(1, f + 1) if f % d == 0) // f
+            for f in range(1, n + 1)
+        ],
         axis=1,
     )
-
-
-def _rank_mod_p(A: np.ndarray, p: np.ndarray) -> np.ndarray:
-    # fraction-free Gaussian elimination on A[row, col, lane], one column
-    # per step: row_i <- piv*row_i - a_i*pivrow mod p in every lane at
-    # once, exact without inverses since p is prime
-    n = A.shape[0]
-    lanes = np.arange(A.shape[2])
-    used = np.zeros((n, len(lanes)), dtype=bool)
-    for _ in range(n):
-        a = np.where(used, 0, A[:, 0])
-        r = np.argmax(a != 0, axis=0)
-        has = a[r, lanes] != 0
-        piv = np.where(has, a[r, lanes], 1)
-        used[r, lanes] |= has  # the pivot row itself drops to zero
-        A = (piv * A[:, 1:] - a[:, None] * A[r, 1:, lanes].T) % p
-    return used.sum(axis=0)
 
 
 def ideal_density_constant(field: FieldSpec) -> float:

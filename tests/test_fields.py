@@ -13,7 +13,8 @@ from rprime import (
     parse_field_spec,
     splitting_type,
 )
-from rprime.fields import _is_prime, residue_degrees
+from rprime import fields as fields_module
+from rprime.fields import _frobenius_degree_counts, _is_prime, residue_degrees
 from rprime.fields import FieldInvariants, FieldSpec, SplittingType
 from rprime.polygf import factor_degrees, factor_mod_p
 from rprime.sieve import prime_flags
@@ -323,9 +324,69 @@ def test_discriminant_past_int64_splits_primes_exactly(field_cubic):
 
 
 def test_batched_fill_refuses_primes_past_int64_exact_range(field_cubic):
-    # 3 * (2^31 - 1)^2 >= 2^63: the pass would wrap, so it must refuse
+    # 2 * 3 * (2^31 - 1)^2 >= 2^63: the pass would wrap, so it must refuse
     with pytest.raises(ValueError, match="int64-exact"):
         residue_degrees(field_cubic, np.array([2**31 - 1]))
+
+
+def test_batched_fill_is_exact_at_the_edge_of_its_guard(field_cubic):
+    # the largest prime with 2 * 3 * p^2 < 2^63 runs the pass with products
+    # closest to int64 and must match the scalar route; the next is refused
+    edge = math.isqrt((2**63 - 1) // 6)
+    while not _is_prime(edge):
+        edge -= 1
+    after = edge + 1
+    while not _is_prime(after):
+        after += 1
+    assert 6 * edge**2 < 2**63 <= 6 * after**2
+    below = [p for p in range(edge - 2000, edge + 1) if _is_prime(p)]
+    degrees = residue_degrees(field_cubic, np.array(below))
+    for p, row in zip(below, degrees.tolist()):
+        expected = [0] * 3
+        for _, f in factor_degrees(field_cubic.poly, p):
+            expected[f - 1] += 1
+        assert row == expected, p
+    assert below[-1] == edge
+    with pytest.raises(ValueError, match="int64-exact"):
+        residue_degrees(field_cubic, np.array([edge, after]))
+
+
+def test_traces_separate_degree_patterns_of_equal_factor_count():
+    # x^4 + x - 1 has Galois group S4, so both (1, 3) and (2, 2) occur: two
+    # factors each, which only tr(Q^k) for k >= 2 tells apart
+    poly, disc = _MORE_FIELDS["quartic"]
+    primes = np.array([p for p in _primes_upto(1999) if p > 4 and disc % p != 0])
+    counts = _frobenius_degree_counts(poly, primes)
+    field = _field({}, "quartic")
+    for p, row in zip(primes.tolist(), counts.tolist()):
+        assert row == _degree_row(field, p), p
+    patterns = {tuple(row) for row in counts.tolist()}
+    assert {(1, 0, 1, 0), (0, 2, 0, 0)} <= patterns
+
+
+def test_primes_up_to_the_degree_take_the_per_prime_route(monkeypatch):
+    # tr(Q^k) mod p is the count of fixed roots only for p > n, so the
+    # quintic sends 2, 3 and 5 (and 19 | poly_disc) through splitting_type
+    field = _field({}, "quintic")
+    expected = {p: _degree_row(field, p) for p in (2, 3, 5)}
+    per_prime, lanes = [], []
+
+    def spy_splitting(field, p):
+        per_prime.append(p)
+        return splitting_type(field, p)
+
+    def spy_kernel(poly, p):
+        lanes.extend(p.tolist())
+        return _frobenius_degree_counts(poly, p)
+
+    monkeypatch.setattr(fields_module, "splitting_type", spy_splitting)
+    monkeypatch.setattr(fields_module, "_frobenius_degree_counts", spy_kernel)
+    primes = np.array(_primes_upto(60))
+    degrees = residue_degrees(field, primes)
+    assert sorted(per_prime) == [2, 3, 5, 19]
+    assert sorted(lanes) == [p for p in primes.tolist() if p not in (2, 3, 5, 19)]
+    for i, p in enumerate((2, 3, 5)):
+        assert degrees[i].tolist() == expected[p]
 
 
 def test_degree_one_residue_degrees_are_ones(field_q):
