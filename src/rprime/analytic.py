@@ -14,10 +14,11 @@ requested tolerance.
 
 Rung k of the ladder is the log of the product over p <= P_k.  It is
 cached per process under (field, s, prime cap, k) and computed once,
-as rung k-1 plus the log factors of the primes in (P_{k-1}, P_k], so
-every tolerance for one (field, s, prime cap) shares one Euler
-product.  Those factors are one vectorized log1p sum per residue
-degree f, weighted by the column f of `fields.residue_degrees`.
+as rung k-1 plus the log factors of the primes in (P_{k-1}, P_k],
+which `sieve.primes_between` sieves over that range alone, so every
+tolerance for one (field, s, prime cap) shares one Euler product.
+Those factors are one vectorized log1p sum per residue degree f,
+weighted by the column f of `fields.residue_degrees`.
 
 Exponent tables are exact rationals so tests compare them by equality.
 Bounds of the form x^(e + eps) are returned at eps = 0 with an epsilon
@@ -36,7 +37,7 @@ import numpy as np
 
 from .errors import ToleranceError
 from .fields import FieldSpec, ideal_density_constant, residue_degrees
-from .sieve import prime_flags
+from .sieve import primes_between
 
 DEFAULT_PRIME_CAP = 10**7
 
@@ -60,8 +61,7 @@ def _euler_log_sum(field: FieldSpec, s: float, prime_cap: int, k: int) -> float:
     else:
         lo = _rung_cutoff(prime_cap, k - 1) + 1
         previous = _euler_log_sum(field, s, prime_cap, k - 1)
-    primes = np.flatnonzero(prime_flags(_rung_cutoff(prime_cap, k))[lo:]) + lo
-    return previous + _log_local_factors(field, s, primes)
+    return previous + _log_local_factors(field, s, primes_between(lo, _rung_cutoff(prime_cap, k)))
 
 
 def dedekind_zeta_with_cutoff(

@@ -36,7 +36,7 @@ import numpy as np
 
 from .errors import BudgetExceededError
 from .fields import FieldSpec, residue_degrees
-from .sieve import _norm_bound, prime_flags
+from .sieve import _norm_bound, primes_between
 
 ENUMERATION_GUARD = 10**5  # largest X whose ideals we will materialize
 DIRECT_COUNT_BUDGET = 10**9  # cap on I_K(x)^m for direct counting
@@ -63,7 +63,7 @@ def enumerate_ideals(
         raise BudgetExceededError(f"enumeration of norms <= {Xi} exceeds the guard {guard}")
     if Xi < 1:
         return []
-    primes = np.flatnonzero(prime_flags(Xi))
+    primes = primes_between(2, Xi)
     norms: list[int] = []
     for p, row in zip(primes.tolist(), residue_degrees(field, primes).tolist()):
         for f, count in enumerate(row, start=1):

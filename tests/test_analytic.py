@@ -20,7 +20,7 @@ from rprime import (
 )
 from rprime.analytic import ExponentResult
 from rprime.fields import splitting_type
-from rprime.sieve import count_rprime_mobius, prime_flags
+from rprime.sieve import count_rprime_mobius, prime_flags, primes_between
 
 
 def _riemann_zeta_reference(s: float, terms: int = 10**4) -> float:
@@ -296,11 +296,11 @@ def test_zeta_triple_independent_of_cache_order(field_qi):
 def test_scan_sieves_each_rung_once(field_q, monkeypatch):
     calls = []
 
-    def counting_prime_flags(N):
-        calls.append(N)
-        return prime_flags(N)
+    def counting_primes_between(lo, hi):
+        calls.append((lo, hi))
+        return primes_between(lo, hi)
 
-    monkeypatch.setattr(analytic, "prime_flags", counting_prime_flags)
+    monkeypatch.setattr(analytic, "primes_between", counting_primes_between)
     monkeypatch.setattr("rprime.scan.count_rprime_mobius", lambda table, x, m, r: 0)
     analytic._euler_log_sum.cache_clear()
     with pytest.warns(UserWarning, match="certified"):
@@ -308,5 +308,14 @@ def test_scan_sieves_each_rung_once(field_q, monkeypatch):
             field_q, 2, 1, 2**12, 2**22, 11, 2**22, table=SimpleNamespace(N=2**22)
         )
     assert len(records) == 11
-    # every point asks for more than the cap certifies, so each walks all 7 rungs
-    assert calls == [4096, 16384, 65536, 262144, 1048576, 4194304, 10**7]
+    # every point asks for more than the cap certifies, so each walks all 7
+    # rungs; each rung sieves only its own range, once
+    assert calls == [
+        (2, 4096),
+        (4097, 16384),
+        (16385, 65536),
+        (65537, 262144),
+        (262145, 1048576),
+        (1048577, 4194304),
+        (4194305, 10**7),
+    ]

@@ -13,8 +13,9 @@ from rprime import (
     local_series,
     save_table,
 )
+from rprime import sieve
 from rprime.fields import residue_degrees
-from rprime.sieve import _block_ends, _finish_table, _integer_root, prime_flags
+from rprime.sieve import _block_ends, _finish_table, _integer_root, prime_flags, primes_between
 
 from test_fields import _MORE_FIELDS, _field
 
@@ -35,6 +36,36 @@ def test_local_series_ramified_quadratic():
     a, b = local_series([1, 0], 2, 16)
     assert a == [1, 1, 1, 1, 1]
     assert b == [1, -1, 0, 0, 0]
+
+
+def _trial_division_primes(n):
+    return [p for p in range(2, n + 1) if all(p % d for d in range(2, math.isqrt(p) + 1))]
+
+
+@pytest.mark.parametrize("segment", [None, 8])
+def test_primes_between_matches_trial_division(monkeypatch, segment):
+    if segment is not None:
+        monkeypatch.setattr(sieve, "_SEGMENT", segment)
+        # slot j holds 2j + 1 and segments start at slot max(lo, 2) // 2, so
+        # across the grid each of 11^2, 13^2, 17^2 lands on the first slot
+        # of some segment and on the last slot of another
+        for square in (121, 169, 289):
+            offsets = {(square // 2 - max(lo, 2) // 2) % segment for lo in range(80)}
+            assert {0, segment - 1} <= offsets
+    primes = _trial_division_primes(299)
+    for lo in range(80):  # lo in {0, 1, 2} and lo > hi included
+        for hi in range(300):
+            got = primes_between(lo, hi)
+            assert got.dtype == np.int64
+            assert got.tolist() == [p for p in primes if lo <= p <= hi], (lo, hi)
+
+
+def test_primes_between_counts_the_zeta_ladder_rungs():
+    rungs = [(2, 4096), (4097, 16384), (16385, 65536), (65537, 262144)]
+    rungs += [(262145, 1048576), (1048577, 4194304), (4194305, 10**7)]
+    counts = [len(primes_between(lo, hi)) for lo, hi in rungs]
+    assert counts == [564, 1336, 4642, 16458, 59025, 213922, 368632]
+    assert sum(counts) == 664579  # pi(1e7)
 
 
 def test_tables_rational_field_is_mobius(field_q):
