@@ -39,7 +39,7 @@ from .fields import FieldSpec, residue_degrees
 from .sieve import _norm_bound, primes_between
 
 ENUMERATION_GUARD = 10**5  # largest X whose ideals we will materialize
-DIRECT_COUNT_BUDGET = 10**9  # cap on I_K(x)^m for direct counting
+DIRECT_COUNT_BUDGET = 2**63  # I_K(x)^m below this keeps the int64 counts exact
 STEP_CELL_BUDGET = 10**9  # cap on G^2 * (x + 1) for G surviving sets
 
 
@@ -47,7 +47,6 @@ def enumerate_ideals(
     field: FieldSpec,
     X: float,
     r: int,
-    guard: int = ENUMERATION_GUARD,
 ) -> list[tuple[int, int]]:
     """All ideals of norm <= X as sorted (norm, mask) pairs, one per ideal.
 
@@ -59,8 +58,10 @@ def enumerate_ideals(
     if r < 1:
         raise ValueError(f"r must be >= 1, got {r}")
     Xi = _norm_bound(X)
-    if Xi > guard:
-        raise BudgetExceededError(f"enumeration of norms <= {Xi} exceeds the guard {guard}")
+    if Xi > ENUMERATION_GUARD:
+        raise BudgetExceededError(
+            f"enumeration of norms <= {Xi} exceeds the guard {ENUMERATION_GUARD}"
+        )
     if Xi < 1:
         return []
     primes = primes_between(2, Xi)
@@ -109,7 +110,7 @@ def _support_groups(
     prefix, so its norm is <= Xi.  Hence a step adds at most G * G
     histograms of Xi + 1 cells.  Before allocating any histogram this
     raises BudgetExceededError when G^2 (Xi + 1) exceeds
-    STEP_CELL_BUDGET; with the default enumeration guard (Xi <= 10^5)
+    STEP_CELL_BUDGET; with the enumeration guard (Xi <= 10^5)
     that also caps the G histograms at 10^7 cells.
     """
     distinct = dict.fromkeys(mask for _, mask in ideals)  # first-seen order
@@ -142,7 +143,6 @@ def count_rprime_direct_upto(
     X: float,
     m: int,
     r: int,
-    guard: int = ENUMERATION_GUARD,
 ) -> np.ndarray:
     """Counts of relatively r-prime m-tuples for every integer bound.
 
@@ -162,10 +162,13 @@ def count_rprime_direct_upto(
     if m < 1 or r < 1:
         raise ValueError(f"need m >= 1 and r >= 1, got m={m}, r={r}")
     Xi = _norm_bound(X)
-    ideals = enumerate_ideals(field, Xi, r, guard=guard)
-    if len(ideals) ** m > DIRECT_COUNT_BUDGET:
+    ideals = enumerate_ideals(field, Xi, r)
+    # every prefix count, convolution and term of V counts m-tuples or
+    # fewer-member prefixes of ideals of norm <= Xi, so all are <= I_K(Xi)^m
+    if len(ideals) ** m >= DIRECT_COUNT_BUDGET:
         raise BudgetExceededError(
-            f"I_K({Xi})^{m} = {len(ideals) ** m} exceeds the direct-count budget {DIRECT_COUNT_BUDGET}"
+            f"I_K({Xi})^{m} = {len(ideals) ** m} is not below the direct-count budget 2^63, "
+            "past which the int64 counts could wrap"
         )
     if Xi == 0:
         return np.zeros(1, dtype=np.int64)
@@ -214,9 +217,8 @@ def count_rprime_direct(
     x: float,
     m: int,
     r: int,
-    guard: int = ENUMERATION_GUARD,
 ) -> int:
     """Exact number of relatively r-prime m-tuples with norms <= x,
     straight from the definition (no Mobius identity involved)."""
-    V = count_rprime_direct_upto(field, x, m, r, guard=guard)
+    V = count_rprime_direct_upto(field, x, m, r)
     return int(V[int(x)])

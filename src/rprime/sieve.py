@@ -1,11 +1,12 @@
 """Multiplicative tables of ideal counts and ideal Mobius sums by norm.
 
-For a field K the table holds, for every n <= N,
+For a field K the table is built from, for every n <= N,
 
     a[n] = number of ideals of norm n
     b[n] = sum of the ideal Mobius function over ideals of norm n
 
-Both are multiplicative, so they are assembled prime by prime from the
+and keeps only their prefix sums I_K(n) and B(n).  Both a and b are
+multiplicative, so they are assembled prime by prime from the
 residue degrees f_i of the prime ideals above p, one row of
 `fields.residue_degrees`: the a-values at p^k are the coefficients of
 prod_i (1 - X^{f_i})^{-1} and the b-values those of prod_i (1 - X^{f_i}),
@@ -21,10 +22,7 @@ and the oracle's enumeration) takes them from `primes_between(lo, hi)`,
 a segmented odd-only sieve of Eratosthenes in segments of 2^20 odd
 slots (1 MB of flags).  Each rung of the zeta ladder sieves only its
 own range (P_{k-1}, P_k], once, so it holds one segment plus 8 B per
-prime of the rung, where it held a 1-byte flag for every integer up to
-P_k before.  The seven rungs up to the 1e7 prime cap sieve in about
-21 ms, against 85 ms when each rung re-sieved [0, P_k] (2-core VM,
-Python 3.11, numpy 2.4).
+prime of the rung.
 
 The central consumer regroups the ideal Mobius sum by norm: the count
 of relatively r-prime m-tuples with all norms <= x equals
@@ -131,36 +129,57 @@ def prime_flags(N: int) -> np.ndarray:
     return flags
 
 
+def _differences(prefix: np.ndarray) -> np.ndarray:
+    """Read-only int32 first difference of a table's prefix array."""
+    d = np.empty_like(prefix)
+    d[0] = prefix[0]
+    # each difference is one a or b value, so int32 holds it exactly
+    np.subtract(prefix[1:], prefix[:-1], out=d[1:])
+    d.setflags(write=False)
+    return d
+
+
 @dataclass(frozen=True, eq=False)
 class CoefficientTable:
-    """Immutable a/b tables for one field up to norm N.
+    """Immutable prefix sums of the a/b tables for one field up to norm N.
 
-    Four flat int32 arrays: a and b, and their prefix sums
-    I_prefix[n] = I_K(n) and B_prefix[n] = B(n).  I_K(N) < 2^31 is
-    checked before the prefixes are taken, and |B(n)| <= I_K(n), so
-    neither wraps.  The arrays are marked read-only, so a built table
-    can be shared across threads and queried concurrently.  Tables
-    compare by identity (the arrays make value equality a trap).
+    Two flat int32 arrays, 8 B per slot: I_prefix[n] = I_K(n) and
+    B_prefix[n] = B(n).  I_K(N) < 2^31 is checked before the prefixes
+    are taken, and |B(n)| <= I_K(n), so neither wraps.  The arrays are
+    marked read-only, so a built table can be shared across threads and
+    queried concurrently.  Tables compare by identity (the arrays make
+    value equality a trap).
     """
 
     field: FieldSpec
     N: int
-    a: np.ndarray
-    b: np.ndarray
     I_prefix: np.ndarray
     B_prefix: np.ndarray
 
     def __post_init__(self) -> None:
-        for arr in (self.a, self.b, self.I_prefix, self.B_prefix):
+        for arr in (self.I_prefix, self.B_prefix):
             arr.setflags(write=False)
+
+    @property
+    def a(self) -> np.ndarray:
+        """a[n], the number of ideals of norm n: a fresh read-only int32
+        array of N + 1 entries, taken from I_prefix in O(N) per access."""
+        return _differences(self.I_prefix)
+
+    @property
+    def b(self) -> np.ndarray:
+        """b[n], the ideal Mobius sum over norm n: a fresh read-only int32
+        array of N + 1 entries, taken from B_prefix in O(N) per access."""
+        return _differences(self.B_prefix)
 
 
 def _finish_table(field: FieldSpec, N: int, a: np.ndarray, b: np.ndarray) -> CoefficientTable:
-    """Check a/b and wrap them with their int32 prefix sums.
+    """Check the int32 arrays a/b and turn them into the table's prefix sums.
 
     a counts ideals and dominates |b|; a value outside that, or a total
     I_K(N) that int32 cannot hold, raises `OverflowError` rather than
-    ship a wrapped table.
+    ship a wrapped table.  Once the checks pass, a and b are prefix-summed
+    in place and become the table's arrays, so the caller hands them over.
     """
     # a >= 0 first, so -a cannot wrap
     if int(a.min()) < 0 or bool(np.any(b > a)) or bool(np.any(b < -a)):
@@ -168,9 +187,9 @@ def _finish_table(field: FieldSpec, N: int, a: np.ndarray, b: np.ndarray) -> Coe
     total = int(a.sum(dtype=np.int64))
     if total >= 2**31:
         raise OverflowError(f"I_K(N) = {total} does not fit the int32 prefix sums")
-    I_prefix = np.cumsum(a, dtype=np.int32)
-    B_prefix = np.cumsum(b, dtype=np.int32)
-    return CoefficientTable(field=field, N=N, a=a, b=b, I_prefix=I_prefix, B_prefix=B_prefix)
+    np.cumsum(a, dtype=np.int32, out=a)
+    np.cumsum(b, dtype=np.int32, out=b)
+    return CoefficientTable(field=field, N=N, I_prefix=a, B_prefix=b)
 
 
 def build_tables(field: FieldSpec, N: int) -> CoefficientTable:
@@ -313,14 +332,16 @@ def table_fingerprint(field: FieldSpec) -> bytes:
 
 
 def save_table(table: CoefficientTable, path: str) -> None:
-    """Dump (fingerprint, N, a, b) as a little-endian binary cache."""
+    """Dump (fingerprint, N, a, b) as a little-endian binary cache;
+    `load_table` sums a and b back into the prefix arrays."""
     with open(path, "wb") as handle:
         handle.write(_CACHE_MAGIC)
         handle.write(struct.pack("<I", _CACHE_VERSION))
         handle.write(table_fingerprint(table.field))
         handle.write(struct.pack("<Q", table.N))
-        handle.write(table.a.astype("<i4").tobytes())
-        handle.write(table.b.astype("<i4").tobytes())
+        # one difference array at a time; no copy on a little-endian host
+        handle.write(table.a.astype("<i4", copy=False))
+        handle.write(table.b.astype("<i4", copy=False))
 
 
 def load_table(field: FieldSpec, path: str) -> CoefficientTable:

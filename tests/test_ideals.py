@@ -7,6 +7,7 @@ import pytest
 
 from rprime import (
     BudgetExceededError,
+    build_tables,
     count_rprime_direct,
     count_rprime_direct_upto,
     count_rprime_mobius,
@@ -117,10 +118,8 @@ def test_direct_count_budget_guard(field_q):
         count_rprime_direct(field_q, 10**4, 3, 1)
 
 
-def test_direct_count_step_cell_guard(field_q, monkeypatch):
-    # 30000^2 passes the direct-count budget, but Q has 18,242 surviving
-    # sets at x = 30000; their dense histograms alone would be 4.4 GB,
-    # so the oracle must refuse before it allocates any array.
+@pytest.fixture
+def no_histograms(monkeypatch):
     class NoAllocation:
         def __getattr__(self, name):
             return getattr(np, name)
@@ -129,8 +128,29 @@ def test_direct_count_step_cell_guard(field_q, monkeypatch):
             raise AssertionError("histograms allocated before the guard")
 
     monkeypatch.setattr(ideals, "np", NoAllocation())
+
+
+def test_direct_count_step_cell_guard(field_q, no_histograms):
+    # 30000^2 passes the direct-count budget, but Q has 18,242 surviving
+    # sets at x = 30000; their dense histograms alone would be 4.4 GB,
+    # so the oracle must refuse before it allocates any array.
     with pytest.raises(BudgetExceededError, match="budget"):
         count_rprime_direct(field_q, 30000, 2, 1)
+
+
+@pytest.mark.parametrize("x, m, r", [(2000, 3, 2), (3000, 4, 3)])
+def test_direct_count_past_1e9_tuples_matches_mobius(field_qi, x, m, r):
+    # I_K(x)^m is past 1e9 here, and far below 2^63
+    table = build_tables(field_qi, x)
+    assert ideal_count(table, x) ** m > 10**9
+    assert count_rprime_direct(field_qi, x, m, r) == count_rprime_mobius(table, x, m, r)
+
+
+def test_direct_count_refuses_int64_overflow(field_q, no_histograms):
+    # Q at x = 1e5 with r = 5 has only 7 surviving sets, so the step-cell
+    # guard passes, but I_K(x)^4 = 1e20 >= 2^63 could wrap the int64 counts
+    with pytest.raises(BudgetExceededError, match="2\\^63"):
+        count_rprime_direct(field_q, 10**5, 4, 5)
 
 
 @pytest.mark.parametrize("x", [-0.5, -1, float("-inf"), float("inf"), float("nan")])

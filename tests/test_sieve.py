@@ -1,3 +1,5 @@
+import dataclasses
+import hashlib
 import math
 import random
 
@@ -5,6 +7,7 @@ import numpy as np
 import pytest
 
 from rprime import (
+    CoefficientTable,
     FieldSpecError,
     build_tables,
     count_rprime_mobius,
@@ -297,6 +300,24 @@ def test_table_cache_roundtrip(tmp_path, field_qi, table_qi_1e4):
     assert np.array_equal(loaded.B_prefix, table_qi_1e4.B_prefix)
 
 
+@pytest.mark.parametrize(
+    "name, N, digest",
+    [
+        ("Qi", 10**4, None),
+        # the digest CI pins for `rprime tables` on the cubic at N = 2e5
+        ("cubic", 200000, "22b54e3348e4f26ab2a36b03258fd57487b22f4e5ae8b56587b5ed3c8383e828"),
+    ],
+)
+def test_saving_a_loaded_table_gives_back_the_cache_file(tmp_path, fields, name, N, digest):
+    path = tmp_path / "built.tab"
+    save_table(build_tables(fields[name], N), str(path))
+    again = tmp_path / "loaded.tab"
+    save_table(load_table(fields[name], str(path)), str(again))
+    assert again.read_bytes() == path.read_bytes()
+    if digest is not None:
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
 @pytest.mark.parametrize("column, value", [("b", 2), ("b", -(2**31)), ("a", -1)])
 def test_table_cache_rejects_corrupt_slot(tmp_path, field_qi, table_qi_1e4, column, value):
     # a cache of the right length whose slot n = 7 (a = b = 0 in Q(i))
@@ -328,6 +349,21 @@ def test_table_cache_rejects_garbage(tmp_path, field_q):
 def test_tables_are_read_only(table_q_1e4):
     with pytest.raises(ValueError):
         table_q_1e4.a[3] = 99
+
+
+def test_table_stores_only_its_prefix_sums():
+    names = [f.name for f in dataclasses.fields(CoefficientTable)]
+    assert names == ["field", "N", "I_prefix", "B_prefix"]
+
+
+@pytest.mark.parametrize("name", ["Q", "Qi", "Qsqrt2", "Qsqrtm5", "cubic"])
+def test_a_and_b_are_read_only_int32_differences(tables_all_fields, name):
+    table = tables_all_fields[name]
+    for values, prefix in ((table.a, table.I_prefix), (table.b, table.B_prefix)):
+        assert values.dtype == np.int32
+        assert not values.flags.writeable
+        assert values.shape == (table.N + 1,)
+        assert np.array_equal(values, np.diff(prefix, prepend=0))
 
 
 @pytest.mark.parametrize("name", ["Q", "Qi", "Qsqrt2", "Qsqrtm5", "cubic"])
