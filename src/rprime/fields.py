@@ -218,7 +218,11 @@ def splitting_type(field: FieldSpec, p: int) -> SplittingType:
     return SplittingType(tuple(factor_degrees(field.poly, p)))
 
 
-_LANE_CHUNK = 4096  # primes per batched pass; bounds the int64 temporaries
+# The batched pass takes the largest power of two <= _LANE_CELLS / n
+# primes at a time (n the degree), so each int64 temporary of 2n rows
+# of lanes is at most 128 KiB; the cubic's 192 KiB products at 4096
+# lanes made the fill's page faults depend on heap layout.
+_LANE_CELLS = 8192
 
 
 def residue_degrees(field: FieldSpec, primes: np.ndarray) -> np.ndarray:
@@ -250,8 +254,9 @@ def residue_degrees(field: FieldSpec, primes: np.ndarray) -> np.ndarray:
             f"{field.name}: prime {top} is past the int64-exact range of the "
             f"batched residue-degree fill (2 * degree * p^2 < 2^63)"
         )
-    for start in range(0, len(lanes), _LANE_CHUNK):
-        rows = lanes[start : start + _LANE_CHUNK]
+    chunk = 1 << ((_LANE_CELLS // n).bit_length() - 1)
+    for start in range(0, len(lanes), chunk):
+        rows = lanes[start : start + chunk]
         degrees[rows] = _frobenius_degree_counts(field.poly, primes[rows])
     return degrees
 

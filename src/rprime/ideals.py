@@ -12,16 +12,17 @@ Directly counting relatively r-prime m-tuples iterates the m-fold
 product in aggregated form.  A prefix (a_1..a_k) is summarized by its
 surviving set, the primes with exponent >= r in every member so far,
 and by its largest norm.  Ideals are grouped by their own surviving
-set T, the mask, with one histogram over norms per group.  Step k
-extends each surviving set S by every group; the new set is S & T.
-Extension is a max-convolution of norm histograms, which is linear in
-the group histogram, so the groups are first bucketed by S & T and
-summed, and each (S, bucket) pair takes one convolution.  The empty
-bucket, every group disjoint from S, is the histogram of all ideals
-less the other buckets, so a state adds up only the groups it meets.
-A prefix whose set goes empty is completed freely.  On the last step
-only the empty bucket is convolved, because a prime that survives all
-m steps makes the tuple not r-prime.
+set T, the mask, with one histogram over norms per group; the
+one-member prefixes are these groups.  Step k extends each surviving
+set S by every group; the new set is S & T.  Extension is a
+max-convolution of norm histograms, which is linear in the group
+histogram, so the groups are first bucketed by S & T and summed, and
+each (S, bucket) pair takes one convolution.  The empty bucket, every
+group disjoint from S, is the histogram of all ideals less the other
+buckets, so a state adds up only the groups it meets.  The empty set is
+one more state: it meets no group, so it is extended by the histogram
+of all ideals.  On the last step only the empty bucket is convolved,
+because a prime that survives all m steps makes the tuple not r-prime.
 
 A tuple is relatively r-prime exactly when its surviving set is empty,
 so the count is the definition's finite sum over tuples, regrouped; no
@@ -150,14 +151,15 @@ def count_rprime_direct_upto(
     all norms <= x, whose surviving-set masks have an empty AND, for
     0 <= x <= floor(X).  One enumeration pass serves every x.
 
-    Step k extends each surviving prefix set S by every ideal, grouped
-    by surviving set T; the extended set is S & T.  The groups are first
-    bucketed by S & T and their histograms summed (the empty bucket as
-    the total less the others), so each (S, bucket) takes one
-    max-convolution.  On step m only the empty bucket is convolved: a
-    prefix with a prime left in its set is never r-prime.  Both only
-    regroup the definition's finite sum over tuples; no Mobius identity
-    is used.
+    Step k extends each surviving prefix set S, the empty set included,
+    by every ideal, grouped by surviving set T; the extended set is
+    S & T.  The groups are first bucketed by S & T and their histograms
+    summed (the empty bucket as the total less the others), so each
+    (S, bucket) takes one max-convolution.  On step m only the empty
+    bucket is convolved: a prefix with a prime left in its set is never
+    r-prime.  V is the running sum of the final empty-set histogram.
+    Both only regroup the definition's finite sum over tuples; no Mobius
+    identity is used.
     """
     if m < 1 or r < 1:
         raise ValueError(f"need m >= 1 and r >= 1, got m={m}, r={r}")
@@ -170,22 +172,14 @@ def count_rprime_direct_upto(
             f"I_K({Xi})^{m} = {len(ideals) ** m} is not below the direct-count budget 2^63, "
             "past which the int64 counts could wrap"
         )
-    if Xi == 0:
-        return np.zeros(1, dtype=np.int64)
     groups, total_hist = _support_groups(ideals, Xi)
-    # events[k][v]: prefixes (a_1..a_k) whose surviving set first went
-    # empty at step k, with max norm v; all completions are free.
-    events = np.zeros((m + 1, Xi + 1), dtype=np.int64)
-    level: dict[int, np.ndarray] = {}
-    for supp, hist in groups.items():
-        if supp:
-            level[supp] = hist
-        else:
-            events[1] += hist
+    # level[S][v]: prefixes with surviving set S and max norm v, starting
+    # from the one-member prefixes; S = 0 is the empty set
+    level = dict(groups)
     for k in range(2, m + 1):
         nxt: dict[int, np.ndarray] = {}
         for state, counts in level.items():
-            buckets: dict[int, np.ndarray] = {}  # nonempty S & T -> summed histograms
+            buckets: dict[int, np.ndarray] = {}  # S & T -> summed histograms
             for supp, hist in groups.items():
                 narrowed = state & supp
                 if not narrowed:
@@ -195,21 +189,17 @@ def count_rprime_direct_upto(
                 else:
                     buckets[narrowed] = hist.copy()
             # The empty bucket holds every group not met above.
-            events[k] += _max_convolve(counts, total_hist - sum(buckets.values()))
-            if k == m:
-                continue  # a prime survives all m steps: never r-prime
+            buckets[0] = total_hist - sum(buckets.values())
             for narrowed, hist in buckets.items():
+                if k == m and narrowed:
+                    continue  # a prime survives all m steps: never r-prime
                 joined = _max_convolve(counts, hist)
                 if narrowed in nxt:
                     nxt[narrowed] += joined
                 else:
                     nxt[narrowed] = joined
         level = nxt
-    counts_by_x = np.cumsum(total_hist)
-    V = np.zeros(Xi + 1, dtype=np.int64)
-    for k in range(1, m + 1):
-        V += np.cumsum(events[k]) * counts_by_x ** (m - k)
-    return V
+    return np.cumsum(level.get(0, np.zeros(Xi + 1, dtype=np.int64)))
 
 
 def count_rprime_direct(

@@ -29,14 +29,16 @@ of relatively r-prime m-tuples with all norms <= x equals
 
     sum over n <= x^(1/r) of  b[n] * I_K(x / n^r)^m
 
-floor(x / n^r) takes at most 2 x^(1/(r+1)) distinct values, so the sum
-runs over blocks of n sharing one value q, each adding
-(B(n_end) - B(n - 1)) * I_K(q)^m with B the prefix sum of b (the
-floor-value grouping of Deleglise and Rivat).  The block ends come from
-one numpy pass, and I_K and B are read at all of them with one fancy
-index each from the table's stored prefix sums.  The products and their
-sum are then one Python-integer term per block, O(sqrt(x)) terms for
-r = 1, with no overflow bound.
+The sum runs over blocks of n sharing one value q = floor(x / n^r),
+each adding (B(n_end) - B(n - 1)) * I_K(q)^m with B the prefix sum of
+b (the floor-value grouping of Deleglise and Rivat).  For r = 1 there
+are at most 2 sqrt(x) blocks: the n <= sqrt(x) are read off the floor
+values and the rest end at x // q for each smaller q.  For r >= 2 the
+same pass over n <= x^(1/r) (at most 10^4 at the cap) finds every
+block end.  I_K and B are read at all ends with one fancy index each
+from the table's stored prefix sums.  The products and their sum are
+then one Python-integer term per block, with no overflow bound.  Below
+norm 1 the sum is empty and the count is 0.
 """
 
 from __future__ import annotations
@@ -273,26 +275,16 @@ def _block_ends(X: int, r: int) -> np.ndarray:
 
     e_i runs over the n in [1, L], L = floor(X^(1/r)), with
     X // n^r != X // (n + 1)^r: the last n of each block of the Mobius
-    sum.  Below T = floor(X^(1/(r+1))) the blocks are read off the floor
-    values directly; above it every value q <= X // (T + 1)^r gets the
-    end floor((X // q)^(1/r)), the largest n with X // n^r >= q.
+    sum.  Below T the blocks are read off the floor values directly; for
+    r = 1, T = floor(sqrt(X)) and every value q <= X // (T + 1) then gets
+    the end X // q.  For r >= 2, T = L, so that tail is empty.
     """
-    T = _integer_root(X, r + 1)
+    T = _integer_root(X, max(r, 2))
     n = np.arange(1, T + 1, dtype=np.int64)
     q_small = X // n**r  # n^r <= X, so no power wraps
     q_T = X // (T + 1) ** r  # Python int: (T + 1)^r can pass int64
     small = n[q_small != np.concatenate((q_small[1:], [q_T]))]
-    v = X // np.arange(q_T, 0, -1, dtype=np.int64)
-    if r == 1:
-        return np.concatenate(([0], small, v))
-    L = _integer_root(X, r)
-    k = np.minimum(np.floor(v ** (1.0 / r)).astype(np.int64), L)
-    k -= k**r > v
-    # k < L keeps k + 1 <= L, so (k + 1)^r <= X cannot wrap
-    k += (k < L) & (np.minimum(k + 1, L) ** r <= v)
-    # k does not decrease; a q that no n reaches repeats the end of the
-    # next larger value reached, so keep the first of each run
-    return np.concatenate(([0], small, k[:1], k[1:][k[1:] != k[:-1]]))
+    return np.concatenate(([0], small, X // np.arange(q_T, 0, -1, dtype=np.int64)))
 
 
 def count_rprime_mobius(table: CoefficientTable, x: float, m: int, r: int) -> int:
@@ -301,13 +293,12 @@ def count_rprime_mobius(table: CoefficientTable, x: float, m: int, r: int) -> in
     Evaluates the Mobius-sum identity aggregated by norm (see the module
     docstring): the block ends and the prefix reads at them are numpy
     passes, and each block adds one Python-integer term, so the result
-    is exact at every size.
+    is exact at every size.  For 0 <= x < 1 there is no block and the
+    count is 0, as for the oracle.
     """
     if m < 1 or r < 1:
         raise ValueError(f"need m >= 1 and r >= 1, got m={m}, r={r}")
     X = _norm_bound(x)
-    if x < 1:
-        raise ValueError(f"x must be >= 1, got x={x}")
     if X > table.N:
         raise ValueError(f"x={x} exceeds the table cap N={table.N}")
     ends = _block_ends(X, r)

@@ -175,8 +175,24 @@ def test_direct_matches_mobius_medium(fields):
     for name, field in fields.items():
         X = 400 if name == "cubic" else 150
         table = build_tables(field, X)
-        for m, r in ((1, 2), (2, 1), (2, 2), (3, 1), (3, 2)):
+        for m, r in ((1, 2), (2, 1), (2, 2), (3, 1), (3, 2), (4, 1), (4, 2)):
             direct = count_rprime_direct_upto(field, X, m, r)
             xs = range(1, X + 1) if name == "cubic" else range(1, X + 1, 7)
             for x in xs:
                 assert count_rprime_mobius(table, x, m, r) == int(direct[x]), (name, m, r, x)
+
+
+def test_routes_agree_below_norm_one(fields):
+    # no ideal has norm < 1, so every route counts 0 there; at x = 1 the
+    # unit ideal alone gives the one tuple (1, ..., 1)
+    for name, field in fields.items():
+        table = build_tables(field, 10)
+        for m in (1, 2, 3):
+            for r in (1, 2, 3):
+                for x, want in ((0, 0), (0.5, 0), (0.99, 0), (1, 1)):
+                    got = (
+                        count_rprime_mobius(table, x, m, r),
+                        count_rprime_direct(field, x, m, r),
+                        int(count_rprime_direct_upto(field, x, m, r)[int(x)]),
+                    )
+                    assert got == (want, want, want), (name, m, r, x)

@@ -192,8 +192,7 @@ def test_mobius_count_real_x(table_q_1e4):
 
 
 def test_mobius_count_range_checks(table_q_1e4):
-    with pytest.raises(ValueError):
-        count_rprime_mobius(table_q_1e4, 0.5, 1, 1)
+    assert count_rprime_mobius(table_q_1e4, 0.5, 1, 1) == 0
     with pytest.raises(ValueError):
         count_rprime_mobius(table_q_1e4, 2 * 10**4, 1, 1)
 
@@ -256,6 +255,11 @@ def test_block_ends_match_scalar_walk(r):
         assert ends.tolist() == _block_ends_reference(X, r), (X, r)
         assert ends[0] == 0 and ends[-1] == _integer_root(X, r)
         assert np.all(np.diff(ends) > 0)
+
+
+def test_block_ends_below_norm_one():
+    for r in range(1, 7):
+        assert _block_ends(0, r).tolist() == [0]
 
 
 @pytest.mark.parametrize("r", [30, 64, 100])
