@@ -15,10 +15,12 @@ requested tolerance.
 Rung k of the ladder is the log of the product over p <= P_k.  It is
 cached per process under (field, s, prime cap, k) and computed once,
 as rung k-1 plus the log factors of the primes in (P_{k-1}, P_k],
-which `sieve.primes_between` sieves over that range alone, so every
-tolerance for one (field, s, prime cap) shares one Euler product.
-Those factors are one vectorized log1p sum per residue degree f,
-weighted by the column f of `fields.residue_degrees`.
+which `sieve.prime_segments` sieves over that range alone, so every
+tolerance for one (field, s, prime cap) shares one Euler product.  A
+rung holds one sieve segment of primes at a time: per segment, the
+factors are one vectorized log1p sum per residue degree f, weighted by
+the column f of `fields.residue_degrees` and computed in one float64
+buffer.
 
 Exponent tables are exact rationals so tests compare them by equality.
 Bounds of the form x^(e + eps) are returned at eps = 0 with an epsilon
@@ -37,7 +39,7 @@ import numpy as np
 
 from .errors import ToleranceError
 from .fields import FieldSpec, ideal_density_constant, residue_degrees
-from .sieve import primes_between
+from .sieve import prime_segments
 
 DEFAULT_PRIME_CAP = 10**7
 
@@ -49,8 +51,15 @@ def _rung_cutoff(prime_cap: int, k: int) -> int:
 def _log_local_factors(field: FieldSpec, s: float, primes: np.ndarray) -> float:
     """Sum of -log(1 - N(P)^-s) over the prime ideals P above `primes`."""
     p = primes.astype(np.float64)
-    columns = enumerate(residue_degrees(field, primes).T, start=1)  # (f, count of degree f)
-    return -sum(float((g * np.log1p(-(p ** (-f * s)))).sum()) for f, g in columns)
+    term = np.empty_like(p)  # g * log1p(-p^(-f s)) for one f at a time
+    total = 0.0
+    for f, g in enumerate(residue_degrees(field, primes).T, start=1):
+        np.power(p, -f * s, out=term)
+        np.negative(term, out=term)
+        np.log1p(term, out=term)
+        np.multiply(g, term, out=term)
+        total += float(term.sum())
+    return -total
 
 
 @functools.lru_cache(maxsize=None)
@@ -61,7 +70,8 @@ def _euler_log_sum(field: FieldSpec, s: float, prime_cap: int, k: int) -> float:
     else:
         lo = _rung_cutoff(prime_cap, k - 1) + 1
         previous = _euler_log_sum(field, s, prime_cap, k - 1)
-    return previous + _log_local_factors(field, s, primes_between(lo, _rung_cutoff(prime_cap, k)))
+    hi = _rung_cutoff(prime_cap, k)
+    return previous + sum(_log_local_factors(field, s, seg) for seg in prime_segments(lo, hi))
 
 
 def dedekind_zeta_with_cutoff(

@@ -11,18 +11,24 @@ residue degrees f_i of the prime ideals above p, one row of
 `fields.residue_degrees`: the a-values at p^k are the coefficients of
 prod_i (1 - X^{f_i})^{-1} and the b-values those of prod_i (1 - X^{f_i}),
 so a prime p > sqrt(N) gives a = g_1, b = -g_1 with g_1 = #{i: f_i = 1}.
-Spreading onto all n <= N touches each slot once per prime dividing
-it, about N log log N element updates.  They take about sqrt(N) numpy
-ops, not pi(N): one strided multiply per prime p <= sqrt(N), and one
-fancy-index multiply per cofactor s <= sqrt(N) that covers every
-multiple s p with p > sqrt(N) at once.
+The build fills the table one segment of 2^17 slots at a time, in
+place in its prefix arrays, and touches each slot about log log N
+times.  Each segment takes a few strided ops per prime p with
+p^2 <= 2^17, and one batch of ufunc.at products for all primes from
+there up to sqrt(N), which have few multiples in a segment; both also
+collect the sqrt(N)-smooth part of every n.  What is left of n after
+that part is 1 or its one prime factor above sqrt(N), and an int8
+lookup of g_1 (1 B/slot) finishes the segment.  Each segment is then
+checked and prefix-summed with the running totals; the cache reader
+does the same step on segments of the file's a/b values.
 
 Every consumer of primes (this build, the Euler ladder in `analytic`
-and the oracle's enumeration) takes them from `primes_between(lo, hi)`,
-a segmented odd-only sieve of Eratosthenes in segments of 2^20 odd
-slots (1 MB of flags).  Each rung of the zeta ladder sieves only its
-own range (P_{k-1}, P_k], once, so it holds one segment plus 8 B per
-prime of the rung.
+and the oracle's enumeration) takes them from `prime_segments(lo, hi)`
+or its concatenation `primes_between(lo, hi)`: a segmented odd-only
+sieve of Eratosthenes in segments of 2^20 odd slots (1 MB of flags).
+Each rung of the zeta ladder sieves only its own range (P_{k-1}, P_k],
+once, one segment at a time, so it holds one segment plus 8 B per
+prime of that segment.
 
 The central consumer regroups the ideal Mobius sum by norm: the count
 of relatively r-prime m-tuples with all norms <= x equals
@@ -47,6 +53,7 @@ import hashlib
 import json
 import math
 import struct
+from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import repeat
 from operator import mul
@@ -90,21 +97,23 @@ def local_series(degrees: np.ndarray | list[int], p: int, N: int) -> tuple[list[
 _SEGMENT = 1 << 20  # odd slots per segment: 1 MB of flags
 
 
-def primes_between(lo: int, hi: int) -> np.ndarray:
-    """Sorted int64 array of the primes p with lo <= p <= hi.
+def prime_segments(lo: int, hi: int) -> Iterator[np.ndarray]:
+    """The primes p with lo <= p <= hi, as sorted int64 arrays, one per
+    sieve segment (2 rides in front of the first).
 
     Segmented odd-only sieve of Eratosthenes: slot j stands for 2j + 1,
     and each segment of `_SEGMENT` slots is struck by the base primes
-    p <= sqrt(hi) (found by this function) with p^2 <= its top, from
+    p <= sqrt(hi) (found by `primes_between`) with p^2 <= its top, from
     the larger of p^2 and the first odd multiple of p in the segment.
     A segment's flags are freed before its indices are widened to
-    numbers, so memory is one segment plus 8 B per prime returned.
+    numbers, so a consumer that takes one array at a time holds one
+    segment plus 8 B per prime of it.
     """
     lo = max(lo, 2)
     if hi < lo:
-        return np.zeros(0, dtype=np.int64)
+        return
     base = primes_between(3, math.isqrt(hi)).tolist()
-    pieces = [np.array([2] if lo == 2 else [], dtype=np.int64)]
+    head = [2] if lo == 2 else []
     for start in range(lo // 2, (hi + 1) // 2, _SEGMENT):
         end = min(start + _SEGMENT, (hi + 1) // 2)
         o = 2 * start + 1  # the number in the segment's first slot
@@ -120,8 +129,18 @@ def primes_between(lo: int, hi: int) -> np.ndarray:
         del flags
         idx *= 2
         idx += o
-        pieces.append(idx)
-    return np.concatenate(pieces)
+        if head:
+            idx = np.concatenate((np.array(head, dtype=np.int64), idx))
+            head = []
+        yield idx
+    if head:  # hi = 2: no odd slot to sieve
+        yield np.array(head, dtype=np.int64)
+
+
+def primes_between(lo: int, hi: int) -> np.ndarray:
+    """Sorted int64 array of the primes p with lo <= p <= hi: the
+    `prime_segments` of that range, joined."""
+    return np.concatenate([np.zeros(0, dtype=np.int64), *prime_segments(lo, hi)])
 
 
 def prime_flags(N: int) -> np.ndarray:
@@ -175,70 +194,206 @@ class CoefficientTable:
         return _differences(self.B_prefix)
 
 
-def _finish_table(field: FieldSpec, N: int, a: np.ndarray, b: np.ndarray) -> CoefficientTable:
-    """Check the int32 arrays a/b and turn them into the table's prefix sums.
+_TABLE_SEGMENT = 1 << 17  # slots per build, load and save segment
 
-    a counts ideals and dominates |b|; a value outside that, or a total
-    I_K(N) that int32 cannot hold, raises `OverflowError` rather than
-    ship a wrapped table.  Once the checks pass, a and b are prefix-summed
-    in place and become the table's arrays, so the caller hands them over.
+
+def _segments(N: int) -> Iterator[slice]:
+    """Consecutive slices [L, R) of `_TABLE_SEGMENT` slots covering 0..N."""
+    for L in range(0, N + 1, _TABLE_SEGMENT):
+        yield slice(L, min(L + _TABLE_SEGMENT, N + 1))
+
+
+def _prefix_segment(
+    a: np.ndarray, b: np.ndarray, I_out: np.ndarray, B_out: np.ndarray, I_before: int, B_before: int
+) -> tuple[int, int]:
+    """Check one segment of int32 a/b values and write its prefix sums.
+
+    a counts ideals and dominates |b|; a value outside that, or a running
+    I_K that int32 cannot hold, raises `OverflowError` rather than ship a
+    wrapped table.  I_before and B_before are I_K and B just below the
+    segment; the outputs may be a and b themselves.  Returns I_K and B at
+    the segment's last slot.
     """
     # a >= 0 first, so -a cannot wrap
     if int(a.min()) < 0 or bool(np.any(b > a)) or bool(np.any(b < -a)):
         raise OverflowError("coefficient table left its 32-bit layout: some a < 0 or |b| > a")
-    total = int(a.sum(dtype=np.int64))
+    total = I_before + int(a.sum(dtype=np.int64))
     if total >= 2**31:
-        raise OverflowError(f"I_K(N) = {total} does not fit the int32 prefix sums")
-    np.cumsum(a, dtype=np.int32, out=a)
-    np.cumsum(b, dtype=np.int32, out=b)
-    return CoefficientTable(field=field, N=N, I_prefix=a, B_prefix=b)
+        raise OverflowError(f"I_K(N) >= {total} does not fit the int32 prefix sums")
+    # every partial sum is some I_K(n) <= total or some |B(n)| <= I_K(n)
+    np.cumsum(a, dtype=np.int32, out=I_out)
+    np.cumsum(b, dtype=np.int32, out=B_out)
+    I_out += I_before
+    B_out += B_before
+    return total, int(B_out[-1])
+
+
+def _finish_table(field: FieldSpec, N: int, a: np.ndarray, b: np.ndarray) -> CoefficientTable:
+    """Check the int32 arrays a/b and sum them into a new table's prefix
+    arrays, one segment at a time (see `_prefix_segment`); a and b are
+    only read, so they may be views of a cache blob."""
+    I_prefix = np.empty(N + 1, dtype=np.int32)
+    B_prefix = np.empty(N + 1, dtype=np.int32)
+    carry = (0, 0)
+    for seg in _segments(N):
+        carry = _prefix_segment(a[seg], b[seg], I_prefix[seg], B_prefix[seg], *carry)
+    return CoefficientTable(field=field, N=N, I_prefix=I_prefix, B_prefix=B_prefix)
+
+
+def _local_factors(
+    field: FieldSpec, N: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, bool]:
+    """What the build needs of each prime p <= N, from `residue_degrees`
+    read one sieve segment of primes at a time.
+
+    Returns (P, C, a_ones, lookup, large_a).  P holds the primes
+    p <= sqrt(N) as int64; C[:, i, k] is (a_loc[k], b_loc[k], p^k) of
+    P[i], zero past p^k > N; a_ones[i] says a_loc of P[i] is all ones.
+    lookup is int8 over 0..N with lookup[q] = -g_1(q) at each prime
+    q > sqrt(N), lookup[1] = 1 and 0 elsewhere.  large_a says some
+    g_1(q) != 1.
+    """
+    root = math.isqrt(N)
+    series = []
+    lookup = np.zeros(N + 1, dtype=np.int8)
+    lookup[1] = 1
+    large_a = False
+    for primes in prime_segments(2, N):
+        degrees = residue_degrees(field, primes)
+        cut = int(np.searchsorted(primes, root, side="right"))
+        for p, row in zip(primes[:cut].tolist(), degrees[:cut]):
+            series.append((p, *local_series(row, p, N)))
+        lookup[primes[cut:]] = -degrees[cut:, 0]
+        large_a = large_a or bool(np.any(degrees[cut:, 0] != 1))
+    C = np.zeros((3, len(series), max((len(a) for _, a, _ in series), default=0)), np.int32)
+    for i, (p, a_loc, b_loc) in enumerate(series):
+        C[:, i, : len(a_loc)] = a_loc, b_loc, [p**k for k in range(len(a_loc))]
+    P = np.array([p for p, _, _ in series], dtype=np.int64)
+    a_ones = np.array([a_loc.count(1) == len(a_loc) for _, a_loc, _ in series], dtype=bool)
+    return P, C, a_ones, lookup, large_a
+
+
+def _spread_sparse(
+    a: np.ndarray,
+    b: np.ndarray,
+    smooth: np.ndarray,
+    L: int,
+    P: np.ndarray,
+    C: np.ndarray,
+    with_a: bool,
+) -> None:
+    """Multiply the local coefficients of the primes P onto their
+    multiples in the segment [L, L + len(b)), for primes with p^2 above
+    the segment length, all at once.
+
+    Such a prime has few multiples in a segment and at most one multiple
+    of p^2, so one index array covers every prime's multiples, the
+    coefficient at p is read for all of them and the one at the exact
+    valuation overwrites it at each multiple of p^2.  Several of the
+    primes can divide one n, so the products go through ufunc.at.
+    """
+    R = L + len(b)
+    first = np.maximum(P, -(-L // P) * P)
+    count = np.maximum((R - 1 - first) // P + 1, 0)
+    start = np.cumsum(count) - count  # where each prime's run begins
+    run = np.repeat(np.arange(len(P)), count)
+    offset = np.arange(len(run), dtype=np.int64) - start[run]
+    offset *= P[run]
+    offset += first[run] - L
+    mult = C[:, run, 1]
+    squares = P * P
+    m2 = np.maximum(squares, -(-L // squares) * squares)
+    hit = np.flatnonzero(m2 < R)
+    if len(hit):
+        p = P[hit]
+        q = m2[hit] // squares[hit]
+        v = np.full(len(hit), 2)
+        while True:  # the exact valuation of each multiple of p^2
+            divides = q % p == 0
+            if not divides.any():
+                break
+            v += divides
+            q[divides] //= p[divides]
+        mult[:, start[hit] + (m2[hit] - first[hit]) // p] = C[:, hit, v]
+    np.multiply.at(smooth, offset, mult[2])
+    np.multiply.at(b, offset, mult[1])
+    if with_a:
+        np.multiply.at(a, offset, mult[0])
 
 
 def build_tables(field: FieldSpec, N: int) -> CoefficientTable:
     """Sieve the a/b tables for all norms up to N.
 
-    Enumerates rational primes p <= N and reads the residue degrees
-    above each from one `residue_degrees` table.  A prime p <= sqrt(N)
-    multiplies its local coefficients onto its multiples in one strided
-    op; the primes above sqrt(N) are spread together, one op per
-    cofactor s.  Index-divisor refusals from the splitting computation
-    propagate.
+    The table is filled one segment [L, R) of `_TABLE_SEGMENT` slots at
+    a time, in place in its own prefix arrays.  Each prime p <= sqrt(N)
+    multiplies its local coefficients onto its multiples in the segment,
+    and p^k into an int32 buffer of smooth parts.  A prime with p^2 at
+    most the segment length does so in strided ops, with the pattern of
+    valuations >= 2 built only where p^2 < R; the rest go together
+    through `_spread_sparse`.  Every n <= N has at most one prime factor
+    q > sqrt(N), so n // smooth[n] is 1 or q, and the int8 lookup of
+    `_local_factors` finishes a and b.  The segment is then checked and
+    prefix-summed with the running totals (`_prefix_segment`).
+    Index-divisor refusals from the splitting computation propagate.
     """
     if N < 1:
         raise ValueError(f"table cap must be >= 1, got {N}")
     if N > MAX_TABLE_N:
         raise BudgetExceededError(f"table cap {N} exceeds the documented limit {MAX_TABLE_N}")
-    a = np.ones(N + 1, dtype=np.int32)
-    b = np.ones(N + 1, dtype=np.int32)
-    a[0] = 0
-    b[0] = 0
-    primes = primes_between(2, N)
-    degrees = residue_degrees(field, primes)
-    small = int(np.searchsorted(primes, math.isqrt(N), side="right"))  # count of p^2 <= N
-    for p, row in zip(primes[:small].tolist(), degrees[:small]):
-        a_loc, b_loc = local_series(row, p, N)
-        # entry j is the multiple (j + 1) p, whose valuation is >= k
-        # exactly when p^(k-1) divides j + 1
-        ta = np.full(N // p, a_loc[1], dtype=np.int32)
-        tb = np.full(N // p, b_loc[1], dtype=np.int32)
-        for k in range(2, len(a_loc)):
-            step = p ** (k - 1)
-            ta[step - 1 :: step] = a_loc[k]
-            tb[step - 1 :: step] = b_loc[k]
-        a[p::p] *= ta
-        b[p::p] *= tb
-    # p^2 > N: every multiple s p <= N has s < p, so valuation exactly 1;
-    # group the multiples by s, one fancy-index op over all p <= N // s
-    large = primes[small:]
-    g1 = degrees[small:, 0].astype(np.int32)
-    neg_g1 = -g1
-    s_max = N // int(large[0]) if len(large) else 0
-    for s in range(1, s_max + 1):
-        cnt = int(np.searchsorted(large, N // s, side="right"))
-        idx = s * large[:cnt]
-        a[idx] *= g1[:cnt]
-        b[idx] *= neg_g1[:cnt]
-    return _finish_table(field, N, a, b)
+    P, C, a_ones, lookup, large_a = _local_factors(field, N)
+    dense = int(np.searchsorted(P * P, _TABLE_SEGMENT, side="right"))
+    # column k of coef is (a_loc[k], b_loc[k], p^k), shaped to broadcast
+    # over a pattern's three rows
+    strided = [(p, C[:, i].T[:, :, None], a_ones[i]) for i, p in enumerate(P[:dense].tolist())]
+    sparse_P, sparse_C, sparse_a = P[dense:], C[:, dense:], not a_ones[dense:].all()
+    I_prefix = np.empty(N + 1, dtype=np.int32)
+    B_prefix = np.empty(N + 1, dtype=np.int32)
+    smooth_buf = np.empty(min(_TABLE_SEGMENT, N + 1), dtype=np.int32)
+    # rows a, b and p-part over the multiples of one prime in a segment
+    pattern_buf = np.empty((3, len(smooth_buf) // 2 + 1), dtype=np.int32)
+    carry = (0, 0)
+    for seg in _segments(N):
+        L, R = seg.start, seg.stop
+        a, b = I_prefix[seg], B_prefix[seg]
+        smooth = smooth_buf[: R - L]
+        a.fill(1)
+        b.fill(1)
+        if L == 0:
+            a[0] = b[0] = 0
+        smooth.fill(1)
+        for p, coef, ones in strided:
+            m = max(p, -(-L // p) * p)  # first multiple of p in the segment
+            if m >= R:
+                continue
+            if p * p < R:
+                # entry j is the multiple m + j p; it takes column k of coef
+                # for the largest k with p^k dividing it
+                pattern = pattern_buf[:, : (R - 1 - m) // p + 1]
+                pattern[...] = coef[1]
+                step = p * p
+                for k in range(2, len(coef)):
+                    mk = -(-m // step) * step
+                    if mk >= R:
+                        break
+                    pattern[:, (mk - m) // p :: step // p] = coef[k]
+                    step *= p
+            else:
+                pattern = coef[1]
+            ta, tb, ts = pattern
+            smooth[m - L :: p] *= ts
+            if not ones:
+                a[m - L :: p] *= ta
+            b[m - L :: p] *= tb
+        if len(sparse_P):
+            _spread_sparse(a, b, smooth, L, sparse_P, sparse_C, sparse_a)
+        # n // smooth[n] is 1 or the prime above sqrt(N) that divides n
+        h = lookup[np.floor_divide(np.arange(L, R, dtype=np.int32), smooth, out=smooth)]
+        b *= h
+        if large_a:
+            np.abs(h, out=h)
+            a *= h
+        carry = _prefix_segment(a, b, a, b, *carry)
+    return CoefficientTable(field=field, N=N, I_prefix=I_prefix, B_prefix=B_prefix)
 
 
 def _norm_bound(x: float) -> int:
@@ -324,15 +479,19 @@ def table_fingerprint(field: FieldSpec) -> bytes:
 
 def save_table(table: CoefficientTable, path: str) -> None:
     """Dump (fingerprint, N, a, b) as a little-endian binary cache;
-    `load_table` sums a and b back into the prefix arrays."""
+    `load_table` sums a and b back into the prefix arrays.  The
+    differences are written one segment at a time, so saving holds no
+    table-sized copy."""
     with open(path, "wb") as handle:
         handle.write(_CACHE_MAGIC)
         handle.write(struct.pack("<I", _CACHE_VERSION))
         handle.write(table_fingerprint(table.field))
         handle.write(struct.pack("<Q", table.N))
-        # one difference array at a time; no copy on a little-endian host
-        handle.write(table.a.astype("<i4", copy=False))
-        handle.write(table.b.astype("<i4", copy=False))
+        for prefix in (table.I_prefix, table.B_prefix):
+            for seg in _segments(table.N):
+                # slot L - 1 is the segment's base; slot 0 has none
+                diff = np.diff(prefix[seg], prepend=prefix[seg.start - 1] if seg.start else 0)
+                handle.write(diff.astype("<i4", copy=False))
 
 
 def load_table(field: FieldSpec, path: str) -> CoefficientTable:
@@ -353,8 +512,9 @@ def load_table(field: FieldSpec, path: str) -> CoefficientTable:
     expected = header + 2 * 4 * (N + 1)
     if len(blob) != expected:
         raise FieldSpecError(f"{path}: truncated cache (have {len(blob)} bytes, want {expected})")
-    a = np.frombuffer(blob, dtype="<i4", count=N + 1, offset=header).astype(np.int32)
-    b = np.frombuffer(blob, dtype="<i4", count=N + 1, offset=header + 4 * (N + 1)).astype(np.int32)
+    # views of the blob, read one segment at a time by _finish_table
+    a = np.frombuffer(blob, dtype="<i4", count=N + 1, offset=header)
+    b = np.frombuffer(blob, dtype="<i4", count=N + 1, offset=header + 4 * (N + 1))
     try:
         return _finish_table(field, int(N), a, b)
     except OverflowError as exc:

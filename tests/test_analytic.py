@@ -20,7 +20,7 @@ from rprime import (
 )
 from rprime.analytic import ExponentResult
 from rprime.fields import splitting_type
-from rprime.sieve import count_rprime_mobius, prime_flags, primes_between
+from rprime.sieve import count_rprime_mobius, prime_flags, prime_segments
 
 
 def _riemann_zeta_reference(s: float, terms: int = 10**4) -> float:
@@ -296,11 +296,11 @@ def test_zeta_triple_independent_of_cache_order(field_qi):
 def test_scan_sieves_each_rung_once(field_q, monkeypatch):
     calls = []
 
-    def counting_primes_between(lo, hi):
+    def counting_prime_segments(lo, hi):
         calls.append((lo, hi))
-        return primes_between(lo, hi)
+        return prime_segments(lo, hi)
 
-    monkeypatch.setattr(analytic, "primes_between", counting_primes_between)
+    monkeypatch.setattr(analytic, "prime_segments", counting_prime_segments)
     monkeypatch.setattr("rprime.scan.count_rprime_mobius", lambda table, x, m, r: 0)
     analytic._euler_log_sum.cache_clear()
     with pytest.warns(UserWarning, match="certified"):

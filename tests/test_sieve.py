@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from rprime import (
 )
 from rprime import sieve
 from rprime.fields import residue_degrees
-from rprime.sieve import _block_ends, _finish_table, _integer_root, prime_flags, primes_between
+from rprime.sieve import _block_ends, _finish_table, _integer_root, primes_between
 
 from test_fields import _MORE_FIELDS, _field
 
@@ -115,7 +116,7 @@ def _spread_per_prime(field, N):
     a = np.ones(N + 1, dtype=np.int32)
     b = np.ones(N + 1, dtype=np.int32)
     a[0] = b[0] = 0
-    primes = np.flatnonzero(prime_flags(N))
+    primes = primes_between(2, N)
     degrees = residue_degrees(field, primes)
     small = int(np.searchsorted(primes, math.isqrt(N), side="right"))
     for p, row in zip(primes[:small].tolist(), degrees[:small]):
@@ -143,14 +144,72 @@ _SPREAD_SIZES = [
 ]
 
 
-@pytest.mark.parametrize("name", ["Q", "Qi", "Qsqrt2", "Qsqrtm5", "cubic", *_MORE_FIELDS])
-def test_spread_matches_per_prime_reference(fields, name):
-    field = _field(fields, name)
+def _assert_spread_matches_reference(field, name):
     for N in _SPREAD_SIZES:
         table = build_tables(field, N)
         a, b = _spread_per_prime(field, N)
         assert np.array_equal(table.a, a), (name, N)
         assert np.array_equal(table.b, b), (name, N)
+
+
+@pytest.mark.parametrize("name", ["Q", "Qi", "Qsqrt2", "Qsqrtm5", "cubic", *_MORE_FIELDS])
+def test_spread_matches_per_prime_reference(fields, name):
+    _assert_spread_matches_reference(_field(fields, name), name)
+
+
+# segments of 1, 2, 3, 7 and 64 slots put segment ends on and next to
+# every p^2 and p^k boundary of the small sizes, and 10^4 spans many
+@pytest.mark.parametrize("segment", [1, 2, 3, 7, 64])
+@pytest.mark.parametrize("name", ["Q", "Qi", "Qsqrt2", "Qsqrtm5", "cubic", *_MORE_FIELDS])
+def test_spread_matches_per_prime_reference_in_segments(fields, monkeypatch, name, segment):
+    monkeypatch.setattr(sieve, "_TABLE_SEGMENT", segment)
+    _assert_spread_matches_reference(_field(fields, name), name)
+
+
+def _fake_local_series(p, k, value):
+    # local_series with its coefficient of a at p^k replaced by value
+    def fake(degrees, q, N):
+        a_loc, b_loc = local_series(degrees, q, N)
+        if q == p:
+            a_loc[k] = value
+        return a_loc, b_loc
+
+    return fake
+
+
+@pytest.mark.parametrize(
+    "p, k, value, match",
+    [
+        # a(9) = -1: first bad slot 9, in the second segment
+        (3, 2, -1, "some a < 0"),
+        # a(8) = a(24) = 2^30: I_K stays below 2^31 up to 23 and passes it
+        # at 24, in the fourth segment
+        (2, 3, 2**30, "does not fit"),
+    ],
+)
+def test_build_refuses_values_past_int32_in_a_later_segment(
+    monkeypatch, field_q, p, k, value, match
+):
+    monkeypatch.setattr(sieve, "_TABLE_SEGMENT", 8)
+    monkeypatch.setattr(sieve, "local_series", _fake_local_series(p, k, value))
+    with pytest.raises(OverflowError, match=match):
+        build_tables(field_q, 40)
+
+
+@pytest.mark.parametrize("name", ["Q", "Qi", "cubic"])
+def test_build_peak_memory_per_slot(fields, name):
+    # the table keeps 8 B/slot; the int8 lookup of g_1 adds 1 B/slot and
+    # the segment buffers a few hundred kB, with no table-sized temporary
+    N = 2 * 10**6
+    build_tables(fields[name], 1000)  # first-call allocations stay out
+    tracemalloc.start()
+    try:
+        table = build_tables(fields[name], N)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert table.N == N
+    assert peak <= 11 * N, peak / N
 
 
 def test_ideal_count_floor_semantics(table_q_1e4):
@@ -322,18 +381,55 @@ def test_saving_a_loaded_table_gives_back_the_cache_file(tmp_path, fields, name,
         assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
-@pytest.mark.parametrize("column, value", [("b", 2), ("b", -(2**31)), ("a", -1)])
-def test_table_cache_rejects_corrupt_slot(tmp_path, field_qi, table_qi_1e4, column, value):
-    # a cache of the right length whose slot n = 7 (a = b = 0 in Q(i))
-    # breaks a >= 0 or |b| <= a; -2^31 is the value whose abs wraps
-    path = tmp_path / "qi.tab"
-    save_table(table_qi_1e4, str(path))
+def _save_corrupt_cache(path, table, column, n, value):
+    # a cache of the right length whose slot n of a or b holds value
+    save_table(table, str(path))
     blob = bytearray(path.read_bytes())
-    offset = len(blob) - 4 * (table_qi_1e4.N + 1) * (2 if column == "a" else 1) + 4 * 7
+    offset = len(blob) - 4 * (table.N + 1) * (2 if column == "a" else 1) + 4 * n
     blob[offset : offset + 4] = value.to_bytes(4, "little", signed=True)
     path.write_bytes(bytes(blob))
+
+
+@pytest.mark.parametrize("column, value", [("b", 2), ("b", -(2**31)), ("a", -1)])
+def test_table_cache_rejects_corrupt_slot(tmp_path, field_qi, table_qi_1e4, column, value):
+    # slot n = 7 (a = b = 0 in Q(i)) breaks a >= 0 or |b| <= a; -2^31 is
+    # the value whose abs wraps
+    path = tmp_path / "qi.tab"
+    _save_corrupt_cache(path, table_qi_1e4, column, 7, value)
     with pytest.raises(FieldSpecError, match="corrupt"):
         load_table(field_qi, str(path))
+
+
+@pytest.mark.parametrize(
+    "column, value", [("b", 2), ("b", -(2**31)), ("a", -1), ("a", 2**31 - 1)]
+)
+def test_table_cache_rejects_corrupt_slot_in_a_later_segment(
+    tmp_path, monkeypatch, field_qi, table_qi_1e4, column, value
+):
+    # the last slot with a = b = 0 lies far past the first 64-slot segment;
+    # a = 2^31 - 1 there passes the value checks and takes I_K past int32
+    monkeypatch.setattr(sieve, "_TABLE_SEGMENT", 64)
+    n = int(np.flatnonzero(table_qi_1e4.a == 0)[-1])
+    assert n >= 64
+    path = tmp_path / "qi.tab"
+    _save_corrupt_cache(path, table_qi_1e4, column, n, value)
+    with pytest.raises(FieldSpecError, match="corrupt"):
+        load_table(field_qi, str(path))
+
+
+@pytest.mark.parametrize("segment", [1, 7, 64])
+def test_cache_bytes_do_not_depend_on_the_segment(
+    tmp_path, monkeypatch, field_qi, table_qi_1e4, segment
+):
+    path = tmp_path / "whole.tab"
+    save_table(table_qi_1e4, str(path))
+    monkeypatch.setattr(sieve, "_TABLE_SEGMENT", segment)
+    again = tmp_path / "segmented.tab"
+    save_table(table_qi_1e4, str(again))
+    assert again.read_bytes() == path.read_bytes()
+    loaded = load_table(field_qi, str(again))
+    assert np.array_equal(loaded.I_prefix, table_qi_1e4.I_prefix)
+    assert np.array_equal(loaded.B_prefix, table_qi_1e4.B_prefix)
 
 
 def test_table_cache_rejects_wrong_field(tmp_path, field_q, table_qi_1e4):
