@@ -14,7 +14,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict
+from collections.abc import Callable
+from dataclasses import asdict, fields
 
 from . import __version__
 from .analytic import (
@@ -36,7 +37,16 @@ from .sieve import (
     save_table,
 )
 
-CSV_HEADER = "x,V,main,E,log10_x,log10_absE"
+# the scan CSV's columns are ScanRecord's fields, read back by their annotation
+_READERS = {"float": float, "int": int, "float | None": lambda text: float(text) if text else None}
+_COLUMNS = [(f.name, _READERS[f.type]) for f in fields(ScanRecord)]
+CSV_HEADER = ",".join(name for name, _ in _COLUMNS)
+
+_LAWS = {
+    "improved": error_term_exponent,
+    "sittinger": sittinger_exponent,
+    "abelian": abelian_exponent,
+}
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -66,6 +76,11 @@ def _add_zeta_options(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _add_tuple_shape(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--m", type=int, required=True)
+    parser.add_argument("--r", type=int, required=True)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rprime",
@@ -74,57 +89,58 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"rprime {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("tables", help="build a coefficient table and write a binary cache")
+    def add(name, handler, summary):
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(handler=handler)
+        return p
+
+    p = add("tables", _cmd_tables, "build a coefficient table and write a binary cache")
     p.add_argument("--field", required=True, help="field-spec document (JSON)")
     p.add_argument("--N", type=int, default=10**6, help="table cap (default 1e6)")
     p.add_argument("--out", required=True, help="table cache file to write")
 
-    p = sub.add_parser("count", help="number of ideals of norm <= x")
+    p = add("count", _cmd_count, "number of ideals of norm <= x")
     _add_common(p)
     _add_table_source(p)
     p.add_argument("--x", type=float, required=True)
 
-    p = sub.add_parser("vmr", help="relatively r-prime m-tuple count (Mobius identity)")
+    p = add("vmr", _cmd_vmr, "relatively r-prime m-tuple count (Mobius identity)")
     _add_common(p)
     _add_table_source(p)
     p.add_argument("--x", type=float, required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--r", type=int, required=True)
+    _add_tuple_shape(p)
 
-    p = sub.add_parser("direct", help="the same count from the enumeration oracle")
+    p = add("direct", _cmd_direct, "the same count from the enumeration oracle")
     _add_common(p)
     p.add_argument("--x", type=float, required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--r", type=int, required=True)
+    _add_tuple_shape(p)
 
-    p = sub.add_parser("scan", help="error-term scan over a geometric x-grid")
+    p = add("scan", _cmd_scan, "error-term scan over a geometric x-grid")
     _add_common(p)
     _add_table_source(p)
     _add_zeta_options(p)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--r", type=int, required=True)
+    _add_tuple_shape(p)
     p.add_argument("--xmin", type=float, required=True)
     p.add_argument("--xmax", type=float, required=True)
     p.add_argument("--points", type=int, required=True)
     p.add_argument("--fit", action="store_true", help="also fit a log-log slope")
 
-    p = sub.add_parser("fit", help="fit a slope to a previously written scan CSV")
+    p = add("fit", _cmd_fit, "fit a slope to a previously written scan CSV")
     p.add_argument("--in", dest="infile", required=True, help="scan CSV to read")
     _add_output(p)
 
-    p = sub.add_parser("exponents", help="theoretical error exponents")
+    p = add("exponents", _cmd_exponents, "theoretical error exponents")
     p.add_argument("--n", type=int, required=True, help="field degree")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--r", type=int, required=True)
+    _add_tuple_shape(p)
     p.add_argument(
         "--law",
-        choices=("improved", "sittinger", "abelian"),
+        choices=tuple(_LAWS),
         default="improved",
         help="which exponent table to read (default: improved)",
     )
     _add_output(p)
 
-    p = sub.add_parser("zeta", help="evaluate the zeta function of the field")
+    p = add("zeta", _cmd_zeta, "evaluate the zeta function of the field")
     _add_common(p)
     _add_zeta_options(p)
     p.add_argument("--s", type=float, required=True)
@@ -132,9 +148,12 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out:
-        with open(out, "w", encoding="utf-8", newline="") as handle:
+def _emit(args: argparse.Namespace, doc: dict, text: str) -> None:
+    """Write the JSON document or the text, as --format says, to --out or stdout."""
+    if args.format == "json":
+        text = json.dumps(doc, indent=2) + "\n"
+    if args.out:
+        with open(args.out, "w", encoding="utf-8", newline="") as handle:
             handle.write(text)
     else:
         sys.stdout.write(text)
@@ -146,16 +165,22 @@ def _get_table(field: FieldSpec, args: argparse.Namespace):
     return build_tables(field, args.N)
 
 
-def _scalar_output(args: argparse.Namespace, command: str, payload: dict) -> str:
-    if args.format == "json":
-        doc = {"command": command, **payload, "tool_version": __version__}
-        return json.dumps(doc, indent=2) + "\n"
-    return f"{payload['value']}\n"
+def _scalar(compute: Callable[[FieldSpec, argparse.Namespace], dict]):
+    """A handler that emits one computed value: bare, or as the JSON
+    document {command, field, **payload, tool_version}."""
+
+    def handler(args: argparse.Namespace) -> None:
+        field = load_field_file(args.field)
+        payload = {"field": field.name, **compute(field, args)}
+        doc = {"command": args.command, **payload, "tool_version": __version__}
+        _emit(args, doc, f"{payload['value']}\n")
+
+    return handler
 
 
 def _record_csv(rec: ScanRecord) -> str:
-    tail = "" if rec.log10_absE is None else repr(rec.log10_absE)
-    return f"{rec.x!r},{rec.V},{rec.main!r},{rec.E!r},{rec.log10_x!r},{tail}"
+    values = (getattr(rec, name) for name, _ in _COLUMNS)
+    return ",".join("" if value is None else repr(value) for value in values) + "\n"
 
 
 def parse_scan_csv(text: str) -> list[ScanRecord]:
@@ -166,17 +191,10 @@ def parse_scan_csv(text: str) -> list[ScanRecord]:
     records = []
     for line in lines[1:]:
         parts = line.split(",")
-        if len(parts) != 6:
+        if len(parts) != len(_COLUMNS):
             raise ValueError(f"malformed scan row: {line!r}")
         records.append(
-            ScanRecord(
-                x=float(parts[0]),
-                V=int(parts[1]),
-                main=float(parts[2]),
-                E=float(parts[3]),
-                log10_x=float(parts[4]),
-                log10_absE=float(parts[5]) if parts[5] else None,
-            )
+            ScanRecord(**{name: read(part) for (name, read), part in zip(_COLUMNS, parts)})
         )
     return records
 
@@ -188,52 +206,38 @@ def _fit_summary_text(fit: SlopeFit) -> str:
     )
 
 
-def _cmd_tables(args: argparse.Namespace) -> int:
+def _cmd_tables(args: argparse.Namespace) -> None:
     field = load_field_file(args.field)
-    table = build_tables(field, args.N)
-    save_table(table, args.out)
+    save_table(build_tables(field, args.N), args.out)
     sys.stdout.write(f"wrote table cache for {field.name} up to N={args.N}: {args.out}\n")
-    return 0
 
 
-def _cmd_count(args: argparse.Namespace) -> int:
-    field = load_field_file(args.field)
-    table = _get_table(field, args)
-    value = ideal_count(table, args.x)
-    _emit(_scalar_output(args, "count", {"field": field.name, "x": args.x, "value": value}), args.out)
-    return 0
+@_scalar
+def _cmd_count(field: FieldSpec, args: argparse.Namespace) -> dict:
+    return {"x": args.x, "value": ideal_count(_get_table(field, args), args.x)}
 
 
-def _cmd_vmr(args: argparse.Namespace) -> int:
-    field = load_field_file(args.field)
-    table = _get_table(field, args)
-    value = count_rprime_mobius(table, args.x, args.m, args.r)
-    _emit(
-        _scalar_output(
-            args,
-            "vmr",
-            {"field": field.name, "x": args.x, "m": args.m, "r": args.r, "value": value},
-        ),
-        args.out,
-    )
-    return 0
+@_scalar
+def _cmd_vmr(field: FieldSpec, args: argparse.Namespace) -> dict:
+    value = count_rprime_mobius(_get_table(field, args), args.x, args.m, args.r)
+    return {"x": args.x, "m": args.m, "r": args.r, "value": value}
 
 
-def _cmd_direct(args: argparse.Namespace) -> int:
-    field = load_field_file(args.field)
+@_scalar
+def _cmd_direct(field: FieldSpec, args: argparse.Namespace) -> dict:
     value = count_rprime_direct(field, args.x, args.m, args.r)
-    _emit(
-        _scalar_output(
-            args,
-            "direct",
-            {"field": field.name, "x": args.x, "m": args.m, "r": args.r, "value": value},
-        ),
-        args.out,
+    return {"x": args.x, "m": args.m, "r": args.r, "value": value}
+
+
+@_scalar
+def _cmd_zeta(field: FieldSpec, args: argparse.Namespace) -> dict:
+    value, cutoff, certified = dedekind_zeta_with_cutoff(
+        field, args.s, args.tol, prime_cap=args.prime_cap
     )
-    return 0
+    return {"s": args.s, "value": value, "euler_cutoff": cutoff, "certified_error": certified}
 
 
-def _cmd_scan(args: argparse.Namespace) -> int:
+def _cmd_scan(args: argparse.Namespace) -> None:
     field = load_field_file(args.field)
     table = _get_table(field, args)
     records = run_error_scan(
@@ -248,110 +252,54 @@ def _cmd_scan(args: argparse.Namespace) -> int:
         table=table,
         prime_cap=args.prime_cap,
     )
-    usable = [rec for rec in records if rec.log10_absE is not None]
-    zero_count = len(records) - len(usable)
-    if args.format == "json":
-        doc = {
-            "records": [asdict(rec) for rec in records],
-            "metadata": {
-                "field": field.name,
-                "m": args.m,
-                "r": args.r,
-                "N": table.N,
-                "tool_version": __version__,
-            },
-        }
-        if args.fit:
-            doc["zero_error_points"] = zero_count
-            doc["fit"] = asdict(fit_slope(records)) if len(usable) >= 2 else None
-        _emit(json.dumps(doc, indent=2) + "\n", args.out)
-    else:
-        body = CSV_HEADER + "\n" + "".join(_record_csv(rec) + "\n" for rec in records)
-        _emit(body, args.out)
-        if args.fit:
-            if len(usable) >= 2:
-                summary = _fit_summary_text(fit_slope(records))
-                summary += f"zero_error_points {zero_count}\n"
-            else:
-                summary = (
-                    f"no fit: {len(usable)} points with nonzero E "
-                    f"(zero_error_points {zero_count})\n"
-                )
-            sys.stderr.write(summary)
-    return 0
+    zero_count = sum(rec.log10_absE is None for rec in records)
+    usable = len(records) - zero_count
+    fit = fit_slope(records) if args.fit and usable >= 2 else None
+    doc = {
+        "records": [asdict(rec) for rec in records],
+        "metadata": {
+            "field": field.name,
+            "m": args.m,
+            "r": args.r,
+            "N": table.N,
+            "tool_version": __version__,
+        },
+    }
+    if args.fit:
+        doc["zero_error_points"] = zero_count
+        doc["fit"] = asdict(fit) if fit else None
+    _emit(args, doc, CSV_HEADER + "\n" + "".join(map(_record_csv, records)))
+    if args.fit and args.format == "csv":
+        if fit:
+            summary = _fit_summary_text(fit) + f"zero_error_points {zero_count}\n"
+        else:
+            summary = f"no fit: {usable} points with nonzero E (zero_error_points {zero_count})\n"
+        sys.stderr.write(summary)
 
 
-def _cmd_fit(args: argparse.Namespace) -> int:
+def _cmd_fit(args: argparse.Namespace) -> None:
     with open(args.infile, "r", encoding="utf-8") as handle:
         records = parse_scan_csv(handle.read())
     fit = fit_slope(records)
-    if args.format == "json":
-        _emit(json.dumps({"fit": asdict(fit)}, indent=2) + "\n", args.out)
-    else:
-        _emit(_fit_summary_text(fit), args.out)
-    return 0
+    _emit(args, {"fit": asdict(fit)}, _fit_summary_text(fit))
 
 
-def _cmd_exponents(args: argparse.Namespace) -> int:
-    law = args.law
-    if law == "improved":
-        result = error_term_exponent(args.n, args.m, args.r)
-    elif law == "sittinger":
-        result = sittinger_exponent(args.n, args.m, args.r)
-    else:
-        result = abelian_exponent(args.n, args.m, args.r)
-    if args.format == "json":
-        doc = {
-            "law": law,
-            "n": args.n,
-            "m": args.m,
-            "r": args.r,
-            "exponent": str(result.exponent),
-            "log_power": str(result.log_power),
-            "epsilon_flag": result.epsilon_flag,
-        }
-        _emit(json.dumps(doc, indent=2) + "\n", args.out)
-    else:
-        _emit(
-            f"exponent {result.exponent}\nlog_power {result.log_power}\n"
-            f"epsilon_flag {str(result.epsilon_flag).lower()}\n",
-            args.out,
-        )
-    return 0
-
-
-def _cmd_zeta(args: argparse.Namespace) -> int:
-    field = load_field_file(args.field)
-    value, cutoff, certified = dedekind_zeta_with_cutoff(
-        field, args.s, args.tol, prime_cap=args.prime_cap
+def _cmd_exponents(args: argparse.Namespace) -> None:
+    result = _LAWS[args.law](args.n, args.m, args.r)
+    doc = {
+        "law": args.law,
+        "n": args.n,
+        "m": args.m,
+        "r": args.r,
+        "exponent": str(result.exponent),
+        "log_power": str(result.log_power),
+        "epsilon_flag": result.epsilon_flag,
+    }
+    text = (
+        f"exponent {result.exponent}\nlog_power {result.log_power}\n"
+        f"epsilon_flag {str(result.epsilon_flag).lower()}\n"
     )
-    _emit(
-        _scalar_output(
-            args,
-            "zeta",
-            {
-                "field": field.name,
-                "s": args.s,
-                "value": value,
-                "euler_cutoff": cutoff,
-                "certified_error": certified,
-            },
-        ),
-        args.out,
-    )
-    return 0
-
-
-_HANDLERS = {
-    "tables": _cmd_tables,
-    "count": _cmd_count,
-    "vmr": _cmd_vmr,
-    "direct": _cmd_direct,
-    "scan": _cmd_scan,
-    "fit": _cmd_fit,
-    "exponents": _cmd_exponents,
-    "zeta": _cmd_zeta,
-}
+    _emit(args, doc, text)
 
 
 def cli_dispatch(argv: list[str]) -> int:
@@ -362,10 +310,11 @@ def cli_dispatch(argv: list[str]) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return _HANDLERS[args.command](args)
+        args.handler(args)
     except (RPrimeError, ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
+    return 0
 
 
 def main() -> None:

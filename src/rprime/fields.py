@@ -356,6 +356,15 @@ def ideal_density_constant(field: FieldSpec) -> float:
 
 
 _INVARIANT_KEYS = {"r1", "r2", "h", "R", "w", "d_K"}
+_SPEC_KEYS = {"name", "poly", "poly_disc", "poly_is_maximal", "invariants", "overrides"}
+_OVERRIDE_KEYS = {"p", "parts"}
+
+
+def _refuse_unknown_keys(what: str, doc: dict, allowed: set[str]) -> None:
+    # a misspelt key would otherwise vanish and leave its default in force
+    unknown = sorted(set(doc) - allowed)
+    if unknown:
+        raise FieldSpecError(f"{what} takes only the keys {sorted(allowed)}: unknown {unknown}")
 
 
 def _is_int(v: object) -> bool:
@@ -369,7 +378,8 @@ def parse_field_spec(text: str) -> FieldSpec:
     Recognized keys: name (string), poly (integer array, constant term
     first), poly_disc (integer), poly_is_maximal (bool, default false),
     invariants (object with exactly the keys r1, r2, h, R, w, d_K),
-    overrides (array of {"p": prime, "parts": [[e, f], ...]}).
+    overrides (array of {"p": prime, "parts": [[e, f], ...]}).  Any
+    other key, at the top level or in an override, is refused.
     """
     try:
         doc = json.loads(text)
@@ -377,6 +387,7 @@ def parse_field_spec(text: str) -> FieldSpec:
         raise FieldSpecError(f"malformed field-spec document: {exc}") from exc
     if not isinstance(doc, dict):
         raise FieldSpecError("field-spec document must be a JSON object")
+    _refuse_unknown_keys("a field-spec document", doc, _SPEC_KEYS)
     try:
         name = doc["name"]
         poly = doc["poly"]
@@ -413,9 +424,13 @@ def parse_field_spec(text: str) -> FieldSpec:
         invariants = FieldInvariants(**{**raw, "R": float(raw["R"])})
 
     overrides: list[tuple[int, SplittingType]] = []
-    for entry in doc.get("overrides", []):
+    entries = doc.get("overrides", [])
+    if not isinstance(entries, list):
+        raise FieldSpecError("overrides must be an array")
+    for entry in entries:
         if not isinstance(entry, dict) or "p" not in entry or "parts" not in entry:
             raise FieldSpecError("each override needs keys 'p' and 'parts'")
+        _refuse_unknown_keys("an override", entry, _OVERRIDE_KEYS)
         p = entry["p"]
         if not _is_int(p) or not _is_prime(p):
             raise FieldSpecError(f"override key p={p!r} is not a prime")

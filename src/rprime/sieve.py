@@ -495,8 +495,9 @@ def save_table(table: CoefficientTable, path: str) -> None:
 
 
 def load_table(field: FieldSpec, path: str) -> CoefficientTable:
-    """Load a cached table, validating magic, version, fingerprint and
-    the a/b values (a >= 0, |b| <= a, I_K(N) < 2^31)."""
+    """Load a cached table, validating magic, version, fingerprint, the
+    cap (1 <= N <= `MAX_TABLE_N`) and the a/b values (a = b = 0 at norm
+    0, a >= 0, |b| <= a, I_K(N) < 2^31)."""
     with open(path, "rb") as handle:
         blob = handle.read()
     header = len(_CACHE_MAGIC) + 4 + 32 + 8
@@ -509,12 +510,17 @@ def load_table(field: FieldSpec, path: str) -> CoefficientTable:
     if fp != table_fingerprint(field):
         raise FieldSpecError(f"{path}: cache fingerprint does not match field {field.name!r}")
     (N,) = struct.unpack_from("<Q", blob, len(_CACHE_MAGIC) + 4 + 32)
+    if not 1 <= N <= MAX_TABLE_N:
+        raise FieldSpecError(f"{path}: corrupt cache: N={N} outside [1, {MAX_TABLE_N}]")
     expected = header + 2 * 4 * (N + 1)
     if len(blob) != expected:
         raise FieldSpecError(f"{path}: truncated cache (have {len(blob)} bytes, want {expected})")
     # views of the blob, read one segment at a time by _finish_table
     a = np.frombuffer(blob, dtype="<i4", count=N + 1, offset=header)
     b = np.frombuffer(blob, dtype="<i4", count=N + 1, offset=header + 4 * (N + 1))
+    if a[0] or b[0]:
+        # no ideal has norm 0, and every count reads I_K and B from slot 0 up
+        raise FieldSpecError(f"{path}: corrupt cache: norm-0 slot holds a={a[0]}, b={b[0]}")
     try:
         return _finish_table(field, int(N), a, b)
     except OverflowError as exc:

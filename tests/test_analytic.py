@@ -20,7 +20,7 @@ from rprime import (
 )
 from rprime.analytic import ExponentResult
 from rprime.fields import splitting_type
-from rprime.sieve import count_rprime_mobius, prime_flags, prime_segments
+from rprime.sieve import count_rprime_mobius, prime_segments, primes_between
 
 
 def _riemann_zeta_reference(s: float, terms: int = 10**4) -> float:
@@ -233,9 +233,7 @@ def _sequential_zeta_ladder(field, s, prime_cap):
     product = 1.0
     lo, hi = 2, 4096
     while not ladder or ladder[-1][1] < prime_cap:
-        flags = prime_flags(min(hi, prime_cap))
-        for p in np.flatnonzero(flags[lo:]) + lo:
-            p = int(p)
+        for p in primes_between(lo, min(hi, prime_cap)).tolist():
             for _, f in splitting_type(field, p).parts:
                 product /= 1.0 - p ** (-f * s)
         P = min(hi, prime_cap)
@@ -277,7 +275,7 @@ def test_rational_rungs_are_plain_log1p_sums(field_q):
         analytic._euler_log_sum.cache_clear()
         total = 0.0
         for k, (lo, hi) in enumerate([(2, 4096), (4097, 16384), (16385, 65536)]):
-            p = np.flatnonzero(prime_flags(hi)[lo:]) + lo
+            p = primes_between(lo, hi)
             total += -np.log1p(-(p.astype(np.float64) ** -s)).sum()
             assert analytic._euler_log_sum(field_q, s, cap, k) == total
 

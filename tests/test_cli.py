@@ -322,3 +322,77 @@ def test_bad_field_file_is_diagnosed(tmp_path, capsys):
 def test_parse_scan_csv_rejects_wrong_header():
     with pytest.raises(ValueError, match="header"):
         parse_scan_csv("a,b,c\n1,2,3\n")
+
+
+def _json_lines(*lines):
+    # the documents are written with indent=2 and one trailing newline
+    return "\n".join(("{", *(f"  {line}" for line in lines), "}")) + "\n"
+
+
+_VERSION_LINE = f'"tool_version": "{rprime.__version__}"'
+_QI_TUPLE = ("--field", QI, "--x", "300", "--m", "2", "--r", "1")
+
+
+@pytest.mark.parametrize(
+    "argv, csv, json_text",
+    [
+        (
+            ("count", "--field", QI, "--x", "100", "--N", "100"),
+            "79\n",
+            _json_lines(
+                '"command": "count",', '"field": "Q(i)",', '"x": 100.0,', '"value": 79,',
+                _VERSION_LINE,
+            ),
+        ),
+        (
+            ("vmr", *_QI_TUPLE, "--N", "1000"),
+            "37281\n",
+            _json_lines(
+                '"command": "vmr",', '"field": "Q(i)",', '"x": 300.0,', '"m": 2,', '"r": 1,',
+                '"value": 37281,', _VERSION_LINE,
+            ),
+        ),
+        (
+            ("direct", *_QI_TUPLE),
+            "37281\n",
+            _json_lines(
+                '"command": "direct",', '"field": "Q(i)",', '"x": 300.0,', '"m": 2,', '"r": 1,',
+                '"value": 37281,', _VERSION_LINE,
+            ),
+        ),
+        (
+            ("exponents", "--n", "3", "--m", "2", "--r", "2"),
+            "exponent 76/51\nlog_power 10/17\nepsilon_flag false\n",
+            _json_lines(
+                '"law": "improved",', '"n": 3,', '"m": 2,', '"r": 2,', '"exponent": "76/51",',
+                '"log_power": "10/17",', '"epsilon_flag": false',
+            ),
+        ),
+        (
+            ("exponents", "--n", "3", "--m", "2", "--r", "2", "--law", "sittinger"),
+            "exponent 5/3\nlog_power 0\nepsilon_flag false\n",
+            _json_lines(
+                '"law": "sittinger",', '"n": 3,', '"m": 2,', '"r": 2,', '"exponent": "5/3",',
+                '"log_power": "0",', '"epsilon_flag": false',
+            ),
+        ),
+        (
+            ("exponents", "--n", "4", "--m", "1", "--r", "2", "--law", "abelian"),
+            "exponent 3/4\nlog_power 0\nepsilon_flag true\n",
+            _json_lines(
+                '"law": "abelian",', '"n": 4,', '"m": 1,', '"r": 2,', '"exponent": "3/4",',
+                '"log_power": "0",', '"epsilon_flag": true',
+            ),
+        ),
+    ],
+    ids=["count", "vmr", "direct", "improved", "sittinger", "abelian"],
+)
+def test_integer_outputs_are_pinned_byte_for_byte(capsys, argv, csv, json_text):
+    # key order, spacing and the trailing newline are part of the output
+    assert run(capsys, *argv) == (0, csv, "")
+    assert run(capsys, *argv, "--format", "csv") == (0, csv, "")
+    assert run(capsys, *argv, "--format", "json") == (0, json_text, "")
+
+
+def test_version_is_pinned_byte_for_byte(capsys):
+    assert run(capsys, "--version") == (0, f"rprime {rprime.__version__}\n", "")

@@ -17,11 +17,11 @@ from rprime import fields as fields_module
 from rprime.fields import _frobenius_degree_counts, _is_prime, residue_degrees
 from rprime.fields import FieldInvariants, FieldSpec, SplittingType
 from rprime.polygf import factor_degrees, factor_mod_p
-from rprime.sieve import prime_flags
+from rprime.sieve import primes_between
 
 
 def _primes_upto(n):
-    return [int(p) for p in np.flatnonzero(prime_flags(n))]
+    return primes_between(2, n).tolist()
 
 
 def test_parse_rational_field():
@@ -143,6 +143,26 @@ def _override_at_2(parts):
 
 
 @pytest.mark.parametrize(
+    "doc, unknown",
+    [
+        # a misspelt flag would leave poly_is_maximal false and surface only
+        # as an index-divisor refusal at p = 2 that never names it
+        (
+            '{"name": "x", "poly": [1, 0, 1], "poly_disc": -4, "poly_is_maximl": true}',
+            "poly_is_maximl",
+        ),
+        (_qsqrtm5_doc(override=_override_at_2([[2, 1]])), "override"),
+        (_qsqrtm5_doc(invariant={}), "invariant"),
+        (_qsqrtm5_doc(overrides=[{"p": 2, "parts": [[2, 1]], "part": [[2, 1]]}]), "part"),
+    ],
+    ids=["poly_is_maximl", "override", "invariant", "override-entry"],
+)
+def test_parse_refuses_unknown_keys(doc, unknown):
+    with pytest.raises(FieldSpecError, match=rf"unknown \['{unknown}'\]"):
+        parse_field_spec(doc)
+
+
+@pytest.mark.parametrize(
     "changes,message",
     [
         # JSON true/false are bools, which Python counts as ints
@@ -158,9 +178,11 @@ def _override_at_2(parts):
         ({"overrides": _override_at_2([["a", 1]])}, r"\[e, f\] integer pairs"),
         ({"overrides": _override_at_2([[2.0, 1]])}, r"\[e, f\] integer pairs"),
         ({"overrides": _override_at_2([[True, 1], [True, 1]])}, r"\[e, f\] integer pairs"),
+        ({"overrides": 5}, "overrides must be an array"),
+        ({"overrides": _override_at_2([[2, 1]])[0]}, "overrides must be an array"),
     ],
     ids=["poly", "poly_disc", "r1", "r2", "h", "w", "d_K", "R"]
-    + ["part-str", "part-float", "part-bool"],
+    + ["part-str", "part-float", "part-bool", "overrides-int", "overrides-object"],
 )
 def test_parse_refuses_bools_and_non_integers(changes, message):
     parse_field_spec(_qsqrtm5_doc(overrides=_override_at_2([[2, 1]])))  # the valid form
@@ -286,7 +308,7 @@ def test_residue_degrees_match_splitting_types(fields, name):
     # the batched pass on every other prime; for Q it checks the all-ones
     # shortcut against the polynomial route
     field = _field(fields, name)
-    primes = np.flatnonzero(prime_flags(2 * 10**4 if name == "cubic" else 1999))
+    primes = primes_between(2, 2 * 10**4 if name == "cubic" else 1999)
     degrees = residue_degrees(field, primes)
     assert degrees.dtype == np.int8 and degrees.shape == (len(primes), field.degree)
     for p, row in zip(primes.tolist(), degrees.tolist()):
@@ -319,7 +341,7 @@ def test_discriminant_past_int64_splits_primes_exactly(field_cubic):
     scaled = FieldSpec(
         name="scaled", poly=field_cubic.poly, poly_disc=-23 * 10**20, poly_is_maximal=True
     )
-    primes = np.flatnonzero(prime_flags(1999))
+    primes = primes_between(2, 1999)
     assert (residue_degrees(scaled, primes) == residue_degrees(field_cubic, primes)).all()
 
 
@@ -391,7 +413,7 @@ def test_primes_up_to_the_degree_take_the_per_prime_route(monkeypatch):
 
 def test_degree_one_residue_degrees_are_ones(field_q):
     shifted = FieldSpec(name="Q, shifted", poly=(3, 1), poly_disc=1)
-    primes = np.flatnonzero(prime_flags(10**5))
+    primes = primes_between(2, 10**5)
     for field in (field_q, shifted):
         degrees = residue_degrees(field, primes)
         assert degrees.dtype == np.int8 and degrees.shape == (len(primes), 1)

@@ -390,12 +390,17 @@ def _save_corrupt_cache(path, table, column, n, value):
     path.write_bytes(bytes(blob))
 
 
-@pytest.mark.parametrize("column, value", [("b", 2), ("b", -(2**31)), ("a", -1)])
-def test_table_cache_rejects_corrupt_slot(tmp_path, field_qi, table_qi_1e4, column, value):
+@pytest.mark.parametrize(
+    "column, value, n",
+    [("b", 2, 7), ("b", -(2**31), 7), ("a", -1, 7), ("a", 1, 0), ("a", 3, 0)],
+    ids=["b-2", "b--2147483648", "a--1", "a-1-norm0", "a-3-norm0"],
+)
+def test_table_cache_rejects_corrupt_slot(tmp_path, field_qi, table_qi_1e4, column, value, n):
     # slot n = 7 (a = b = 0 in Q(i)) breaks a >= 0 or |b| <= a; -2^31 is
-    # the value whose abs wraps
+    # the value whose abs wraps.  No ideal has norm 0, so any a at slot 0
+    # would shift every I_K(x) while passing those checks
     path = tmp_path / "qi.tab"
-    _save_corrupt_cache(path, table_qi_1e4, column, 7, value)
+    _save_corrupt_cache(path, table_qi_1e4, column, n, value)
     with pytest.raises(FieldSpecError, match="corrupt"):
         load_table(field_qi, str(path))
 
@@ -430,6 +435,18 @@ def test_cache_bytes_do_not_depend_on_the_segment(
     loaded = load_table(field_qi, str(again))
     assert np.array_equal(loaded.I_prefix, table_qi_1e4.I_prefix)
     assert np.array_equal(loaded.B_prefix, table_qi_1e4.B_prefix)
+
+
+@pytest.mark.parametrize("N", [0, sieve.MAX_TABLE_N + 1])
+def test_table_cache_rejects_cap_outside_the_build_range(tmp_path, field_q, N):
+    # a header N that build_tables refuses, with a payload of the length it implies
+    # (one zero slot at N = 0)
+    path = tmp_path / "q.tab"
+    save_table(build_tables(field_q, 1), str(path))
+    blob = path.read_bytes()[:44] + N.to_bytes(8, "little") + bytes(8 if N == 0 else 0)
+    path.write_bytes(blob)
+    with pytest.raises(FieldSpecError, match="corrupt"):
+        load_table(field_q, str(path))
 
 
 def test_table_cache_rejects_wrong_field(tmp_path, field_q, table_qi_1e4):
