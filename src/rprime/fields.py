@@ -119,8 +119,8 @@ class FieldSpec:
                 raise FieldSpecError("roots-of-unity count w must be >= 2")
             if inv.h < 1:
                 raise FieldSpecError("class number h must be >= 1")
-            if inv.R <= 0:
-                raise FieldSpecError("regulator R must be positive")
+            if not 0 < inv.R < math.inf:  # also refuses NaN
+                raise FieldSpecError("regulator R must be finite and positive")
             # poly_disc = k^2 d_K, k the index of Z[x]/(poly) in the ring
             # of integers
             k2 = self.poly_disc // inv.d_K if inv.d_K else 0

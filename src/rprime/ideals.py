@@ -10,19 +10,16 @@ identical counts.
 
 Directly counting relatively r-prime m-tuples iterates the m-fold
 product in aggregated form.  A prefix (a_1..a_k) is summarized by its
-surviving set, the primes with exponent >= r in every member so far,
-and by its largest norm.  Ideals are grouped by their own surviving
-set T, the mask, with one histogram over norms per group; the
-one-member prefixes are these groups.  Step k extends each surviving
-set S by every group; the new set is S & T.  Extension is a
-max-convolution of norm histograms, which is linear in the group
-histogram, so the groups are first bucketed by S & T and summed, and
-each (S, bucket) pair takes one convolution.  The empty bucket, every
-group disjoint from S, is the histogram of all ideals less the other
-buckets, so a state adds up only the groups it meets.  The empty set is
-one more state: it meets no group, so it is extended by the histogram
-of all ideals.  On the last step only the empty bucket is convolved,
-because a prime that survives all m steps makes the tuple not r-prime.
+surviving set, the primes with exponent >= r in every member so far.
+Ideals are grouped by their own surviving set T, the mask, with one
+cumulative count over norms per group.  "Every norm <= x" holds member
+by member, so at each x the prefixes of set S extended by group T, all
+norms <= x, number the product of the two counts and have set S & T.
+That product is linear in the group's count, so the groups are first
+bucketed by S & T and summed; the empty bucket, every group disjoint
+from S, is the count of all ideals less the other buckets.  On the last
+step only the empty bucket is taken, because a prime that survives all
+m steps makes the tuple not r-prime.
 
 A tuple is relatively r-prime exactly when its surviving set is empty,
 so the count is the definition's finite sum over tuples, regrouped; no
@@ -100,43 +97,31 @@ def enumerate_ideals(
 def _support_groups(
     ideals: list[tuple[int, int]], Xi: int
 ) -> tuple[dict[int, np.ndarray], np.ndarray]:
-    """Histogram (norm, mask) pairs by their surviving set, the mask.
+    """Cumulative norm counts of (norm, mask) pairs per surviving set.
 
     Returns (groups, total) where groups maps each distinct surviving
-    set to an int64 histogram over norms and total is the histogram of
-    all ideals.
+    set T to the int64 array c_T with c_T[x] = the number of ideals of
+    mask T and norm <= x, and total is the same count over all ideals.
 
     Every prefix state of the oracle is itself one of the G sets: the
     ideal prod P^r over a state's primes divides each member of the
-    prefix, so its norm is <= Xi.  Hence a step adds at most G * G
-    histograms of Xi + 1 cells.  Before allocating any histogram this
+    prefix, so its norm is <= Xi.  Hence a step takes at most G * G
+    products of Xi + 1 cells.  Before any array is allocated this
     raises BudgetExceededError when G^2 (Xi + 1) exceeds
     STEP_CELL_BUDGET; with the enumeration guard (Xi <= 10^5)
-    that also caps the G histograms at 10^7 cells.
+    that also caps the G count arrays at 10^7 cells.
     """
-    distinct = dict.fromkeys(mask for _, mask in ideals)  # first-seen order
-    G = len(distinct)
+    index = {mask: g for g, mask in enumerate(dict.fromkeys(mask for _, mask in ideals))}
+    G = len(index)
     if G * G * (Xi + 1) > STEP_CELL_BUDGET:
         raise BudgetExceededError(
             f"{G} surviving sets at x = {Xi}: G^2 (x + 1) = {G * G * (Xi + 1)} "
             f"exceeds the step-cell budget {STEP_CELL_BUDGET}"
         )
-    groups = {mask: np.zeros(Xi + 1, dtype=np.int64) for mask in distinct}
-    total = np.zeros(Xi + 1, dtype=np.int64)
-    for norm, mask in ideals:
-        groups[mask][norm] += 1
-        total[norm] += 1
-    return groups, total
-
-
-def _max_convolve(C: np.ndarray, H: np.ndarray) -> np.ndarray:
-    """D[t] = number of pairs (u, v) with C-weight at u, H-weight at v
-    and max(u, v) = t.  Linear in each argument."""
-    cum_c = np.cumsum(C)
-    cum_h = np.cumsum(H)
-    D = C * cum_h
-    D[1:] += cum_c[:-1] * H[1:]
-    return D
+    cells = np.array([index[mask] * (Xi + 1) + norm for norm, mask in ideals], dtype=np.int64)
+    counts = np.bincount(cells, minlength=G * (Xi + 1)).reshape(G, Xi + 1)
+    np.cumsum(counts, axis=1, out=counts)
+    return dict(zip(index, counts)), counts.sum(axis=0)
 
 
 def count_rprime_direct_upto(
@@ -152,54 +137,50 @@ def count_rprime_direct_upto(
     0 <= x <= floor(X).  One enumeration pass serves every x.
 
     Step k extends each surviving prefix set S, the empty set included,
-    by every ideal, grouped by surviving set T; the extended set is
-    S & T.  The groups are first bucketed by S & T and their histograms
-    summed (the empty bucket as the total less the others), so each
-    (S, bucket) takes one max-convolution.  On step m only the empty
-    bucket is convolved: a prefix with a prime left in its set is never
-    r-prime.  V is the running sum of the final empty-set histogram.
-    Both only regroup the definition's finite sum over tuples; no Mobius
-    identity is used.
+    by every group T of ideals, taking S into S & T: one pointwise
+    product of cumulative counts per (S, bucket), as the module
+    docstring describes.  V is the empty set's count after step m.  No
+    Mobius identity is used.
     """
     if m < 1 or r < 1:
         raise ValueError(f"need m >= 1 and r >= 1, got m={m}, r={r}")
     Xi = _norm_bound(X)
     ideals = enumerate_ideals(field, Xi, r)
-    # every prefix count, convolution and term of V counts m-tuples or
-    # fewer-member prefixes of ideals of norm <= Xi, so all are <= I_K(Xi)^m
+    # every prefix count and product counts m-tuples or fewer-member
+    # prefixes of ideals of norm <= Xi, so all are <= I_K(Xi)^m
     if len(ideals) ** m >= DIRECT_COUNT_BUDGET:
         raise BudgetExceededError(
             f"I_K({Xi})^{m} = {len(ideals) ** m} is not below the direct-count budget 2^63, "
             "past which the int64 counts could wrap"
         )
-    groups, total_hist = _support_groups(ideals, Xi)
-    # level[S][v]: prefixes with surviving set S and max norm v, starting
-    # from the one-member prefixes; S = 0 is the empty set
-    level = dict(groups)
+    groups, total = _support_groups(ideals, Xi)
+    # level[S][x]: prefixes with surviving set S and all norms <= x,
+    # starting from the one-member prefixes; S = 0 is the empty set
+    level = groups
     for k in range(2, m + 1):
         nxt: dict[int, np.ndarray] = {}
         for state, counts in level.items():
-            buckets: dict[int, np.ndarray] = {}  # S & T -> summed histograms
-            for supp, hist in groups.items():
+            buckets: dict[int, np.ndarray] = {}  # S & T -> summed counts
+            for supp, cum in groups.items():
                 narrowed = state & supp
                 if not narrowed:
                     continue
                 if narrowed in buckets:
-                    buckets[narrowed] += hist
+                    buckets[narrowed] += cum
                 else:
-                    buckets[narrowed] = hist.copy()
+                    buckets[narrowed] = cum.copy()
             # The empty bucket holds every group not met above.
-            buckets[0] = total_hist - sum(buckets.values())
-            for narrowed, hist in buckets.items():
+            buckets[0] = total - sum(buckets.values())
+            for narrowed, cum in buckets.items():
                 if k == m and narrowed:
                     continue  # a prime survives all m steps: never r-prime
-                joined = _max_convolve(counts, hist)
+                joined = counts * cum
                 if narrowed in nxt:
                     nxt[narrowed] += joined
                 else:
                     nxt[narrowed] = joined
         level = nxt
-    return np.cumsum(level.get(0, np.zeros(Xi + 1, dtype=np.int64)))
+    return level.get(0, np.zeros(Xi + 1, dtype=np.int64))
 
 
 def count_rprime_direct(

@@ -456,6 +456,9 @@ def count_rprime_mobius(table: CoefficientTable, x: float, m: int, r: int) -> in
     X = _norm_bound(x)
     if X > table.N:
         raise ValueError(f"x={x} exceeds the table cap N={table.N}")
+    # once 2^r > X, X // n^r = 0 for every n >= 2, so a larger r leaves
+    # the count unchanged; clamping keeps n^r from growing with r
+    r = min(r, max(X.bit_length(), 1))
     ends = _block_ends(X, r)
     # |B(n)| <= I_K(n) < 2^31, so the int64 differences of the stored
     # int32 B_prefix are exact; products are taken in Python ints

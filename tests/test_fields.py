@@ -138,6 +138,14 @@ def test_parse_rejects_density_constant_key():
         parse_field_spec(_qsqrtm5_doc(c=1.405))
 
 
+@pytest.mark.parametrize("value", ["NaN", "Infinity", "1e400"])
+def test_parse_refuses_non_finite_regulator(value):
+    # Python's json reads all three, and 1e400 overflows to inf
+    doc = _qsqrtm5_doc().replace('"R": 1.0', f'"R": {value}')
+    with pytest.raises(FieldSpecError, match="regulator R must be finite and positive"):
+        parse_field_spec(doc)
+
+
 def _override_at_2(parts):
     return [{"p": 2, "parts": parts}]
 

@@ -119,20 +119,22 @@ def test_direct_count_budget_guard(field_q):
 
 
 @pytest.fixture
-def no_histograms(monkeypatch):
+def no_array_allocation(monkeypatch):
+    # every numpy constructor the oracle could reach refuses to run
+    constructors = {"zeros", "bincount", "empty", "ones", "full", "array"}
+
     class NoAllocation:
         def __getattr__(self, name):
+            if name in constructors:
+                raise AssertionError(f"np.{name} called before the guard")
             return getattr(np, name)
-
-        def zeros(self, *args, **kwargs):
-            raise AssertionError("histograms allocated before the guard")
 
     monkeypatch.setattr(ideals, "np", NoAllocation())
 
 
-def test_direct_count_step_cell_guard(field_q, no_histograms):
+def test_direct_count_step_cell_guard(field_q, no_array_allocation):
     # 30000^2 passes the direct-count budget, but Q has 18,242 surviving
-    # sets at x = 30000; their dense histograms alone would be 4.4 GB,
+    # sets at x = 30000; their dense count arrays alone would be 4.4 GB,
     # so the oracle must refuse before it allocates any array.
     with pytest.raises(BudgetExceededError, match="budget"):
         count_rprime_direct(field_q, 30000, 2, 1)
@@ -146,7 +148,7 @@ def test_direct_count_past_1e9_tuples_matches_mobius(field_qi, x, m, r):
     assert count_rprime_direct(field_qi, x, m, r) == count_rprime_mobius(table, x, m, r)
 
 
-def test_direct_count_refuses_int64_overflow(field_q, no_histograms):
+def test_direct_count_refuses_int64_overflow(field_q, no_array_allocation):
     # Q at x = 1e5 with r = 5 has only 7 surviving sets, so the step-cell
     # guard passes, but I_K(x)^4 = 1e20 >= 2^63 could wrap the int64 counts
     with pytest.raises(BudgetExceededError, match="2\\^63"):

@@ -267,6 +267,20 @@ def _mobius_count_reference(table, x, m, r):
     return total
 
 
+def test_mobius_count_huge_r_counts_every_tuple(table_q_1e4):
+    # once 2^r > x only n = 1 has a nonzero floor(x / n^r), so every
+    # m-tuple is r-prime; r = 2^40 must not build a 2^40-bit power
+    for x in (1, 10, 1000, 10**4):
+        for m in (1, 2, 3):
+            want = ideal_count(table_q_1e4, x) ** m
+            assert count_rprime_mobius(table_q_1e4, x, m, 2**40) == want, (x, m)
+    # r around the clamp: 1000 has 10 bits and 2^9 <= 1000 < 2^10
+    for r in (8, 9, 10, 11):
+        assert count_rprime_mobius(table_q_1e4, 1000, 2, r) == _mobius_count_reference(
+            table_q_1e4, 1000, 2, r
+        ), r
+
+
 @pytest.fixture(scope="module")
 def tables_all_fields(fields, table_q_1e4, table_qi_1e4):
     tables = {"Q": table_q_1e4, "Qi": table_qi_1e4}
