@@ -42,6 +42,7 @@ from .fields import FieldSpec, ideal_density_constant, residue_degrees
 from .sieve import prime_segments
 
 DEFAULT_PRIME_CAP = 10**7
+MAIN_TERM_TOL = 1e-9  # the loosest zeta tolerance a main term accepts
 
 
 def _rung_cutoff(prime_cap: int, k: int) -> int:
@@ -126,16 +127,16 @@ def main_term(
     x: float,
     m: int,
     r: int,
-    tol: float = 1e-9,
+    *,
     prime_cap: int = DEFAULT_PRIME_CAP,
 ) -> float:
     """Leading asymptotic (c*x)^m / zeta_K(rm) of the r-prime count.
 
-    The zeta tolerance is tightened from `tol` toward whatever makes
-    the absolute main-term error less than 0.5 so integer-vs-real
-    comparisons stay meaningful; when the Euler product cannot certify
-    that under the prime cap (huge (c*x)^m), the best certified value
-    is used and a warning is emitted.
+    The zeta tolerance is tightened from `MAIN_TERM_TOL` toward
+    whatever makes the absolute main-term error less than 0.5 so
+    integer-vs-real comparisons stay meaningful; when the Euler product
+    cannot certify that under the prime cap (huge (c*x)^m), the best
+    certified value is used and a warning is emitted.
     """
     if m < 1 or r < 1:
         raise ValueError(f"need m >= 1 and r >= 1, got m={m}, r={r}")
@@ -148,7 +149,7 @@ def main_term(
         numerator = math.inf
     if not (x >= 0 and math.isfinite(numerator)):
         raise ValueError(f"x must be finite and >= 0 with (c*x)^m finite, got x={x}, m={m}")
-    zeta_tol = min(tol, 0.5 / max(numerator, 1.0))
+    zeta_tol = min(MAIN_TERM_TOL, 0.5 / max(numerator, 1.0))
     value, _, certified = dedekind_zeta_with_cutoff(
         field, float(r * m), zeta_tol, prime_cap, strict=False
     )

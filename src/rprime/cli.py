@@ -66,8 +66,7 @@ def _add_table_source(parser: argparse.ArgumentParser) -> None:
     source.add_argument("--tables", dest="tables_file", help="reuse a table cache file")
 
 
-def _add_zeta_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--tol", type=float, default=1e-9, help="zeta tolerance (default 1e-9)")
+def _add_prime_cap(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--prime-cap",
         type=int,
@@ -118,7 +117,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = add("scan", _cmd_scan, "error-term scan over a geometric x-grid")
     _add_common(p)
     _add_table_source(p)
-    _add_zeta_options(p)
+    _add_prime_cap(p)
     _add_tuple_shape(p)
     p.add_argument("--xmin", type=float, required=True)
     p.add_argument("--xmax", type=float, required=True)
@@ -142,7 +141,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = add("zeta", _cmd_zeta, "evaluate the zeta function of the field")
     _add_common(p)
-    _add_zeta_options(p)
+    _add_prime_cap(p)
+    p.add_argument("--tol", type=float, default=1e-9, help="zeta tolerance (default 1e-9)")
     p.add_argument("--s", type=float, required=True)
 
     return parser
@@ -248,7 +248,6 @@ def _cmd_scan(args: argparse.Namespace) -> None:
         args.xmax,
         args.points,
         table_N=table.N,
-        tol=args.tol,
         table=table,
         prime_cap=args.prime_cap,
     )

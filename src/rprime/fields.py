@@ -16,10 +16,11 @@ overrides or from the factor degrees of the defining polynomial mod p
 integer coefficients without finding any factor.  The invariants never
 choose a splitting type; a d_K equal to poly_disc only vouches that the
 polynomial order is maximal.  `splitting_type` answers for one prime;
-`residue_degrees` sends only the primes that divide the polynomial
-discriminant or are at most the degree through it, and fills every
-other prime in one batched int64 pass that reads the factor degrees off
-the traces of the powers of Berlekamp's Frobenius matrix.
+`residue_degrees` sends through it only the primes p <= the degree and
+the p with p^2 | poly_disc, where an override or an index-divisor
+refusal can apply, and fills every other prime in one batched int64
+pass that peels the factor-degree counts off the traces of the powers
+of Berlekamp's Frobenius matrix.
 """
 
 from __future__ import annotations
@@ -229,12 +230,13 @@ def residue_degrees(field: FieldSpec, primes: np.ndarray) -> np.ndarray:
     """Int8 table: entry [i, f - 1] counts the prime ideals of residue
     degree f above primes[i].
 
-    Degree 1 is all ones.  Otherwise a prime that divides `poly_disc`
-    or is at most the degree takes `splitting_type`, with its override
-    and index-divisor rules; every other prime leaves f squarefree mod
-    p, and `_frobenius_degree_counts` reads its factor degrees (which
-    are the residue degrees, by Dedekind-Kummer) in one int64 pass over
-    all such primes.  That pass is exact while 2 * degree * p^2 < 2^63,
+    Degree 1 is all ones.  Otherwise a prime p <= degree, where the
+    traces cannot count, or with p^2 | poly_disc, where an override or
+    an index-divisor refusal can apply, takes `splitting_type`.  Every
+    other prime is not an index divisor, so the degrees of the distinct
+    factors of poly mod p are its residue degrees (Dedekind-Kummer), and
+    `_frobenius_degree_counts` reads them in one int64 pass over all
+    such primes.  That pass is exact while 2 * degree * p^2 < 2^63,
     which holds for every p <= 1e8 at any degree below 400; a larger
     such prime raises ValueError.
     """
@@ -243,7 +245,11 @@ def residue_degrees(field: FieldSpec, primes: np.ndarray) -> np.ndarray:
     if n == 1:
         return np.ones((len(primes), 1), dtype=np.int8)
     degrees = np.zeros((len(primes), n), dtype=np.int8)
-    per_prime = (_mod_primes(field.poly_disc, primes) == 0) | (primes <= n)
+    per_prime = primes <= n
+    # p^2 | poly_disc in Python ints (p^2 wraps int64 past p = 3.03e9),
+    # tested only at the few p | poly_disc
+    for i in np.flatnonzero(_mod_primes(field.poly_disc, primes) == 0):
+        per_prime[i] |= field.poly_disc % int(primes[i]) ** 2 == 0
     for i in np.flatnonzero(per_prime):
         for _, f in splitting_type(field, int(primes[i])).parts:
             degrees[i, f - 1] += 1
@@ -268,34 +274,22 @@ def _mod_primes(c: int, primes: np.ndarray) -> np.ndarray:
     return (c % primes.astype(object)).astype(np.int64)
 
 
-def _mobius(m: int) -> int:
-    sign, q = 1, 2
-    while q * q <= m:
-        if m % q == 0:
-            m //= q
-            if m % q == 0:
-                return 0
-            sign = -sign
-        q += 1
-    return -sign if m > 1 else sign
-
-
 def _frobenius_degree_counts(poly: tuple[int, ...], p: np.ndarray) -> np.ndarray:
-    """Row i counts the irreducible factors of each degree of poly mod
-    p[i]; poly must be squarefree mod every p[i], and every p[i] must
-    exceed the degree n.
+    """Row i counts the distinct irreducible factors of each degree of
+    poly mod p[i]; every p[i] must exceed the degree n.
 
     Q is the Frobenius a -> a^p on F_p[x]/poly, column j holding
     x^(jp) mod poly (Berlekamp's matrix; Cohen, A Course in
-    Computational Algebraic Number Theory, 3.4).  Over the algebraic
-    closure F_p[x]/poly splits into one coordinate per root, and Q^k
-    permutes them as Frobenius^k permutes the roots, so tr(Q^k) mod p
-    counts the roots that Frobenius^k fixes: the sum of f_i over the
-    factor degrees f_i that divide k.  That count is at most n < p, so
-    the residue is the count itself, and the necklace formula
-    N_f = (1/f) sum over d | f of mu(f/d) tr(Q^d) gives the number of
-    factors of degree f.  Lanes (one per prime) run along the last
-    axis.  No intermediate reaches 2n * p^2.
+    Computational Algebraic Number Theory, 3.4).  F_p[x]/poly is the
+    sum of the F_p[x]/g^e over the factors g^e of poly.  Frobenius
+    sends the nilpotent part (g)/(g^e) to 0, since e <= n < p, and acts
+    on the residue field F_p[x]/g, of degree d = deg g, as a generator
+    of its Galois group, so tr(Q^k) mod p is the sum of d over the
+    distinct factors with d | k.  That sum is at most n < p, so the
+    residue is the sum itself: tr(Q^k) = sum over d | k of d N_d, and
+    N_k = (tr(Q^k) - sum over d | k, d < k of d N_d) / k is peeled off
+    as Q^k is formed.  Lanes (one per prime) run along the last axis.
+    No intermediate reaches 2n * p^2.
     """
     n = len(poly) - 1
     xn = np.stack([-_mod_primes(c, p) % p for c in poly[:-1]])  # x^n mod poly
@@ -326,18 +320,14 @@ def _frobenius_degree_counts(poly: tuple[int, ...], p: np.ndarray) -> np.ndarray
         columns.append(mul(columns[-1], xp))
     Q = np.stack(columns, axis=1)
 
-    traces = [None, np.trace(Q) % p]  # traces[k] = tr(Q^k) mod p
+    counts = []  # counts[k - 1] = N_k
     Qk = Q
-    while len(traces) <= n:
-        Qk = sum(Qk[:, m, None] * Q[m] for m in range(n)) % p
-        traces.append(np.trace(Qk) % p)
-    return np.stack(
-        [
-            sum(_mobius(f // d) * traces[d] for d in range(1, f + 1) if f % d == 0) // f
-            for f in range(1, n + 1)
-        ],
-        axis=1,
-    )
+    for k in range(1, n + 1):
+        if k > 1:
+            Qk = sum(Qk[:, m, None] * Q[m] for m in range(n)) % p
+        k_N_k = np.trace(Qk) % p - sum(d * counts[d - 1] for d in range(1, k) if k % d == 0)
+        counts.append(k_N_k // k)
+    return np.stack(counts, axis=1)
 
 
 def ideal_density_constant(field: FieldSpec) -> float:
@@ -421,7 +411,10 @@ def parse_field_spec(text: str) -> FieldSpec:
                 raise FieldSpecError(f"invariant {key} must be an integer")
         if not isinstance(raw["R"], (int, float)) or isinstance(raw["R"], bool):
             raise FieldSpecError("invariant R must be a number")
-        invariants = FieldInvariants(**{**raw, "R": float(raw["R"])})
+        try:
+            invariants = FieldInvariants(**{**raw, "R": float(raw["R"])})
+        except OverflowError:  # an integer R past the float range
+            raise FieldSpecError("regulator R must be finite and positive") from None
 
     overrides: list[tuple[int, SplittingType]] = []
     entries = doc.get("overrides", [])

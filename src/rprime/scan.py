@@ -83,7 +83,7 @@ def run_error_scan(
     x_max: float,
     grid_points: int,
     table_N: int,
-    tol: float = 1e-9,
+    *,
     table: CoefficientTable | None = None,
     prime_cap: int = DEFAULT_PRIME_CAP,
 ) -> list[ScanRecord]:
@@ -104,7 +104,7 @@ def run_error_scan(
     records = []
     for x in grid:
         V = count_rprime_mobius(table, x, m, r)
-        main = main_term(field, x, m, r, tol=tol, prime_cap=prime_cap)
+        main = main_term(field, x, m, r, prime_cap=prime_cap)
         records.append(make_record(x, V, main))
     return records
 

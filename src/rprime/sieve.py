@@ -19,8 +19,9 @@ there up to sqrt(N), which have few multiples in a segment; both also
 collect the sqrt(N)-smooth part of every n.  What is left of n after
 that part is 1 or its one prime factor above sqrt(N), and an int8
 lookup of g_1 (1 B/slot) finishes the segment.  Each segment is then
-checked and prefix-summed with the running totals; the cache reader
-does the same step on segments of the file's a/b values.
+checked and prefix-summed with the running totals.  A cache file is one
+52-byte header struct and then a and b: the writer takes them segment by
+segment from `_differences`, and the reader checks and sums them alike.
 
 Every consumer of primes (this build, the Euler ladder in `analytic`
 and the oracle's enumeration) takes them from `prime_segments(lo, hi)`
@@ -150,12 +151,13 @@ def prime_flags(N: int) -> np.ndarray:
     return flags
 
 
-def _differences(prefix: np.ndarray) -> np.ndarray:
-    """Read-only int32 first difference of a table's prefix array."""
-    d = np.empty_like(prefix)
-    d[0] = prefix[0]
+def _differences(prefix: np.ndarray, seg: slice = slice(None)) -> np.ndarray:
+    """Read-only int32 first differences of a table's prefix array over the slots of seg."""
+    part = prefix[seg]
+    d = np.empty_like(part)
     # each difference is one a or b value, so int32 holds it exactly
-    np.subtract(prefix[1:], prefix[:-1], out=d[1:])
+    np.subtract(part[1:], part[:-1], out=d[1:])
+    d[0] = part[0] - (prefix[seg.start - 1] if seg.start else 0)  # slot 0 has no base
     d.setflags(write=False)
     return d
 
@@ -328,12 +330,12 @@ def build_tables(field: FieldSpec, N: int) -> CoefficientTable:
     a time, in place in its own prefix arrays.  Each prime p <= sqrt(N)
     multiplies its local coefficients onto its multiples in the segment,
     and p^k into an int32 buffer of smooth parts.  A prime with p^2 at
-    most the segment length does so in strided ops, with the pattern of
-    valuations >= 2 built only where p^2 < R; the rest go together
-    through `_spread_sparse`.  Every n <= N has at most one prime factor
-    q > sqrt(N), so n // smooth[n] is 1 or q, and the int8 lookup of
-    `_local_factors` finishes a and b.  The segment is then checked and
-    prefix-summed with the running totals (`_prefix_segment`).
+    most the segment length does so in strided ops, one per row of a
+    pattern that holds each multiple's factor at its exact valuation;
+    the rest go through `_spread_sparse`.  Every n <= N has at most one
+    prime factor q > sqrt(N), so n // smooth[n] is 1 or q, and the int8
+    lookup of `_local_factors` finishes a and b.  The segment is then
+    checked and prefix-summed with the running totals (`_prefix_segment`).
     Index-divisor refusals from the splitting computation propagate.
     """
     if N < 1:
@@ -365,20 +367,17 @@ def build_tables(field: FieldSpec, N: int) -> CoefficientTable:
             m = max(p, -(-L // p) * p)  # first multiple of p in the segment
             if m >= R:
                 continue
-            if p * p < R:
-                # entry j is the multiple m + j p; it takes column k of coef
-                # for the largest k with p^k dividing it
-                pattern = pattern_buf[:, : (R - 1 - m) // p + 1]
-                pattern[...] = coef[1]
-                step = p * p
-                for k in range(2, len(coef)):
-                    mk = -(-m // step) * step
-                    if mk >= R:
-                        break
-                    pattern[:, (mk - m) // p :: step // p] = coef[k]
-                    step *= p
-            else:
-                pattern = coef[1]
+            # entry j is the multiple m + j p; it takes column k of coef
+            # for the largest k with p^k dividing it
+            pattern = pattern_buf[:, : (R - 1 - m) // p + 1]
+            pattern[...] = coef[1]
+            step = p * p
+            for k in range(2, len(coef)):
+                mk = -(-m // step) * step
+                if mk >= R:
+                    break
+                pattern[:, (mk - m) // p :: step // p] = coef[k]
+                step *= p
             ta, tb, ts = pattern
             smooth[m - L :: p] *= ts
             if not ones:
@@ -472,6 +471,7 @@ def count_rprime_mobius(table: CoefficientTable, x: float, m: int, r: int) -> in
 
 _CACHE_MAGIC = b"RPTABLE1"
 _CACHE_VERSION = 1
+_CACHE_HEADER = struct.Struct("<8sI32sQ")  # magic, version, fingerprint, N: 52 bytes
 
 
 def table_fingerprint(field: FieldSpec) -> bytes:
@@ -486,15 +486,11 @@ def save_table(table: CoefficientTable, path: str) -> None:
     differences are written one segment at a time, so saving holds no
     table-sized copy."""
     with open(path, "wb") as handle:
-        handle.write(_CACHE_MAGIC)
-        handle.write(struct.pack("<I", _CACHE_VERSION))
-        handle.write(table_fingerprint(table.field))
-        handle.write(struct.pack("<Q", table.N))
+        fingerprint = table_fingerprint(table.field)
+        handle.write(_CACHE_HEADER.pack(_CACHE_MAGIC, _CACHE_VERSION, fingerprint, table.N))
         for prefix in (table.I_prefix, table.B_prefix):
             for seg in _segments(table.N):
-                # slot L - 1 is the segment's base; slot 0 has none
-                diff = np.diff(prefix[seg], prepend=prefix[seg.start - 1] if seg.start else 0)
-                handle.write(diff.astype("<i4", copy=False))
+                handle.write(_differences(prefix, seg).astype("<i4", copy=False))
 
 
 def load_table(field: FieldSpec, path: str) -> CoefficientTable:
@@ -503,24 +499,20 @@ def load_table(field: FieldSpec, path: str) -> CoefficientTable:
     0, a >= 0, |b| <= a, I_K(N) < 2^31)."""
     with open(path, "rb") as handle:
         blob = handle.read()
-    header = len(_CACHE_MAGIC) + 4 + 32 + 8
-    if len(blob) < header or blob[: len(_CACHE_MAGIC)] != _CACHE_MAGIC:
+    if len(blob) < _CACHE_HEADER.size or not blob.startswith(_CACHE_MAGIC):
         raise FieldSpecError(f"{path}: not a table cache file")
-    (version,) = struct.unpack_from("<I", blob, len(_CACHE_MAGIC))
+    _, version, fp, N = _CACHE_HEADER.unpack_from(blob)
     if version != _CACHE_VERSION:
         raise FieldSpecError(f"{path}: unsupported cache version {version}")
-    fp = blob[len(_CACHE_MAGIC) + 4 : len(_CACHE_MAGIC) + 4 + 32]
     if fp != table_fingerprint(field):
         raise FieldSpecError(f"{path}: cache fingerprint does not match field {field.name!r}")
-    (N,) = struct.unpack_from("<Q", blob, len(_CACHE_MAGIC) + 4 + 32)
     if not 1 <= N <= MAX_TABLE_N:
         raise FieldSpecError(f"{path}: corrupt cache: N={N} outside [1, {MAX_TABLE_N}]")
-    expected = header + 2 * 4 * (N + 1)
+    expected = _CACHE_HEADER.size + 2 * 4 * (N + 1)
     if len(blob) != expected:
         raise FieldSpecError(f"{path}: truncated cache (have {len(blob)} bytes, want {expected})")
     # views of the blob, read one segment at a time by _finish_table
-    a = np.frombuffer(blob, dtype="<i4", count=N + 1, offset=header)
-    b = np.frombuffer(blob, dtype="<i4", count=N + 1, offset=header + 4 * (N + 1))
+    a, b = np.frombuffer(blob, dtype="<i4", offset=_CACHE_HEADER.size).reshape(2, N + 1)
     if a[0] or b[0]:
         # no ideal has norm 0, and every count reads I_K and B from slot 0 up
         raise FieldSpecError(f"{path}: corrupt cache: norm-0 slot holds a={a[0]}, b={b[0]}")

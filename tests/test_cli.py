@@ -249,6 +249,7 @@ _REQUIRED_ARGS = {
     "count": ("--N", "100", "--x", "10"),
     "vmr": ("--N", "100", "--x", "10", "--m", "2", "--r", "1"),
     "direct": ("--x", "10", "--m", "2", "--r", "1"),
+    "scan": ("--N", "100", "--m", "2", "--r", "1", "--xmin", "2", "--xmax", "10", "--points", "2"),
     "zeta": ("--s", "2"),
 }
 
@@ -266,6 +267,7 @@ _REQUIRED_ARGS = {
         ("direct", "--N", "1000"),
         ("direct", "--tol", "1e-6"),
         ("direct", "--prime-cap", "100"),
+        ("scan", "--tol", "1e-6"),
         ("zeta", "--N", "64"),
     ],
 )

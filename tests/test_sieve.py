@@ -158,8 +158,9 @@ def test_spread_matches_per_prime_reference(fields, name):
 
 
 # segments of 1, 2, 3, 7 and 64 slots put segment ends on and next to
-# every p^2 and p^k boundary of the small sizes, and 10^4 spans many
-@pytest.mark.parametrize("segment", [1, 2, 3, 7, 64])
+# every p^2 and p^k boundary of the small sizes, and 10^4 spans many;
+# 49 slots make 7^2 = R in the first segment, where 7 still goes strided
+@pytest.mark.parametrize("segment", [1, 2, 3, 7, 49, 64])
 @pytest.mark.parametrize("name", ["Q", "Qi", "Qsqrt2", "Qsqrtm5", "cubic", *_MORE_FIELDS])
 def test_spread_matches_per_prime_reference_in_segments(fields, monkeypatch, name, segment):
     monkeypatch.setattr(sieve, "_TABLE_SEGMENT", segment)
@@ -474,6 +475,26 @@ def test_table_cache_rejects_garbage(tmp_path, field_q):
     path = tmp_path / "junk.tab"
     path.write_bytes(b"not a cache at all")
     with pytest.raises(FieldSpecError, match="not a table cache"):
+        load_table(field_q, str(path))
+
+
+def test_table_cache_rejects_other_version(tmp_path, field_q):
+    # bytes 8..11 hold the version, right after the 8-byte magic
+    path = tmp_path / "q.tab"
+    save_table(build_tables(field_q, 10), str(path))
+    blob = bytearray(path.read_bytes())
+    blob[8:12] = (2).to_bytes(4, "little")
+    path.write_bytes(bytes(blob))
+    with pytest.raises(FieldSpecError, match="unsupported cache version 2"):
+        load_table(field_q, str(path))
+
+
+def test_table_cache_rejects_truncated_file(tmp_path, field_q):
+    # a valid header whose payload lacks the last b value
+    path = tmp_path / "q.tab"
+    save_table(build_tables(field_q, 10), str(path))
+    path.write_bytes(path.read_bytes()[:-4])
+    with pytest.raises(FieldSpecError, match="truncated cache"):
         load_table(field_q, str(path))
 
 
