@@ -42,10 +42,11 @@ b (the floor-value grouping of Deleglise and Rivat).  For r = 1 there
 are at most 2 sqrt(x) blocks: the n <= sqrt(x) are read off the floor
 values and the rest end at x // q for each smaller q.  For r >= 2 the
 same pass over n <= x^(1/r) (at most 10^4 at the cap) finds every
-block end.  I_K and B are read at all ends with one fancy index each
-from the table's stored prefix sums.  The products and their sum are
-then one Python-integer term per block, with no overflow bound.  Below
-norm 1 the sum is empty and the count is 0.
+block end.  B is read at all ends with one fancy index.  A block with
+B(n_end) = B(n - 1) adds exactly 0 * I_K(q)^m and is dropped; I_K is
+read and a Python-integer term formed only for the live blocks, with
+no overflow bound, so the counts are those of the full sum.  Below norm
+1 the sum is empty and the count is 0.
 """
 
 from __future__ import annotations
@@ -446,9 +447,10 @@ def count_rprime_mobius(table: CoefficientTable, x: float, m: int, r: int) -> in
 
     Evaluates the Mobius-sum identity aggregated by norm (see the module
     docstring): the block ends and the prefix reads at them are numpy
-    passes, and each block adds one Python-integer term, so the result
-    is exact at every size.  For 0 <= x < 1 there is no block and the
-    count is 0, as for the oracle.
+    passes.  Blocks with B(n_end) = B(n - 1) add exactly 0 and are
+    dropped; each other block adds one Python-integer term, so the
+    result is exact at every size.  For 0 <= x < 1 there is no block and
+    the count is 0, as for the oracle.
     """
     if m < 1 or r < 1:
         raise ValueError(f"need m >= 1 and r >= 1, got m={m}, r={r}")
@@ -460,10 +462,11 @@ def count_rprime_mobius(table: CoefficientTable, x: float, m: int, r: int) -> in
     r = min(r, max(X.bit_length(), 1))
     ends = _block_ends(X, r)
     # |B(n)| <= I_K(n) < 2^31, so the int64 differences of the stored
-    # int32 B_prefix are exact; products are taken in Python ints
-    dB = np.diff(table.B_prefix[ends].astype(np.int64)).tolist()
-    I_q = table.I_prefix[X // ends[1:] ** r].tolist()
-    total = sum(map(mul, dB, map(pow, I_q, repeat(m))))
+    # int32 B_prefix are exact; only blocks with dB != 0 form Python-int terms
+    dB = np.diff(table.B_prefix[ends].astype(np.int64))
+    live = np.flatnonzero(dB)
+    I_q = table.I_prefix[X // ends[live + 1] ** r].tolist()
+    total = sum(map(mul, dB[live].tolist(), map(pow, I_q, repeat(m))))
     if total < 0:
         raise OverflowError("negative tuple count: table corrupt")
     return total

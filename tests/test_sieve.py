@@ -260,10 +260,11 @@ def test_mobius_count_range_checks(table_q_1e4):
 def _mobius_count_reference(table, x, m, r):
     # the identity term by term, one Python-int product per n
     X = int(x)
+    b = table.b  # each access takes all N + 1 differences
     total = 0
     n = 1
     while n**r <= X:
-        total += int(table.b[n]) * int(table.I_prefix[X // n**r]) ** m
+        total += int(b[n]) * int(table.I_prefix[X // n**r]) ** m
         n += 1
     return total
 
@@ -308,6 +309,42 @@ def test_mobius_count_dense_sweep(table_qi_1e4):
                 assert count_rprime_mobius(table_qi_1e4, x, m, r) == _mobius_count_reference(
                     table_qi_1e4, x, m, r
                 ), (x, m, r)
+
+
+def _with_B_prefix(table, B_prefix):
+    # the table's I_K with a synthetic B, to steer which blocks carry weight
+    return CoefficientTable(table.field, table.N, table.I_prefix, B_prefix)
+
+
+def test_mobius_count_with_only_the_first_block_live(table_qi_1e4):
+    # B = 1 from n = 1 on: b = 0 past n = 1, so only the n = 1 block
+    # carries weight and the count is I_K(x)^m
+    B_prefix = np.ones(table_qi_1e4.N + 1, dtype=np.int32)
+    B_prefix[0] = 0
+    table = _with_B_prefix(table_qi_1e4, B_prefix)
+    for x in range(1, table.N + 1):
+        ideals = int(table.I_prefix[x])
+        for m in range(1, 5):
+            for r in range(1, 4):
+                assert count_rprime_mobius(table, x, m, r) == ideals**m, (x, m, r)
+
+
+def test_mobius_count_with_every_block_dead(table_qi_1e4):
+    table = _with_B_prefix(table_qi_1e4, np.zeros(table_qi_1e4.N + 1, dtype=np.int32))
+    for x in (0.5, 1, 2, 17, 361, 2024.9, 10**4):
+        for m in range(1, 5):
+            for r in range(1, 5):
+                assert count_rprime_mobius(table, x, m, r) == 0, (x, m, r)
+
+
+@pytest.mark.parametrize("name", ["Qi", "cubic"])
+def test_mobius_count_matches_reference_where_range_blocks_dominate(fields, name):
+    table = build_tables(fields[name], 2 * 10**5)
+    for x in (199_999, 200_000):
+        for m, r in ((2, 1), (3, 1), (1, 2), (2, 2)):
+            assert count_rprime_mobius(table, x, m, r) == _mobius_count_reference(
+                table, x, m, r
+            ), (name, x, m, r)
 
 
 def _block_ends_reference(X, r):
