@@ -7,8 +7,8 @@ downstream needs only two things: the density constant c, assembled
 from the invariants and from nothing else, and, per rational prime,
 the residue degrees of the prime ideals above it, tabulated by
 `residue_degrees` for the sieve, zeta and the oracle.  `FieldSpec`
-checks d_K against the polynomial discriminant, so the invariants
-cannot describe another field than `poly`.
+checks poly_disc against disc(poly), computed exactly, and d_K against
+poly_disc, so neither can describe another field than `poly`.
 
 No ideal arithmetic happens here: splitting types come from per-prime
 overrides or from the factor degrees of the defining polynomial mod p
@@ -78,6 +78,32 @@ class FieldInvariants:
     d_K: int
 
 
+def poly_discriminant(poly: tuple[int, ...] | list[int]) -> int:
+    """Discriminant (-1)^(n(n-1)/2) Res(f, f') of the monic f = poly
+    (constant term first), exact in Python ints: Bareiss fraction-free
+    elimination of the Sylvester matrix of f and f'."""
+    n = len(poly) - 1
+    f = list(poly[::-1])  # leading coefficient first
+    df = [c * (n - i) for i, c in enumerate(f[:-1])]
+    size = 2 * n - 1
+    M = [[0] * i + f + [0] * (n - 2 - i) for i in range(n - 1)]
+    M += [[0] * i + df + [0] * (n - 1 - i) for i in range(n)]
+    sign, prev = (-1) ** (n * (n - 1) // 2), 1
+    for k in range(size - 1):
+        if M[k][k] == 0:  # swap in a row with a nonzero pivot
+            below = [i for i in range(k + 1, size) if M[i][k]]
+            if not below:
+                return 0
+            M[k], M[below[0]] = M[below[0]], M[k]
+            sign = -sign
+        for i in range(k + 1, size):
+            for j in range(k + 1, size):
+                # exact: each entry is a minor of the Sylvester matrix
+                M[i][j] = (M[i][j] * M[k][k] - M[i][k] * M[k][j]) // prev
+        prev = M[k][k]
+    return sign * M[-1][-1]
+
+
 @dataclass(frozen=True)
 class FieldSpec:
     """A number field given by a monic irreducible integer polynomial.
@@ -87,11 +113,13 @@ class FieldSpec:
     the full ring of integers; when the polynomial discriminant is
     squarefree that assertion is automatic, and otherwise factoring mod
     a prime p with p^2 | poly_disc is refused unless an override is
-    supplied.  Invariants must satisfy poly_disc = k^2 * d_K for an
-    integer k >= 1, the index of the polynomial order; k = 1 is
-    required of a maximal order and in turn proves one.  Instances are
-    immutable and hashable, and every operation on them is a pure
-    function, so they are safe to share across threads.
+    supplied.  poly_disc must equal `poly_discriminant(poly)`, which is
+    nonzero exactly when poly is squarefree.  Invariants must satisfy
+    poly_disc = k^2 * d_K for an integer k >= 1, the index of the
+    polynomial order; k = 1 is required of a maximal order and in turn
+    proves one.  Instances are immutable and hashable, and every
+    operation on them is a pure function, so they are safe to share
+    across threads.
     """
 
     name: str
@@ -108,8 +136,12 @@ class FieldSpec:
             raise FieldSpecError(
                 f"defining polynomial must be monic, leading coefficient {self.poly[-1]}"
             )
-        if self.poly_disc == 0:
-            raise FieldSpecError("polynomial discriminant must be nonzero")
+        disc = poly_discriminant(self.poly)
+        if disc == 0:
+            raise FieldSpecError("defining polynomial is not squarefree: its discriminant is 0")
+        if self.poly_disc != disc:
+            # a wrong poly_disc would pick which primes split per prime
+            raise FieldSpecError(f"poly_disc={self.poly_disc} is not disc(poly)={disc}")
         inv = self.invariants
         if inv is not None:
             if min(inv.r1, inv.r2) < 0 or inv.r1 + 2 * inv.r2 != self.degree:

@@ -1,6 +1,7 @@
 import json
 import math
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,11 +11,12 @@ from rprime import (
     IndexDivisorError,
     build_tables,
     ideal_density_constant,
+    load_field_file,
     parse_field_spec,
     splitting_type,
 )
 from rprime import fields as fields_module
-from rprime.fields import _frobenius_degree_counts, _is_prime, residue_degrees
+from rprime.fields import _frobenius_degree_counts, _is_prime, poly_discriminant, residue_degrees
 from rprime.fields import FieldInvariants, FieldSpec, SplittingType
 from rprime.polygf import factor_degrees, factor_mod_p
 from rprime.sieve import primes_between
@@ -346,14 +348,58 @@ def test_batched_fill_is_exact_just_below_1e8(fields, name):
         assert row == expected, p
 
 
-def test_discriminant_past_int64_splits_primes_exactly(field_cubic):
-    # poly_disc is reduced mod each prime exactly, not through int64; 2 and
-    # 5 then take the per-prime route, which agrees with the batched one
-    scaled = FieldSpec(
-        name="scaled", poly=field_cubic.poly, poly_disc=-23 * 10**20, poly_is_maximal=True
+@pytest.mark.parametrize(
+    "poly, disc",
+    [
+        ((0, 1), 1),
+        ((3, 1), 1),
+        ((1, 0, 1), -4),
+        ((-2, 0, 1), 8),
+        ((5, 0, 1), -20),
+        ((-5, 0, 1), 20),
+        ((-1, -1, 0, 1), -23),
+        ((0, 1, 0, 1), -4),  # x^3 + x: -4 p^3 - 27 q^2 at p = 1, q = 0
+        ((10**7, 10**7, 0, 1), -4 * 10**21 - 27 * 10**14),
+        ((1, 3, -3, -4, 1, 1), 11**4),
+        ((1, 1, 1, 1, 1, 1, 1), -(7**5)),
+        *_MORE_FIELDS.values(),
+    ],
+)
+def test_poly_discriminant_is_exact(poly, disc):
+    assert poly_discriminant(poly) == disc
+
+
+@pytest.mark.parametrize("poly", [(1, 2, 1), (0, 0, 1), (0, 0, 0, 1), (1, 0, 2, 0, 1)])
+def test_spec_refuses_a_polynomial_that_is_not_squarefree(poly):
+    with pytest.raises(FieldSpecError, match="not squarefree"):
+        FieldSpec(name="square", poly=poly, poly_disc=0)
+
+
+def test_spec_refuses_poly_disc_that_is_not_the_discriminant():
+    # x^2 - 5 has disc 20; with poly_disc = 5, 2 would divide no given
+    # discriminant and split as one degree-1 ideal, but 2 is inert in Q(sqrt5)
+    with pytest.raises(FieldSpecError, match=r"poly_disc=5 is not disc\(poly\)=20"):
+        FieldSpec(name="x^2 - 5", poly=(-5, 0, 1), poly_disc=5)
+    with pytest.raises(FieldSpecError, match="disc"):
+        parse_field_spec(_qsqrtm5_doc(poly_disc=-4, d_K=-4))
+
+
+def test_discriminant_past_int64_splits_primes_exactly():
+    # x^3 + 1e7 x + 1e7 has disc -4e21 - 2.7e15, past 2^63, which is reduced
+    # mod each prime exactly, not through int64; 2^2 and 5^2 divide it, so
+    # 2 and 5 go per prime (poly_is_maximal lets them be factored), and every
+    # row must equal the per-prime splitting type
+    big = FieldSpec(
+        name="big",
+        poly=(10**7, 10**7, 0, 1),
+        poly_disc=-4 * 10**21 - 27 * 10**14,
+        poly_is_maximal=True,
     )
+    assert abs(big.poly_disc) >= 2**63 and big.poly_disc % 100 == 0
     primes = primes_between(2, 1999)
-    assert (residue_degrees(scaled, primes) == residue_degrees(field_cubic, primes)).all()
+    degrees = residue_degrees(big, primes)
+    for p, row in zip(primes.tolist(), degrees.tolist()):
+        assert row == _degree_row(big, p), p
 
 
 def test_batched_fill_refuses_primes_past_int64_exact_range(field_cubic):
@@ -431,6 +477,21 @@ def test_degree_one_residue_degrees_are_ones(field_q):
         assert degrees.dtype == np.int8 and degrees.shape == (len(primes), 1)
         assert (degrees == 1).all()
     assert residue_degrees(field_q, primes[:0]).shape == (0, 1)
+
+
+def _spec_files_with_invariants():
+    paths = sorted((Path(__file__).resolve().parent.parent / "fields").glob("*.json"))
+    return [path for path in paths if "invariants" in json.loads(path.read_text())]
+
+
+@pytest.mark.parametrize("path", _spec_files_with_invariants(), ids=lambda path: path.name)
+def test_shipped_invariants_match_ideal_density(path):
+    # a wrong h, R, w or d_K moves I_K(N) / (c N) by a factor of 2 or
+    # more; every shipped spec reads within 1.1e-3 of 1 at N = 1e5
+    field = load_field_file(str(path))
+    N = 10**5
+    observed = int(build_tables(field, N).I_prefix[N]) / (ideal_density_constant(field) * N)
+    assert abs(observed - 1) < 1e-2, observed
 
 
 @pytest.mark.parametrize("name", ["Q", "Qi", "Qsqrt2", "Qsqrtm5"])

@@ -3,6 +3,7 @@ import hashlib
 import math
 import random
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from rprime import (
 )
 from rprime import sieve
 from rprime.fields import residue_degrees
-from rprime.sieve import _block_ends, _finish_table, _integer_root, primes_between
+from rprime.sieve import _block_ends, _integer_root, primes_between
 
 from test_fields import _MORE_FIELDS, _field
 
@@ -211,6 +212,24 @@ def test_build_peak_memory_per_slot(fields, name):
         tracemalloc.stop()
     assert table.N == N
     assert peak <= 11 * N, peak / N
+
+
+@pytest.mark.parametrize("name", ["Q", "Qi", "cubic"])
+def test_load_peak_memory_per_slot(tmp_path, fields, name):
+    # a and b are read into the table's own arrays (8 B/slot) and summed
+    # there; only the check's segment temporaries come on top
+    N = 2 * 10**6
+    path = tmp_path / "t.tab"
+    save_table(build_tables(fields[name], N), str(path))
+    load_table(fields[name], str(path))  # first-call allocations stay out
+    tracemalloc.start()
+    try:
+        table = load_table(fields[name], str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert table.N == N
+    assert peak <= 9 * N, peak / N
 
 
 def test_ideal_count_floor_semantics(table_q_1e4):
@@ -535,6 +554,18 @@ def test_table_cache_rejects_truncated_file(tmp_path, field_q):
         load_table(field_q, str(path))
 
 
+def test_table_cache_rejects_file_that_shrinks_while_read(tmp_path, monkeypatch, field_q):
+    # the size from fstat passes, but the read comes up one b value short:
+    # the items actually read decide
+    path = tmp_path / "q.tab"
+    save_table(build_tables(field_q, 10), str(path))
+    full = path.stat().st_size
+    path.write_bytes(path.read_bytes()[:-4])
+    monkeypatch.setattr(sieve.os, "fstat", lambda fd: SimpleNamespace(st_size=full))
+    with pytest.raises(FieldSpecError, match=r"truncated cache \(have 136 bytes, want 140\)"):
+        load_table(field_q, str(path))
+
+
 def test_tables_are_read_only(table_q_1e4):
     with pytest.raises(ValueError):
         table_q_1e4.a[3] = 99
@@ -565,9 +596,15 @@ def test_prefix_sums_are_int32_read_only_cumsums(tables_all_fields, name):
             prefix[1] = 0
 
 
-def test_finish_table_refuses_ideal_count_past_int32(field_q):
-    b = np.zeros(3, dtype=np.int32)
-    fits = _finish_table(field_q, 2, np.array([0, 2**30, 2**30 - 1], dtype=np.int32), b)
-    assert int(fits.I_prefix[2]) == 2**31 - 1
-    with pytest.raises(OverflowError, match="2147483648"):
-        _finish_table(field_q, 2, np.array([0, 2**30, 2**30], dtype=np.int32), b)
+def test_load_refuses_ideal_count_past_int32(tmp_path, field_q):
+    # a crafted N = 2 cache of Q: a = [0, 2^30, 2^30 - 1] gives I_K(2) =
+    # 2^31 - 1, the largest the int32 prefixes hold; one more is corrupt
+    path = tmp_path / "q.tab"
+    save_table(build_tables(field_q, 2), str(path))
+    head, b = path.read_bytes()[:52], bytes(12)
+    path.write_bytes(head + np.array([0, 2**30, 2**30 - 1], dtype="<i4").tobytes() + b)
+    assert int(load_table(field_q, str(path)).I_prefix[2]) == 2**31 - 1
+    path.write_bytes(head + np.array([0, 2**30, 2**30], dtype="<i4").tobytes() + b)
+    with pytest.raises(FieldSpecError, match="corrupt cache: I_K.* 2147483648") as refused:
+        load_table(field_q, str(path))
+    assert isinstance(refused.value.__cause__, OverflowError)
