@@ -398,7 +398,8 @@ def parse_field_spec(text: str) -> FieldSpec:
     """Parse a JSON field-spec document and validate every invariant.
 
     Recognized keys: name (string), poly (integer array, constant term
-    first), poly_disc (integer), poly_is_maximal (bool, default false),
+    first), poly_disc (integer, default disc(poly); a value that is not
+    disc(poly) is refused), poly_is_maximal (bool, default false),
     invariants (object with exactly the keys r1, r2, h, R, w, d_K),
     overrides (array of {"p": prime, "parts": [[e, f], ...]}).  Any
     other key, at the top level or in an override, is refused.
@@ -413,15 +414,19 @@ def parse_field_spec(text: str) -> FieldSpec:
     try:
         name = doc["name"]
         poly = doc["poly"]
-        poly_disc = doc["poly_disc"]
     except KeyError as exc:
         raise FieldSpecError(f"missing required key {exc.args[0]!r}") from exc
     if not isinstance(name, str):
         raise FieldSpecError("name must be a string")
     if not isinstance(poly, list) or not all(_is_int(c) for c in poly):
         raise FieldSpecError("poly must be an array of integers")
-    if not _is_int(poly_disc):
-        raise FieldSpecError("poly_disc must be an integer")
+    if "poly_disc" in doc:
+        poly_disc = doc["poly_disc"]
+        if not _is_int(poly_disc):
+            raise FieldSpecError("poly_disc must be an integer")
+    else:
+        # FieldSpec refuses a poly of degree < 1 before it reads poly_disc
+        poly_disc = poly_discriminant(poly) if len(poly) >= 2 else 0
     maximal = doc.get("poly_is_maximal", False)
     if not isinstance(maximal, bool):
         raise FieldSpecError("poly_is_maximal must be a boolean")

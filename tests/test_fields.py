@@ -19,7 +19,7 @@ from rprime import fields as fields_module
 from rprime.fields import _frobenius_degree_counts, _is_prime, poly_discriminant, residue_degrees
 from rprime.fields import FieldInvariants, FieldSpec, SplittingType
 from rprime.polygf import factor_degrees, factor_mod_p
-from rprime.sieve import primes_between
+from rprime.sieve import primes_between, table_fingerprint
 
 
 def _primes_upto(n):
@@ -382,6 +382,22 @@ def test_spec_refuses_poly_disc_that_is_not_the_discriminant():
         FieldSpec(name="x^2 - 5", poly=(-5, 0, 1), poly_disc=5)
     with pytest.raises(FieldSpecError, match="disc"):
         parse_field_spec(_qsqrtm5_doc(poly_disc=-4, d_K=-4))
+
+
+@pytest.mark.parametrize(
+    "path",
+    sorted((Path(__file__).resolve().parent.parent / "fields").glob("*.json")),
+    ids=lambda path: path.name,
+)
+def test_poly_disc_key_may_be_left_out(path):
+    # with the key absent the parser derives disc(poly), so the spec and
+    # every cache digest are those of the document that states it
+    doc = json.loads(path.read_text())
+    stated = parse_field_spec(json.dumps(doc))
+    del doc["poly_disc"]
+    derived = parse_field_spec(json.dumps(doc))
+    assert derived == stated
+    assert table_fingerprint(derived) == table_fingerprint(stated)
 
 
 def test_discriminant_past_int64_splits_primes_exactly():

@@ -106,11 +106,13 @@ def test_direct_count_monotone_in_x(field_qi):
 
 
 def test_direct_upto_agrees_with_single_calls(fields):
-    for name in ("Q", "Qsqrtm5"):
+    # one DP, two count types: Python ints at one x, int64 arrays over x
+    for name, X in (("cubic", 400), ("Qi", 150), ("Qsqrtm5", 150)):
         field = fields[name]
-        values = count_rprime_direct_upto(field, 60, 2, 2)
-        for x in (1, 2, 7, 33, 60):
-            assert int(values[x]) == count_rprime_direct(field, x, 2, 2)
+        for m, r in ((1, 1), (1, 2), (2, 1), (3, 1), (3, 2), (4, 2)):
+            values = count_rprime_direct_upto(field, X, m, r)
+            for x in range(X + 1):
+                assert count_rprime_direct(field, x, m, r) == int(values[x]), (name, m, r, x)
 
 
 def test_direct_count_budget_guard(field_q):
@@ -138,6 +140,19 @@ def test_direct_count_step_cell_guard(field_q, no_array_allocation):
     # so the oracle must refuse before it allocates any array.
     with pytest.raises(BudgetExceededError, match="budget"):
         count_rprime_direct(field_q, 30000, 2, 1)
+
+
+@pytest.fixture(scope="module")
+def table_q_1389(field_q):
+    # module scope: built before any function-scoped fixture patches numpy
+    return build_tables(field_q, 1389)
+
+
+def test_single_count_allocates_no_array(field_q, table_q_1389, no_array_allocation):
+    # Q at x = 1389 is at the edge of the step-cell guard (847 surviving
+    # sets); the single count takes one Python int per set, no per-x array
+    want = count_rprime_mobius(table_q_1389, 1389, 2, 1)
+    assert count_rprime_direct(field_q, 1389, 2, 1) == want == 1173939
 
 
 @pytest.mark.parametrize("x, m, r", [(2000, 3, 2), (3000, 4, 3)])
