@@ -252,9 +252,11 @@ def splitting_type(field: FieldSpec, p: int) -> SplittingType:
 
 
 # The batched pass takes the largest power of two <= _LANE_CELLS / n
-# primes at a time (n the degree), so each int64 temporary of 2n rows
-# of lanes is at most 128 KiB; the cubic's 192 KiB products at 4096
-# lanes made the fill's page faults depend on heap layout.
+# primes at a time (n the degree), so each int64 buffer of 2n rows of
+# lanes is at most 128 KiB; the cubic's 192 KiB products at 4096 lanes
+# made the fill's page faults depend on heap layout.  Wider batches
+# would cut numpy calls per prime, but their buffers cost thousands of
+# page faults per fill.
 _LANE_CELLS = 8192
 
 
@@ -268,9 +270,12 @@ def residue_degrees(field: FieldSpec, primes: np.ndarray) -> np.ndarray:
     other prime is not an index divisor, so the degrees of the distinct
     factors of poly mod p are its residue degrees (Dedekind-Kummer), and
     `_frobenius_degree_counts` reads them in one int64 pass over all
-    such primes.  That pass is exact while 2 * degree * p^2 < 2^63,
-    which holds for every p <= 1e8 at any degree below 400; a larger
-    such prime raises ValueError.
+    such primes, a batch of lanes at a time.  A row of a product there
+    sums at most degree products below p^2, and a row is reduced mod p
+    before any fold that its bound says could pass 2^63 - 1, so the pass
+    is exact while 2 * degree * p^2 < 2^63.  That holds for every
+    p <= 1e8 at any degree below 400; a larger such prime raises
+    ValueError.
     """
     primes = np.asarray(primes, dtype=np.int64)
     n = field.degree
@@ -285,17 +290,17 @@ def residue_degrees(field: FieldSpec, primes: np.ndarray) -> np.ndarray:
     for i in np.flatnonzero(per_prime):
         for _, f in splitting_type(field, int(primes[i])).parts:
             degrees[i, f - 1] += 1
-    lanes = np.flatnonzero(~per_prime)
-    top = int(primes[lanes].max()) if len(lanes) else 0
+    top = int(primes.max(initial=0, where=~per_prime))
     if 2 * n * top**2 >= 2**63:
         raise ValueError(
             f"{field.name}: prime {top} is past the int64-exact range of the "
             f"batched residue-degree fill (2 * degree * p^2 < 2^63)"
         )
     chunk = 1 << ((_LANE_CELLS // n).bit_length() - 1)
-    for start in range(0, len(lanes), chunk):
-        rows = lanes[start : start + chunk]
-        degrees[rows] = _frobenius_degree_counts(field.poly, primes[rows])
+    for start in range(0, len(primes), chunk):
+        rows = start + np.flatnonzero(~per_prime[start : start + chunk])
+        if len(rows):
+            degrees[rows] = _frobenius_degree_counts(field.poly, primes[rows])
     return degrees
 
 
@@ -321,45 +326,161 @@ def _frobenius_degree_counts(poly: tuple[int, ...], p: np.ndarray) -> np.ndarray
     residue is the sum itself: tr(Q^k) = sum over d | k of d N_d, and
     N_k = (tr(Q^k) - sum over d | k, d < k of d N_d) / k is peeled off
     as Q^k is formed.  Lanes (one per prime) run along the last axis.
-    No intermediate reaches 2n * p^2.
+
+    x^p takes one squaring per bit of p, times x in the lanes whose p
+    has that bit: a plain shift when every lane has it, a masked one
+    when only some do.  A squaring forms the n(n+1)/2 distinct products
+    in buffers allocated once per call and works in them in place.  Its
+    rows of degree >= n fold through x^n = -sum c_i x^i by the integers
+    -c_i themselves where |c_i| is below every lane's p, else by their
+    residues.  Every entry entering a product is below p, so a product
+    row sums at most n products below p^2; `_fold_schedule` tracks each
+    row's bound from there and reduces a row mod p before a fold only
+    where the fold could carry a row past 2^63 - 1.  The n rows left are
+    reduced once.  A reduced row times a coefficient below p stays below
+    p^2, so under 2n p^2 < 2^63 a schedule exists at every prime: near
+    the edge of that guard it reduces before some folds (before all of
+    them for x^3 + 1e7 x + 1e7), below 1e8 with small coefficients
+    before none.
     """
     n = len(poly) - 1
-    xn = np.stack([-_mod_primes(c, p) % p for c in poly[:-1]])  # x^n mod poly
+    lanes = len(p)
+    top = int(p.max())
+    # x^n = sum_i fold[i] x^i mod (poly, p): -c_i itself where |c_i| is
+    # below every lane's p, else its residue in each lane
+    low = int(p.min())
+    fold = [-c if abs(c) < low else -_mod_primes(c, p) % p for c in poly[:-1]]
+    size = [abs(f) if isinstance(f, int) else top - 1 for f in fold]
+    plan = _fold_schedule(size, top)
+    # (i, multiplier, op): a unit coefficient folds by one add or subtract
+    steps = []
+    for i, f in enumerate(fold):
+        if isinstance(f, int) and abs(f) == 1:
+            steps.append((i, None, np.add if f == 1 else np.subtract))
+        elif size[i]:
+            steps.append((i, f, np.add))
 
-    def mul(a, b, times_x=None):
-        # a * b mod (poly, p), times x in the lanes where times_x holds:
-        # the product rows move up one, then each row of degree >= n,
-        # reduced mod p, folds through x^n = xn; every row takes at most
-        # n products and n folds below p^2 before the one final reduction
-        prod = np.zeros((2 * n, len(p)), np.int64)
-        for i in range(n):
-            prod[i : i + n] += a[i] * b
-        if times_x is not None:
-            shifted = np.concatenate([np.zeros_like(prod[:1]), prod[:-1]])
-            prod = np.where(times_x, shifted, prod)
-        for k in range(2 * n - 1, n - 1, -1):
-            prod[k - n : k] += prod[k] % p * xn
-        return prod[:n] % p
+    w = np.empty((2 * n, lanes), np.int64)  # w[k] holds degree k
+    scratch = np.empty((2 * n, lanes), np.int64)
+    twice = np.empty((n, lanes), np.int64)
+    lane_bit = np.empty(lanes, np.int64)
+
+    def reduce_into(out):
+        # w mod (poly, p) into out
+        for k, cut, early in plan:
+            if cut:
+                np.remainder(w[k], p, out=w[k])
+            for t in early:
+                np.remainder(w[t], p, out=w[t])
+            for i, f, op in steps:
+                row = w[k - n + i]
+                if f is None:
+                    op(row, w[k], out=row)
+                else:
+                    np.multiply(w[k], f, out=scratch[0])
+                    op(row, scratch[0], out=row)
+        np.remainder(w[:n], p, out=out)
 
     # x^p mod poly, left to right over the bits of each lane's p
-    one = np.zeros((n, len(p)), np.int64)
-    one[0] = 1
-    xp = one
-    for bit in range(int(p.max()).bit_length() - 1, -1, -1):
-        xp = mul(xp, xp, (p >> bit) & 1 == 1)
-    columns = [one, xp]
-    while len(columns) < n:
-        columns.append(mul(columns[-1], xp))
-    Q = np.stack(columns, axis=1)
+    xp = np.zeros((n, lanes), np.int64)
+    xp[0] = 1
+    every = int(np.bitwise_and.reduce(p))
+    some = int(np.bitwise_or.reduce(p))
+    for bit in range(top.bit_length() - 1, -1, -1):
+        # xp^2 x^s into w (s = 1 when every lane takes x, a plain shift):
+        # the squares on their own rows, each cross term once, against 2 xp
+        s = every >> bit & 1
+        w[1 - s :: 2] = 0
+        np.multiply(xp, xp, out=w[s::2])
+        np.add(xp, xp, out=twice)
+        for i in range(n - 1):
+            rows = w[s + 2 * i + 1 : s + i + n]
+            np.multiply(xp[i], twice[i + 1 :], out=scratch[: n - 1 - i])
+            np.add(rows, scratch[: n - 1 - i], out=rows)
+        if not s and some >> bit & 1:
+            # row k - 1 moves to row k in the lanes with this bit, where
+            # lane_bit is all ones (0 elsewhere)
+            np.left_shift(p, 63 - bit, out=lane_bit)
+            np.right_shift(lane_bit, 63, out=lane_bit)
+            np.copyto(scratch[0], w[0])
+            np.bitwise_xor(w[:-1], w[1:], out=scratch[1:])
+            np.bitwise_and(scratch, lane_bit, out=scratch)
+            np.bitwise_xor(w, scratch, out=w)
+        reduce_into(xp)
 
-    counts = []  # counts[k - 1] = N_k
+    # column j of Q is x^(jp) = x^((j-1)p) x^p, by all n^2 products;
+    # column 0 is 1
+    columns = [xp]
+    for _ in range(2, n):
+        a = columns[-1]
+        np.multiply(a[0], xp, out=w[:n])
+        w[n:] = 0
+        for i in range(1, n):
+            np.multiply(a[i], xp, out=scratch[:n])
+            np.add(w[i : i + n], scratch[:n], out=w[i : i + n])
+        columns.append(np.empty((n, lanes), np.int64))
+        reduce_into(columns[-1])
+    # the traces over blocks of lanes, so that Q and its powers each stay
+    # within 2 * _LANE_CELLS entries
+    counts = np.empty((lanes, n), np.int64)
+    width = max(1, 2 * _LANE_CELLS // n**2)
+    for lo in range(0, lanes, width):
+        part = slice(lo, lo + width)
+        Q = np.zeros((n, n, len(p[part])), np.int64)
+        Q[0, 0] = 1
+        for j, column in enumerate(columns, 1):
+            Q[:, j] = column[:, part]
+        counts[part] = _peel_traces(Q, p[part])
+    return counts
+
+
+def _fold_schedule(size: list[int], top: int) -> list[tuple[int, bool, list[int]]]:
+    """When to reduce mod p while a product of two residues folds, for
+    primes p <= top, with |coefficient i of x^n| <= size[i].
+
+    Row k of the product, times x or not, sums at most
+    max(m_k, m_(k-1)) products below top^2, m_k the number of pairs
+    i + j = k with i, j < n.  For each row k >= n in folding order,
+    (k, cut, early): cut reduces row k before it folds, only if folding
+    it unreduced could carry a row past 2^63 - 1; early lists the rows
+    it folds into that must be reduced first, since even the reduced
+    fold could.  A bound then runs below 2^63 - 1 at every step,
+    because a reduced row times a size below top stays below top^2.
+    """
+    n = len(size)
+    pairs = [max(0, min(k + 1, 2 * n - 1 - k)) for k in range(-1, 2 * n)]
+    bound = [max(pairs[k], pairs[k + 1]) * (top - 1) ** 2 for k in range(2 * n)]
+    plan = []
+    for k in range(2 * n - 1, n - 1, -1):
+        into = [(k - n + i, a) for i, a in enumerate(size) if a]
+        cut = any(bound[t] + a * bound[k] > 2**63 - 1 for t, a in into)
+        if cut:
+            bound[k] = top - 1
+        early = [t for t, a in into if bound[t] + a * bound[k] > 2**63 - 1]
+        for t, a in into:
+            bound[t] = (top - 1 if t in early else bound[t]) + a * bound[k]
+        plan.append((k, cut, early))
+    return plan
+
+
+def _peel_traces(Q: np.ndarray, p: np.ndarray) -> np.ndarray:
+    # column k - 1 is N_k, from tr(Q^k) for k = 1..n; an entry of a
+    # product of two matrices sums n products below p^2
+    n = len(Q)
+    counts = np.empty((len(p), n), np.int64)
     Qk = Q
     for k in range(1, n + 1):
-        if k > 1:
-            Qk = sum(Qk[:, m, None] * Q[m] for m in range(n)) % p
-        k_N_k = np.trace(Qk) % p - sum(d * counts[d - 1] for d in range(1, k) if k % d == 0)
-        counts.append(k_N_k // k)
-    return np.stack(counts, axis=1)
+        if k == n > 1:
+            # only the diagonal of Q^(n-1) Q
+            trace = (np.einsum("iml,mil->il", Qk, Q) % p).sum(axis=0)
+        else:
+            if k > 1:
+                Qk = np.einsum("iml,mjl->ijl", Qk, Q)
+                Qk %= p
+            trace = np.trace(Qk)
+        k_N_k = trace % p - sum(d * counts[:, d - 1] for d in range(1, k) if k % d == 0)
+        counts[:, k - 1] = k_N_k // k
+    return counts
 
 
 def ideal_density_constant(field: FieldSpec) -> float:

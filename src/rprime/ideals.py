@@ -34,7 +34,8 @@ a single count and its dense form answer or refuse together.
 On a shared 2-core VM, Q at x = 1389 with (m, r) = (2, 1), at the edge
 of the step-cell guard, takes about 0.03 s as a single count and 0.22 s
 in the dense form; the 20 oracle counts of a `tables-cubic` benchmark
-pass take about 0.023 s, 0.018 s of it ideal enumeration.
+pass take about 0.022 s, 0.018 s of it ideal enumeration and 0.010 s
+of that the residue-degree fill of a few hundred primes per count.
 
 A tuple is relatively r-prime exactly when its surviving set is empty,
 so the count is the definition's finite sum over tuples, regrouped; no
@@ -238,7 +239,10 @@ def count_rprime_direct_upto(
     """
     Xi, ideals, sizes = _checked_group_sizes(field, X, m, r)
     groups, total = _cumulative_groups(ideals, Xi, sizes)
-    return _count_tuples(groups, total, m)
+    V = _count_tuples(groups, total, m)
+    # for m = 1, V is a row of the G x (X + 1) count matrix: a copy of the
+    # row lets the matrix go
+    return V if V.base is None else V.copy()
 
 
 def count_rprime_direct(

@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +17,8 @@ from rprime import (
     splitting_type,
 )
 from rprime import fields as fields_module
-from rprime.fields import _frobenius_degree_counts, _is_prime, poly_discriminant, residue_degrees
+from rprime.fields import _fold_schedule, _frobenius_degree_counts, _is_prime
+from rprime.fields import poly_discriminant, residue_degrees
 from rprime.fields import FieldInvariants, FieldSpec, SplittingType
 from rprime.polygf import factor_degrees, factor_mod_p
 from rprime.sieve import primes_between, table_fingerprint
@@ -444,6 +446,117 @@ def test_batched_fill_is_exact_at_the_edge_of_its_guard(field_cubic):
     assert below[-1] == edge
     with pytest.raises(ValueError, match="int64-exact"):
         residue_degrees(field_cubic, np.array([edge, after]))
+
+
+# x^3 + 1e7 x + 1e7: its coefficients pass every prime below 1e7, so
+# there the fill folds by their residues, and above it by 1e7 itself
+_BIG_CUBIC = FieldSpec(
+    name="big cubic",
+    poly=(10**7, 10**7, 0, 1),
+    poly_disc=-4 * 10**21 - 27 * 10**14,
+    poly_is_maximal=True,
+)
+
+
+def _factor_row(field, p):
+    row = [0] * field.degree
+    for _, f in factor_degrees(field.poly, p):
+        row[f - 1] += 1
+    return row
+
+
+def _guard_edge(n):
+    # the largest prime p with 2 n p^2 < 2^63
+    edge = math.isqrt((2**63 - 1) // (2 * n))
+    while not _is_prime(edge):
+        edge -= 1
+    return edge
+
+
+@pytest.mark.parametrize(
+    "name, top",
+    [("big cubic", 10**7), ("big cubic", 10**8), ("qzeta7", 10**8), ("qzeta11plus", 10**8)],
+)
+def test_fold_by_own_coefficients_is_exact_below(name, top):
+    # below 1e7 the big cubic folds by residues up to 1e7, above it by 1e7
+    # itself, and it reduces every row before it folds; Q(zeta7) folds by
+    # six units and Q(zeta11)^+ by coefficients up to 4, reducing no row
+    # before the last n
+    fields_dir = Path(__file__).resolve().parent.parent / "fields"
+    field = _BIG_CUBIC if name == "big cubic" else load_field_file(str(fields_dir / f"{name}.json"))
+    primes = [p for p in range(top - 3000, top) if _is_prime(p)]
+    degrees = residue_degrees(field, np.array(primes))
+    for p, row in zip(primes, degrees.tolist()):
+        assert row == _factor_row(field, p), p
+
+
+def test_big_coefficient_fill_is_exact_at_the_edge_of_its_guard():
+    edge = _guard_edge(3)
+    below = [p for p in range(edge - 2000, edge + 1) if _is_prime(p)]
+    degrees = residue_degrees(_BIG_CUBIC, np.array(below))
+    for p, row in zip(below, degrees.tolist()):
+        assert row == _factor_row(_BIG_CUBIC, p), p
+    assert [cut for _, cut, _ in _fold_schedule([10**7, 10**7, 0], edge)] == [True] * 3
+
+
+def test_fold_schedule_reduces_only_where_a_bound_could_pass_int64():
+    # (row k, reduce row k first, rows reduced before it folds into them)
+    assert _fold_schedule([1, 0], 10**6) == [(3, False, []), (2, False, [])]
+    assert _fold_schedule([1, 1, 0], 10**8) == [(5, False, []), (4, False, []), (3, False, [])]
+    # x^3 - x - 1 at its guard edge: the two top rows still fold unreduced
+    assert _fold_schedule([1, 1, 0], _guard_edge(3)) == [
+        (5, False, []),
+        (4, False, []),
+        (3, True, []),
+    ]
+    # x^2 - 29x - 29 with largest prime 545461393: after row 3 folds
+    # unreduced, row 1 is within 29 p of 2^63 - 1, so it is reduced before
+    # row 2 folds into it
+    assert _fold_schedule([29, 29], 545461393) == [(3, False, []), (2, True, [1])]
+
+
+def test_fill_is_exact_where_a_target_row_is_reduced_first():
+    field = FieldSpec(name="x^2 - 29x - 29", poly=(-29, -29, 1), poly_disc=957)
+    primes = [p for p in range(545461393 - 2000, 545461394) if _is_prime(p)]
+    assert primes[-1] == 545461393
+    degrees = residue_degrees(field, np.array(primes))
+    for p, row in zip(primes, degrees.tolist()):
+        assert row == _factor_row(field, p), p
+
+
+@pytest.mark.parametrize("name", ["Qi", "cubic", "zeta5"])
+def test_batched_fill_is_chunk_invariant(fields, name):
+    # lanes share a squaring, so a prime's row must not depend on its
+    # neighbours: one call over every prime <= 2e5 against one call per
+    # prime, on a sample that includes the primes around 2^17
+    field = _field(fields, name)
+    primes = primes_between(2, 2 * 10**5)
+    degrees = residue_degrees(field, primes)
+    near = np.flatnonzero(abs(primes - 2**17) < 600).tolist()
+    rng = random.Random(f"chunks:{name}")
+    sample = near + rng.sample(range(len(primes)), 200 - len(near))
+    for i in sample:
+        assert residue_degrees(field, primes[i : i + 1]).tolist() == [degrees[i].tolist()], i
+    # in one kernel call across 2^17, bit 17 is in some lanes only (the
+    # masked x-shift); alone, a prime takes x in every lane or none
+    window = primes[abs(primes - 2**17) < 3000]
+    counts = _frobenius_degree_counts(field.poly, window)
+    for p, row in zip(window.tolist(), counts.tolist()):
+        assert row == _frobenius_degree_counts(field.poly, np.array([p])).tolist()[0], p
+
+
+def test_fill_working_set_stays_bounded(field_cubic):
+    # beyond its int8 output the fill of the 78,498 primes below 1e6 holds
+    # one batch's buffers, none above 128 KiB, and the per-prime routing
+    # arrays: 969 KiB measured, 1,669 KiB when each squaring allocated
+    primes = primes_between(2, 10**6)
+    tracemalloc.start()
+    try:
+        degrees = residue_degrees(field_cubic, primes)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - degrees.nbytes < 1152 * 1024
 
 
 def test_traces_separate_degree_patterns_of_equal_factor_count():

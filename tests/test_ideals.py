@@ -115,6 +115,17 @@ def test_direct_upto_agrees_with_single_calls(fields):
                 assert count_rprime_direct(field, x, m, r) == int(values[x]), (name, m, r, x)
 
 
+def test_direct_upto_single_member_owns_its_counts(field_q):
+    # for m = 1 the counts are one row of the G x (X + 1) count matrix
+    # (9,418,640 B for Q at X = 1389); the result must not keep it alive
+    V = count_rprime_direct_upto(field_q, 1389, 1, 1)
+    assert V.base is None or V.base.nbytes == V.nbytes
+    # a single ideal is relatively 1-prime only when no prime divides it:
+    # the unit ideal, of norm 1
+    assert V.tolist() == [0] + [1] * 1389
+    assert count_rprime_direct(field_q, 1389, 1, 1) == 1
+
+
 def test_direct_count_budget_guard(field_q):
     with pytest.raises(BudgetExceededError, match="budget"):
         count_rprime_direct(field_q, 10**4, 3, 1)
