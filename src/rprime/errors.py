@@ -11,9 +11,9 @@ class FieldSpecError(RPrimeError):
 
 class IndexDivisorError(RPrimeError):
     """Splitting requested at a prime where factoring the defining
-    polynomial may misreport the decomposition (p^2 divides the
-    polynomial discriminant, the order is not asserted maximal, and no
-    override is available)."""
+    polynomial misreports the decomposition (p^2 divides the polynomial
+    discriminant, Dedekind's criterion shows p to divide the index of
+    the polynomial order, and no override is available)."""
 
 
 class BudgetExceededError(RPrimeError):

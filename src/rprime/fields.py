@@ -7,15 +7,16 @@ downstream needs only two things: the density constant c, assembled
 from the invariants and from nothing else, and, per rational prime,
 the residue degrees of the prime ideals above it, tabulated by
 `residue_degrees` for the sieve, zeta and the oracle.  `FieldSpec`
-checks poly_disc against disc(poly), computed exactly, and d_K against
-poly_disc, so neither can describe another field than `poly`.
+computes poly_disc = disc(poly) exactly and checks d_K against it, so
+d_K cannot describe another field than `poly`.
 
 No ideal arithmetic happens here: splitting types come from per-prime
 overrides or from the factor degrees of the defining polynomial mod p
 (Dedekind-Kummer), which `polygf.factor_degrees` reads straight off the
-integer coefficients without finding any factor.  The invariants never
-choose a splitting type; a d_K equal to poly_disc only vouches that the
-polynomial order is maximal.  `splitting_type` answers for one prime;
+integer coefficients without finding any factor, trusted at a p with
+p^2 | poly_disc only where Dedekind's criterion (`polygf.is_p_maximal`)
+holds.  The invariants never touch splitting.  `splitting_type`
+answers for one prime;
 `residue_degrees` sends through it only the primes p <= the degree and
 the p with p^2 | poly_disc, where an override or an index-divisor
 refusal can apply, and fills every other prime in one batched int64
@@ -27,12 +28,12 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
 from .errors import FieldSpecError, IndexDivisorError
-from .polygf import factor_degrees
+from .polygf import factor_degrees, is_p_maximal
 
 
 @dataclass(frozen=True)
@@ -109,23 +110,19 @@ class FieldSpec:
     """A number field given by a monic irreducible integer polynomial.
 
     `poly` lists coefficients constant term first with leading
-    coefficient 1.  `poly_is_maximal` asserts the polynomial order is
-    the full ring of integers; when the polynomial discriminant is
-    squarefree that assertion is automatic, and otherwise factoring mod
-    a prime p with p^2 | poly_disc is refused unless an override is
-    supplied.  poly_disc must equal `poly_discriminant(poly)`, which is
-    nonzero exactly when poly is squarefree.  Invariants must satisfy
-    poly_disc = k^2 * d_K for an integer k >= 1, the index of the
-    polynomial order; k = 1 is required of a maximal order and in turn
-    proves one.  Instances are immutable and hashable, and every
-    operation on them is a pure function, so they are safe to share
-    across threads.
+    coefficient 1.  poly_disc is `poly_discriminant(poly)`, computed
+    here, and must be nonzero, i.e. poly squarefree.  Invariants must
+    satisfy poly_disc = k^2 * d_K for an integer k >= 1, the index of
+    the polynomial order, and Dedekind's criterion must show every
+    prime p | k to divide that index.  Overrides are allowed only at
+    primes p with p^2 | poly_disc.  Instances are immutable and
+    hashable, and every operation on them is a pure function, so they
+    are safe to share across threads.
     """
 
     name: str
     poly: tuple[int, ...]
-    poly_disc: int
-    poly_is_maximal: bool = False
+    poly_disc: int = dataclass_field(init=False)
     invariants: FieldInvariants | None = None
     splitting_overrides: tuple[tuple[int, SplittingType], ...] = ()
 
@@ -136,12 +133,9 @@ class FieldSpec:
             raise FieldSpecError(
                 f"defining polynomial must be monic, leading coefficient {self.poly[-1]}"
             )
-        disc = poly_discriminant(self.poly)
-        if disc == 0:
+        object.__setattr__(self, "poly_disc", poly_discriminant(self.poly))
+        if self.poly_disc == 0:
             raise FieldSpecError("defining polynomial is not squarefree: its discriminant is 0")
-        if self.poly_disc != disc:
-            # a wrong poly_disc would pick which primes split per prime
-            raise FieldSpecError(f"poly_disc={self.poly_disc} is not disc(poly)={disc}")
         inv = self.invariants
         if inv is not None:
             if min(inv.r1, inv.r2) < 0 or inv.r1 + 2 * inv.r2 != self.degree:
@@ -155,13 +149,14 @@ class FieldSpec:
             if not 0 < inv.R < math.inf:  # also refuses NaN
                 raise FieldSpecError("regulator R must be finite and positive")
             # poly_disc = k^2 d_K, k the index of Z[x]/(poly) in the ring
-            # of integers
-            k2 = self.poly_disc // inv.d_K if inv.d_K else 0
-            fits = k2 >= 1 and k2 * inv.d_K == self.poly_disc and math.isqrt(k2) ** 2 == k2
-            if not fits or (self.poly_is_maximal and k2 != 1):
+            # of integers, so each prime p | k must fail the criterion
+            k = math.isqrt(max(self.poly_disc // inv.d_K, 0)) if inv.d_K else 0
+            if k * k * inv.d_K != self.poly_disc or any(
+                is_p_maximal(self.poly, p) for p in _prime_factors(k)
+            ):
                 raise FieldSpecError(
                     f"field discriminant d_K={inv.d_K} does not fit poly_disc={self.poly_disc}: "
-                    "need poly_disc = k^2 * d_K for an integer k >= 1, k = 1 for a maximal order"
+                    "need poly_disc = k^2 d_K, k >= 1, each p | k failing Dedekind's criterion"
                 )
         seen = set()
         for p, split in self.splitting_overrides:
@@ -189,19 +184,30 @@ class FieldSpec:
 
     def fingerprint_data(self) -> dict:
         """Everything that determines splitting types and hence tables."""
-        # d_K stays: d_K = poly_disc proves the order maximal, which lets
-        # p^2 | poly_disc be factored, and dropping the key would change
-        # the digest of every cache already written
+        # d_K and a constant maximality flag stay, though neither
+        # chooses a splitting type: dropping a key would change the
+        # digest of every cache already written
         return {
             "poly": list(self.poly),
             "poly_disc": self.poly_disc,
-            "poly_is_maximal": self.poly_is_maximal,
+            "poly_is_maximal": True,
             "d_K": self.invariants.d_K if self.invariants else None,
             "overrides": [
                 [p, [list(part) for part in split.parts]]
                 for p, split in self.splitting_overrides
             ],
         }
+
+
+def _prime_factors(k: int) -> list[int]:
+    factors, d = [], 2
+    while d * d <= k:
+        if k % d == 0:
+            factors.append(d)
+            while k % d == 0:
+                k //= d
+        d += 1
+    return factors + [k] * (k > 1)
 
 
 def _is_prime(n: int) -> bool:
@@ -234,19 +240,17 @@ def splitting_type(field: FieldSpec, p: int) -> SplittingType:
 
     An explicit override wins; otherwise the factor degrees of the
     defining polynomial mod p (Dedekind-Kummer).  That route is refused
-    when p^2 | poly_disc and the order is not known to be maximal
-    (`poly_is_maximal`, or invariants with d_K = poly_disc), because
-    the factorization may misreport splitting at index divisors.
+    when p^2 | poly_disc and Dedekind's criterion shows p to divide the
+    index of the polynomial order, where the factorization misreports
+    the splitting.
     """
     override = field.override_for(p)
     if override is not None:
         return override
-    inv = field.invariants
-    maximal = field.poly_is_maximal or (inv is not None and inv.d_K == field.poly_disc)
-    if field.poly_disc % (p * p) == 0 and not maximal:
+    if field.poly_disc % (p * p) == 0 and not is_p_maximal(field.poly, p):
         raise IndexDivisorError(
             f"{field.name}: cannot trust factorization mod p={p} "
-            f"(p^2 | poly_disc={field.poly_disc}, order not known to be maximal, no override)"
+            f"(p^2 | poly_disc={field.poly_disc}, Dedekind's criterion fails, no override)"
         )
     return SplittingType(tuple(factor_degrees(field.poly, p)))
 
@@ -499,7 +503,7 @@ def ideal_density_constant(field: FieldSpec) -> float:
 
 
 _INVARIANT_KEYS = {"r1", "r2", "h", "R", "w", "d_K"}
-_SPEC_KEYS = {"name", "poly", "poly_disc", "poly_is_maximal", "invariants", "overrides"}
+_SPEC_KEYS = {"name", "poly", "poly_disc", "invariants", "overrides"}
 _OVERRIDE_KEYS = {"p", "parts"}
 
 
@@ -519,9 +523,8 @@ def parse_field_spec(text: str) -> FieldSpec:
     """Parse a JSON field-spec document and validate every invariant.
 
     Recognized keys: name (string), poly (integer array, constant term
-    first), poly_disc (integer, default disc(poly); a value that is not
-    disc(poly) is refused), poly_is_maximal (bool, default false),
-    invariants (object with exactly the keys r1, r2, h, R, w, d_K),
+    first), poly_disc (optional integer; a value that is not disc(poly)
+    is refused), invariants (object with exactly the keys r1, r2, h, R, w, d_K),
     overrides (array of {"p": prime, "parts": [[e, f], ...]}).  Any
     other key, at the top level or in an override, is refused.
     """
@@ -541,16 +544,8 @@ def parse_field_spec(text: str) -> FieldSpec:
         raise FieldSpecError("name must be a string")
     if not isinstance(poly, list) or not all(_is_int(c) for c in poly):
         raise FieldSpecError("poly must be an array of integers")
-    if "poly_disc" in doc:
-        poly_disc = doc["poly_disc"]
-        if not _is_int(poly_disc):
-            raise FieldSpecError("poly_disc must be an integer")
-    else:
-        # FieldSpec refuses a poly of degree < 1 before it reads poly_disc
-        poly_disc = poly_discriminant(poly) if len(poly) >= 2 else 0
-    maximal = doc.get("poly_is_maximal", False)
-    if not isinstance(maximal, bool):
-        raise FieldSpecError("poly_is_maximal must be a boolean")
+    if not _is_int(doc.get("poly_disc", 0)):
+        raise FieldSpecError("poly_disc must be an integer")
 
     invariants = None
     if "invariants" in doc:
@@ -594,14 +589,16 @@ def parse_field_spec(text: str) -> FieldSpec:
             )
         overrides.append((p, SplittingType(tuple((e, f) for e, f in parts))))
 
-    return FieldSpec(
+    spec = FieldSpec(
         name=name,
         poly=tuple(poly),
-        poly_disc=poly_disc,
-        poly_is_maximal=maximal,
         invariants=invariants,
         splitting_overrides=tuple(overrides),
     )
+    if doc.get("poly_disc", spec.poly_disc) != spec.poly_disc:
+        # a wrong poly_disc would describe another field than poly
+        raise FieldSpecError(f"poly_disc={doc['poly_disc']} is not disc(poly)={spec.poly_disc}")
+    return spec
 
 
 def load_field_file(path: str) -> FieldSpec:

@@ -10,6 +10,7 @@ decomposition plus distinct-degree splitting give the sorted
 (multiplicity, degree) pairs without finding any factor.
 `factor_mod_p` adds Cantor-Zassenhaus equal-degree splitting, with a
 fixed seed, to find the factors themselves; no counting path calls it.
+`is_p_maximal` decides by Dedekind's criterion where they may be trusted.
 """
 
 from __future__ import annotations
@@ -228,3 +229,19 @@ def factor_mod_p(
                 factors.append((tuple(irr), mult))
     factors.sort(key=lambda item: (len(item[0]), item[0]))
     return factors
+
+
+def is_p_maximal(poly: list[int] | tuple[int, ...], p: int) -> bool:
+    """Whether p does not divide the index of Z[x]/(poly) in its ring of
+    integers, by Dedekind's criterion (Cohen, GTM 138, Thm 6.1.4): with
+    g the product of the distinct factors of poly mod p and h = poly / g
+    mod p, lifted to [0, p), gcd((g h - poly) / p, h) = 1 mod p (g in
+    the gcd too would change nothing: every factor of h divides g)."""
+    f = _monic_mod_p(poly, p)
+    g = [1]
+    for part, _ in _squarefree_parts(f, p):
+        g = _mul(g, part, p)
+    h = _divmod(f, g, p)[0]
+    # (g h - poly) / p mod p; the first _rem by h drops its top zeros
+    F = [(a - c) % (p * p) // p for a, c in zip(_mul(g, h, p * p), poly)]
+    return _gcd(F, h, p) == [1]

@@ -61,7 +61,7 @@ def test_parse_gaussian_field():
     )
     assert field.degree == 2
     assert ideal_density_constant(field) == pytest.approx(math.pi / 4, rel=1e-12)
-    # d_K = poly_disc proves the order maximal, so 2 may be factored
+    # Z[i] passes Dedekind's criterion at 2, so 2 may be factored
     assert splitting_type(field, 2).parts == ((2, 1),)
 
 
@@ -104,7 +104,6 @@ def _qsqrtm5_doc(**changes):
         "name": "Q(sqrt-5)",
         "poly": [5, 0, 1],
         "poly_disc": -20,
-        "poly_is_maximal": True,
         "invariants": {"r1": 0, "r2": 1, "h": 2, "R": 1.0, "w": 2, "d_K": -20},
     }
     for key, value in changes.items():
@@ -118,11 +117,14 @@ def _qsqrtm5_doc(**changes):
 @pytest.mark.parametrize(
     "changes",
     [
-        {"d_K": -4},  # maximal, d_K != poly_disc: c would be pi, not 1.405
-        {"d_K": -4, "poly_is_maximal": False},  # ratio 5 is no square
-        {"d_K": 20, "poly_is_maximal": False},  # ratio -1 is negative
-        {"d_K": -3, "poly_is_maximal": False},  # d_K does not divide poly_disc
-        {"d_K": 0, "poly_is_maximal": False},
+        {"d_K": -4},  # ratio 5 is no square: c would be pi, not 1.405
+        {"d_K": 20},  # ratio -1 is negative
+        {"d_K": -3},  # d_K does not divide poly_disc
+        {"d_K": 0},
+        # k = 2, but x^2 + 5 passes Dedekind's criterion at 2
+        {"d_K": -5},
+        # Q(i) with k = 2, though Z[i] is 2-maximal: c would be pi/2, not pi/4
+        {"poly": [1, 0, 1], "poly_disc": -4, "h": 1, "w": 4, "d_K": -1},
     ],
 )
 def test_parse_rejects_d_K_that_does_not_fit_poly_disc(changes):
@@ -160,17 +162,19 @@ def _override_at_2(parts):
 @pytest.mark.parametrize(
     "doc, unknown",
     [
-        # a misspelt flag would leave poly_is_maximal false and surface only
-        # as an index-divisor refusal at p = 2 that never names it
+        # a misspelt key would otherwise vanish and leave its default in force
         (
             '{"name": "x", "poly": [1, 0, 1], "poly_disc": -4, "poly_is_maximl": true}',
             "poly_is_maximl",
         ),
+        # Dedekind's criterion decides maximality from poly, so the old flag
+        # is refused rather than trusted
+        (_qsqrtm5_doc(poly_is_maximal=True), "poly_is_maximal"),
         (_qsqrtm5_doc(override=_override_at_2([[2, 1]])), "override"),
         (_qsqrtm5_doc(invariant={}), "invariant"),
         (_qsqrtm5_doc(overrides=[{"p": 2, "parts": [[2, 1]], "part": [[2, 1]]}]), "part"),
     ],
-    ids=["poly_is_maximl", "override", "invariant", "override-entry"],
+    ids=["poly_is_maximl", "poly_is_maximal", "override", "invariant", "override-entry"],
 )
 def test_parse_refuses_unknown_keys(doc, unknown):
     with pytest.raises(FieldSpecError, match=rf"unknown \['{unknown}'\]"):
@@ -219,20 +223,32 @@ def test_splitting_respects_override():
     field = FieldSpec(
         name="forced",
         poly=(1, 0, 1),
-        poly_disc=-4,
         splitting_overrides=((2, SplittingType(((1, 1), (1, 1)))),),
     )
     assert splitting_type(field, 2).parts == ((1, 1), (1, 1))
 
 
 def test_splitting_refuses_index_divisor_without_assertion():
-    # x^2 + 5 with no invariants and no maximality claim: p = 2 divides
-    # the discriminant -20 to the square
-    field = FieldSpec(name="naked", poly=(5, 0, 1), poly_disc=-20)
-    with pytest.raises(IndexDivisorError):
-        splitting_type(field, 2)
-    # odd primes are fine
+    # 2^2 divides disc(x^2 + 5) = -20, but Z[sqrt-5] is 2-maximal, so with
+    # no invariants and no override (x + 1)^2 mod 2 gives 2 ramified
+    field = FieldSpec(name="naked", poly=(5, 0, 1))
+    assert splitting_type(field, 2).parts == ((2, 1),)
     assert splitting_type(field, 3).parts == ((1, 1), (1, 1))
+    # Z[sqrt-3] has index 2 in Z[(1 + sqrt-3)/2]: (x + 1)^2 mod 2 would
+    # call 2 ramified, yet it is inert in Q(sqrt-3)
+    with pytest.raises(IndexDivisorError, match="p=2"):
+        splitting_type(FieldSpec(name="x^2 + 3", poly=(3, 0, 1)), 2)
+    doc = {
+        "name": "x^2 + 3",
+        "poly": [3, 0, 1],
+        "invariants": {"r1": 0, "r2": 1, "h": 1, "R": 1.0, "w": 6, "d_K": -3},
+        "overrides": [{"p": 2, "parts": [[1, 2]]}],
+    }
+    field = parse_field_spec(json.dumps(doc))
+    c = ideal_density_constant(field)
+    assert c == pytest.approx(math.pi / (3 * math.sqrt(3)), rel=1e-12)
+    N = 10**6
+    assert abs(int(build_tables(field, N).I_prefix[N]) / (c * N) - 1) < 1e-3
 
 
 def _x2m5(overrides=()):
@@ -293,7 +309,8 @@ def test_cubic_splitting_matches_full_factorization(field_cubic):
 
 
 # (poly, poly_disc) of fields of degree 3 to 5 whose polynomial order is
-# the full ring of integers; zeta5 and zeta8 have p^2 | poly_disc
+# the full ring of integers; zeta5 and zeta8 have p^2 | poly_disc, where
+# Dedekind's criterion holds
 _MORE_FIELDS = {
     "zeta5": ((1, 1, 1, 1, 1), 125),
     "zeta8": ((1, 0, 0, 0, 1), 256),
@@ -306,8 +323,8 @@ _MORE_FIELDS = {
 def _field(fields, name):
     if name in fields:
         return fields[name]
-    poly, disc = _MORE_FIELDS[name]
-    return FieldSpec(name=name, poly=poly, poly_disc=disc, poly_is_maximal=True)
+    poly, _ = _MORE_FIELDS[name]
+    return FieldSpec(name=name, poly=poly)
 
 
 def _degree_row(field, p):
@@ -374,16 +391,19 @@ def test_poly_discriminant_is_exact(poly, disc):
 @pytest.mark.parametrize("poly", [(1, 2, 1), (0, 0, 1), (0, 0, 0, 1), (1, 0, 2, 0, 1)])
 def test_spec_refuses_a_polynomial_that_is_not_squarefree(poly):
     with pytest.raises(FieldSpecError, match="not squarefree"):
-        FieldSpec(name="square", poly=poly, poly_disc=0)
+        FieldSpec(name="square", poly=poly)
 
 
 def test_spec_refuses_poly_disc_that_is_not_the_discriminant():
-    # x^2 - 5 has disc 20; with poly_disc = 5, 2 would divide no given
-    # discriminant and split as one degree-1 ideal, but 2 is inert in Q(sqrt5)
-    with pytest.raises(FieldSpecError, match=r"poly_disc=5 is not disc\(poly\)=20"):
+    # FieldSpec computes poly_disc itself; a document may state it, and a
+    # stated value that is not disc(poly) is refused with both values
+    with pytest.raises(TypeError):
         FieldSpec(name="x^2 - 5", poly=(-5, 0, 1), poly_disc=5)
-    with pytest.raises(FieldSpecError, match="disc"):
-        parse_field_spec(_qsqrtm5_doc(poly_disc=-4, d_K=-4))
+    doc = {"name": "x^2 - 5", "poly": [-5, 0, 1], "poly_disc": 5}
+    with pytest.raises(FieldSpecError, match=r"poly_disc=5 is not disc\(poly\)=20"):
+        parse_field_spec(json.dumps(doc))
+    with pytest.raises(FieldSpecError, match=r"poly_disc=-4 is not disc\(poly\)=-20"):
+        parse_field_spec(_qsqrtm5_doc(poly_disc=-4))
 
 
 @pytest.mark.parametrize(
@@ -405,18 +425,20 @@ def test_poly_disc_key_may_be_left_out(path):
 def test_discriminant_past_int64_splits_primes_exactly():
     # x^3 + 1e7 x + 1e7 has disc -4e21 - 2.7e15, past 2^63, which is reduced
     # mod each prime exactly, not through int64; 2^2 and 5^2 divide it, so
-    # 2 and 5 go per prime (poly_is_maximal lets them be factored), and every
-    # row must equal the per-prime splitting type
-    big = FieldSpec(
-        name="big",
-        poly=(10**7, 10**7, 0, 1),
-        poly_disc=-4 * 10**21 - 27 * 10**14,
-        poly_is_maximal=True,
-    )
+    # 2 and 5 go per prime, where Dedekind's criterion fails and, with no
+    # override, refuses them; every other row must equal the per-prime
+    # splitting type
+    big = FieldSpec(name="big", poly=(10**7, 10**7, 0, 1))
+    assert big.poly_disc == -4 * 10**21 - 27 * 10**14
     assert abs(big.poly_disc) >= 2**63 and big.poly_disc % 100 == 0
     primes = primes_between(2, 1999)
-    degrees = residue_degrees(big, primes)
-    for p, row in zip(primes.tolist(), degrees.tolist()):
+    with pytest.raises(IndexDivisorError, match="p=2"):
+        residue_degrees(big, primes)
+    with pytest.raises(IndexDivisorError, match="p=5"):
+        residue_degrees(big, primes[primes != 2])
+    others = primes[(primes != 2) & (primes != 5)]
+    degrees = residue_degrees(big, others)
+    for p, row in zip(others.tolist(), degrees.tolist()):
         assert row == _degree_row(big, p), p
 
 
@@ -450,12 +472,7 @@ def test_batched_fill_is_exact_at_the_edge_of_its_guard(field_cubic):
 
 # x^3 + 1e7 x + 1e7: its coefficients pass every prime below 1e7, so
 # there the fill folds by their residues, and above it by 1e7 itself
-_BIG_CUBIC = FieldSpec(
-    name="big cubic",
-    poly=(10**7, 10**7, 0, 1),
-    poly_disc=-4 * 10**21 - 27 * 10**14,
-    poly_is_maximal=True,
-)
+_BIG_CUBIC = FieldSpec(name="big cubic", poly=(10**7, 10**7, 0, 1))
 
 
 def _factor_row(field, p):
@@ -516,7 +533,7 @@ def test_fold_schedule_reduces_only_where_a_bound_could_pass_int64():
 
 
 def test_fill_is_exact_where_a_target_row_is_reduced_first():
-    field = FieldSpec(name="x^2 - 29x - 29", poly=(-29, -29, 1), poly_disc=957)
+    field = FieldSpec(name="x^2 - 29x - 29", poly=(-29, -29, 1))
     primes = [p for p in range(545461393 - 2000, 545461394) if _is_prime(p)]
     assert primes[-1] == 545461393
     degrees = residue_degrees(field, np.array(primes))
@@ -599,7 +616,7 @@ def test_primes_up_to_the_degree_take_the_per_prime_route(monkeypatch):
 
 
 def test_degree_one_residue_degrees_are_ones(field_q):
-    shifted = FieldSpec(name="Q, shifted", poly=(3, 1), poly_disc=1)
+    shifted = FieldSpec(name="Q, shifted", poly=(3, 1))
     primes = primes_between(2, 10**5)
     for field in (field_q, shifted):
         degrees = residue_degrees(field, primes)

@@ -1,8 +1,12 @@
 import itertools
+import math
 import random
+from pathlib import Path
 
 import pytest
 
+from rprime import load_field_file
+from rprime.fields import _is_prime, poly_discriminant
 from rprime.polygf import (
     _divmod,
     _gcd,
@@ -12,6 +16,7 @@ from rprime.polygf import (
     _sub,
     factor_degrees,
     factor_mod_p,
+    is_p_maximal,
 )
 
 X2P1 = [1, 0, 1]  # x^2 + 1
@@ -229,3 +234,123 @@ def test_factor_degrees_match_brute_force():
         for _ in range(150):
             f = _random_monic(rng, p, rng.randrange(1, 7))
             assert factor_degrees(f, p) == _brute_force_degrees(f, p), (f, p)
+
+
+def _fundamental_discriminant(D):
+    # the discriminant of Q(sqrt D), D not a square: D without its square
+    # factors, times 4 unless that is 1 mod 4
+    core = D
+    for q in range(2, math.isqrt(abs(D)) + 1):
+        while core % (q * q) == 0:
+            core //= q * q
+    return core if core % 4 == 1 else 4 * core
+
+
+def test_dedekind_criterion_matches_the_index_of_every_small_quadratic():
+    # x^2 + b x + c with D = b^2 - 4c not a square generates an order of
+    # index k in the ring of integers of Q(sqrt D), D = k^2 d_K, so it is
+    # p-maximal exactly when p does not divide k
+    verdicts = 0
+    for b, c in itertools.product(range(-30, 31), repeat=2):
+        D = b * b - 4 * c
+        if D >= 0 and math.isqrt(D) ** 2 == D:
+            continue  # x^2 + b x + c has a rational root
+        k = math.isqrt(D // _fundamental_discriminant(D))
+        for p in range(2, math.isqrt(abs(D)) + 1):
+            if D % (p * p) == 0 and _is_prime(p):
+                assert is_p_maximal([c, b, 1], p) == (k % p != 0), (b, c, p)
+                verdicts += 1
+    assert verdicts == 2203
+
+
+def _matmul(A, B):
+    return [[sum(a * b for a, b in zip(row, col)) for col in zip(*B)] for row in A]
+
+
+def _integral_over_p(A, p):
+    # whether A / p, A an integer matrix, has a characteristic polynomial
+    # in Z[x]: by Faddeev-LeVerrier, the coefficient c_k of x^(n-k) in
+    # det(x - A) is divisible by p^k for every k
+    n = len(A)
+    M, c = [[0] * n for _ in range(n)], 1
+    for k in range(1, n + 1):
+        M = [[v + c * (i == j) for j, v in enumerate(row)] for i, row in enumerate(_matmul(A, M))]
+        c = -sum(_matmul(A, M)[i][i] for i in range(n)) // k
+        if c % p**k:
+            return False
+    return True
+
+
+def _brute_force_p_maximal(poly, p):
+    # Z[t], t a root of poly, has index prime to p in the ring of integers
+    # exactly when no (a_0 + a_1 t + ... + a_(n-1) t^(n-1)) / p with
+    # 0 <= a_i < p, not all 0, is integral; its multiplication matrix on
+    # 1, t, ..., t^(n-1) is sum a_i T^i / p, T that of t
+    n = len(poly) - 1
+    T = [[int(i == j + 1) for j in range(n - 1)] + [-poly[i]] for i in range(n)]
+    powers = [[[int(i == j) for j in range(n)] for i in range(n)]]
+    for _ in range(n - 1):
+        powers.append(_matmul(T, powers[-1]))
+    for a in itertools.product(range(p), repeat=n):
+        if any(a):
+            A = [[sum(ak * P[i][j] for ak, P in zip(a, powers)) for j in range(n)] for i in range(n)]
+            if _integral_over_p(A, p):
+                return False
+    return True
+
+
+def test_dedekind_criterion_matches_a_search_for_integral_elements_of_small_cubics():
+    # every irreducible x^3 + a x^2 + b x + c with |a|, |b|, |c| <= 5, at
+    # each p <= 7 with p^2 | disc; 49 of these verdicts change if the
+    # gcd leaves out h, where poly mod p = (x - r)^2 (x - s) and F
+    # vanishes at the simple root s only
+    verdicts = 0
+    for a, b, c in itertools.product(range(-5, 6), repeat=3):
+        poly = [c, b, a, 1]
+        if any(sum(co * r**k for k, co in enumerate(poly)) == 0 for r in range(-6, 7)):
+            continue  # an integer root, which divides c
+        disc = poly_discriminant(poly)
+        for p in (2, 3, 5, 7):
+            if disc % (p * p) == 0:
+                assert is_p_maximal(poly, p) == _brute_force_p_maximal(poly, p), (poly, p)
+                verdicts += 1
+    assert verdicts == 572
+
+
+@pytest.mark.parametrize(
+    "poly, p, maximal",
+    [
+        ([1, 0, 1], 2, True),  # Z[i]
+        ([-3, 0, 1], 2, True),  # Z[sqrt3], d_K = 12
+        ([1, 0, 0, 0, 1], 2, True),  # Z[zeta8]
+        ([-2, 0, 0, 1], 2, True),  # Z[2^(1/3)], disc -108 = -2^2 3^3
+        ([-2, 0, 0, 1], 3, True),
+        ([3, 0, 1], 2, False),  # Z[sqrt-3], index 2 in Z[(1 + sqrt-3)/2]
+        ([4, 0, 1], 2, False),  # Z[2i], index 2 in Z[i]
+        ([-5, 0, 1], 2, False),  # Z[sqrt5], index 2 in Z[(1 + sqrt5)/2]
+        ([-10, 0, 0, 1], 3, False),  # 10 = 1 mod 9: (1 + a + a^2)/3 is integral
+    ],
+    ids=["Zi", "Zsqrt3", "x4+1", "x3-2@2", "x3-2@3", "Zsqrt-3", "Z2i", "Zsqrt5", "x3-10@3"],
+)
+def test_dedekind_criterion_pinned_verdicts(poly, p, maximal):
+    assert is_p_maximal(poly, p) is maximal
+
+
+def test_shipped_specs_are_maximal_where_p_squared_divides_poly_disc():
+    fields_dir = Path(__file__).resolve().parent.parent / "fields"
+    checked = []
+    for path in sorted(fields_dir.glob("*.json")):
+        field = load_field_file(str(path))
+        for p in range(2, math.isqrt(abs(field.poly_disc)) + 1):
+            if field.poly_disc % (p * p) == 0 and _is_prime(p):
+                assert is_p_maximal(field.poly, p), (path.name, p)
+                checked.append((path.stem, p))
+    assert checked == [
+        ("cyclic_cubic7", 7),
+        ("gaussian", 2),
+        ("qsqrt2", 2),
+        ("qsqrtm5", 2),
+        ("qzeta11plus", 11),
+        ("qzeta5", 5),
+        ("qzeta7", 7),
+    ]
