@@ -24,6 +24,7 @@ from .analytic import (
     dedekind_zeta_with_cutoff,
     error_term_exponent,
     sittinger_exponent,
+    zeta_route,
 )
 from .errors import RPrimeError
 from .fields import FieldSpec, load_field_file
@@ -71,7 +72,7 @@ def _add_prime_cap(parser: argparse.ArgumentParser) -> None:
         "--prime-cap",
         type=int,
         default=DEFAULT_PRIME_CAP,
-        help="largest prime the zeta Euler product may use",
+        help="largest prime the zeta Euler product may use (fields without conductor)",
     )
 
 
@@ -234,7 +235,16 @@ def _cmd_zeta(field: FieldSpec, args: argparse.Namespace) -> dict:
     value, cutoff, certified = dedekind_zeta_with_cutoff(
         field, args.s, args.tol, prime_cap=args.prime_cap
     )
-    return {"s": args.s, "value": value, "euler_cutoff": cutoff, "certified_error": certified}
+    route = zeta_route(field)
+    # the cutoff is the largest prime on the ladder, the split point on the L route
+    cutoff_key = "euler_cutoff" if route == "euler" else "em_split"
+    return {
+        "s": args.s,
+        "value": value,
+        "route": route,
+        cutoff_key: cutoff,
+        "certified_error": certified,
+    }
 
 
 def _cmd_scan(args: argparse.Namespace) -> None:

@@ -22,10 +22,18 @@ the p with p^2 | poly_disc, where an override or an index-divisor
 refusal can apply, and fills every other prime in one batched int64
 pass that peels the factor-degree counts off the traces of the powers
 of Berlekamp's Frobenius matrix.
+
+An abelian field may also carry its conductor, from which `FieldSpec`
+derives the primitive Dirichlet characters whose L-functions multiply
+to zeta_K, reading the kernel off `residue_degrees`.  The conductor
+chooses no splitting type; it is refused where its characters do not
+reproduce the residue degrees or, with invariants, d_K.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import json
 import math
 from dataclasses import dataclass, field as dataclass_field
@@ -79,6 +87,18 @@ class FieldInvariants:
     d_K: int
 
 
+@dataclass(frozen=True)
+class Character:
+    """A primitive Dirichlet character of conductor f:
+    chi(b) = exp(2 pi i phase[b % f] / order), and phase[b % f] is None
+    where gcd(b, f) > 1.  `order` is a multiple of the character's
+    order, shared by the characters of one field."""
+
+    conductor: int
+    order: int
+    phase: tuple[int | None, ...]
+
+
 def poly_discriminant(poly: tuple[int, ...] | list[int]) -> int:
     """Discriminant (-1)^(n(n-1)/2) Res(f, f') of the monic f = poly
     (constant term first), exact in Python ints: Bareiss fraction-free
@@ -115,9 +135,12 @@ class FieldSpec:
     satisfy poly_disc = k^2 * d_K for an integer k >= 1, the index of
     the polynomial order, and Dedekind's criterion must show every
     prime p | k to divide that index.  Overrides are allowed only at
-    primes p with p^2 | poly_disc.  Instances are immutable and
-    hashable, and every operation on them is a pure function, so they
-    are safe to share across threads.
+    primes p with p^2 | poly_disc.  A conductor, given for an abelian
+    field, must pass `_conductor_characters`, and `characters` holds the
+    primitive characters it yields (the trivial one for degree 1, None
+    for a field of higher degree without a conductor).  Instances are
+    immutable and hashable, and every operation on them is a pure
+    function, so they are safe to share across threads.
     """
 
     name: str
@@ -125,6 +148,10 @@ class FieldSpec:
     poly_disc: int = dataclass_field(init=False)
     invariants: FieldInvariants | None = None
     splitting_overrides: tuple[tuple[int, SplittingType], ...] = ()
+    conductor: int | None = None
+    characters: tuple[Character, ...] | None = dataclass_field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if len(self.poly) < 2:
@@ -171,6 +198,12 @@ class FieldSpec:
                 raise FieldSpecError(
                     f"override at p={p}: sum of e*f is {split.degree_sum}, expected {self.degree}"
                 )
+        characters = None
+        if self.conductor is not None:
+            characters = _conductor_characters(self)
+        elif self.degree == 1:  # Q: the trivial character only
+            characters = (Character(1, 1, (0,)),)
+        object.__setattr__(self, "characters", characters)
 
     @property
     def degree(self) -> int:
@@ -487,6 +520,126 @@ def _peel_traces(Q: np.ndarray, p: np.ndarray) -> np.ndarray:
     return counts
 
 
+# The characters of a conductor are read off the residue degrees at
+# every prime below this bound, and must reproduce them; those primes
+# must meet every unit class mod the conductor.
+_CHARACTER_CHECK_BOUND = 256
+_CHECK_PRIMES = tuple(p for p in range(2, _CHARACTER_CHECK_BOUND) if _is_prime(p))
+
+
+def _unit_basis(q: int) -> list[tuple[int, int]]:
+    """(generator, order) pairs of a basis of (Z/q)^x, one per cyclic
+    factor of each (Z/p^k)^x, each lifted to 1 mod the other factors."""
+    basis = []
+    for p in _prime_factors(q):
+        k = 0
+        while q % p ** (k + 1) == 0:
+            k += 1
+        pk = p**k
+        if p == 2:  # -1 and 5
+            local = [(pk - 1, 2)] * (k >= 2) + [(5, pk // 4)] * (k >= 3)
+        else:  # a primitive root
+            phi = pk - pk // p
+            root = next(
+                g
+                for g in range(2, pk)
+                if g % p and all(pow(g, phi // r, pk) != 1 for r in _prime_factors(phi))
+            )
+            local = [(root, phi)]
+        rest = q // pk
+        for g, order in local:
+            basis.append((g + pk * ((1 - g) * pow(pk, -1, rest) % rest), order))
+    return basis
+
+
+@functools.lru_cache(maxsize=None)
+def _primitive_characters(q: int, kernel: tuple[int, ...]) -> tuple[Character, ...]:
+    """The characters of (Z/q)^x trivial on the classes in `kernel`,
+    each made primitive."""
+    basis = _unit_basis(q)
+    logs = {1 % q: ()}  # unit -> its exponents over the basis
+    for g, order in basis:
+        logs = {a * pow(g, e, q) % q: v + (e,) for a, v in logs.items() for e in range(order)}
+    orders = [order for _, order in basis]
+    D = math.lcm(*orders)
+    divisors = [f for f in range(1, q + 1) if q % f == 0]
+    characters = []
+    for exps in itertools.product(*map(range, orders)):
+        weights = [c * (D // order) for c, order in zip(exps, orders)]
+        phase = {a: sum(map(int.__mul__, weights, v)) % D for a, v in logs.items()}
+        if any(phase[h] for h in kernel):
+            continue
+        # the conductor: the least f | q with chi trivial on the units = 1 mod f
+        f = next(f for f in divisors if not any(phase[a] for a in logs if a % f == 1 % f))
+        primitive: list[int | None] = [None] * f
+        for a in sorted(logs):
+            if primitive[a % f] is None:
+                primitive[a % f] = phase[a]
+        characters.append(Character(f, D, tuple(primitive)))
+    return tuple(characters)
+
+
+def _conductor_characters(field: FieldSpec) -> tuple[Character, ...]:
+    """The primitive characters of the abelian field of conductor q,
+    refused where they do not describe `field`.
+
+    They are the characters of (Z/q)^x trivial on the classes of the
+    primes that split completely (Washington, GTM 83, ch. 3), read off
+    `residue_degrees` at the primes below `_CHARACTER_CHECK_BOUND`,
+    which must meet every unit class mod q.  At each of those primes p,
+    ramified ones included, let X_p be the characters whose conductor p
+    does not divide and f the order of p on X_p; then the residue
+    degrees must be g = |X_p| / f primes of degree f.  The conductors
+    must have lcm q and, with invariants, multiply to |d_K|
+    (conductor-discriminant formula).
+    """
+    q = field.conductor
+    what = f"{field.name}: conductor {q}"
+    if q < 3:
+        raise FieldSpecError(f"{what}: the conductor must be >= 3")
+    if q >= _CHARACTER_CHECK_BOUND:  # fewer primes below the bound than unit classes
+        raise FieldSpecError(f"{what}: the conductor must be below {_CHARACTER_CHECK_BOUND}")
+    if len({p % q for p in _CHECK_PRIMES if q % p}) != sum(math.gcd(a, q) == 1 for a in range(q)):
+        raise FieldSpecError(
+            f"{what}: the primes below {_CHARACTER_CHECK_BOUND} miss a unit class mod {q}"
+        )
+    primes = np.array(_CHECK_PRIMES, dtype=np.int64)
+    degrees = residue_degrees(field, primes)
+    split = (degrees[:, 0] == field.degree) & (q % primes != 0)
+    characters = _primitive_characters(q, tuple(sorted(set((primes[split] % q).tolist()))))
+    # the order of chi(p) per character and prime, 0 where chi ramifies at p
+    orders = np.array(
+        [
+            [
+                0 if (k := chi.phase[p % chi.conductor]) is None
+                else chi.order // math.gcd(chi.order, k)
+                for p in _CHECK_PRIMES
+            ]
+            for chi in characters
+        ]
+    )
+    f = np.lcm.reduce(np.maximum(orders, 1), axis=0)  # the order of p on X_p
+    g = np.count_nonzero(orders, axis=0) // f
+    column = np.minimum(f, field.degree) - 1
+    # each row must hold g at column f - 1 and nothing else
+    wrong = (f > field.degree) | (degrees[np.arange(len(primes)), column] != g)
+    wrong |= degrees.sum(axis=1) != g
+    if wrong.any():
+        i = int(np.argmax(wrong))
+        raise FieldSpecError(
+            f"{what}: its characters give {g[i]} primes of degree {f[i]} above p={primes[i]}, "
+            f"but poly gives the residue-degree counts {degrees[i].tolist()}"
+        )
+    lcm = math.lcm(*(chi.conductor for chi in characters))
+    if lcm != q:
+        raise FieldSpecError(f"{what}: its characters have conductor {lcm}")
+    if field.invariants is not None:
+        product, d_K = math.prod(chi.conductor for chi in characters), field.invariants.d_K
+        if product != abs(d_K):
+            raise FieldSpecError(f"{what}: the conductors multiply to {product}, not |d_K| = {abs(d_K)}")
+    return characters
+
+
 def ideal_density_constant(field: FieldSpec) -> float:
     """Constant c with ideal count I_K(x) ~ c*x, assembled from the
     invariants as 2^r1 (2*pi)^r2 h R / (w sqrt(|d_K|))."""
@@ -503,7 +656,7 @@ def ideal_density_constant(field: FieldSpec) -> float:
 
 
 _INVARIANT_KEYS = {"r1", "r2", "h", "R", "w", "d_K"}
-_SPEC_KEYS = {"name", "poly", "poly_disc", "invariants", "overrides"}
+_SPEC_KEYS = {"name", "poly", "poly_disc", "invariants", "overrides", "conductor"}
 _OVERRIDE_KEYS = {"p", "parts"}
 
 
@@ -525,8 +678,10 @@ def parse_field_spec(text: str) -> FieldSpec:
     Recognized keys: name (string), poly (integer array, constant term
     first), poly_disc (optional integer; a value that is not disc(poly)
     is refused), invariants (object with exactly the keys r1, r2, h, R, w, d_K),
-    overrides (array of {"p": prime, "parts": [[e, f], ...]}).  Any
-    other key, at the top level or in an override, is refused.
+    overrides (array of {"p": prime, "parts": [[e, f], ...]}),
+    conductor (optional integer, for an abelian field; see
+    `FieldSpec`).  Any other key, at the top level or in an override,
+    is refused.
     """
     try:
         doc = json.loads(text)
@@ -589,11 +744,16 @@ def parse_field_spec(text: str) -> FieldSpec:
             )
         overrides.append((p, SplittingType(tuple((e, f) for e, f in parts))))
 
+    conductor = doc.get("conductor")
+    if conductor is not None and not _is_int(conductor):
+        raise FieldSpecError(f"conductor must be an integer, got {conductor!r}")
+
     spec = FieldSpec(
         name=name,
         poly=tuple(poly),
         invariants=invariants,
         splitting_overrides=tuple(overrides),
+        conductor=conductor,
     )
     if doc.get("poly_disc", spec.poly_disc) != spec.poly_disc:
         # a wrong poly_disc would describe another field than poly

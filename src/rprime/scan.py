@@ -90,9 +90,10 @@ def run_error_scan(
     """One ScanRecord per grid point, ascending in x.
 
     The coefficient table is built once (or supplied) and shared by all
-    grid points.  The main terms share one Euler product: each grid
-    point walks the cached cutoff ladder of zeta_K(rm), and only a
-    rung no earlier call reached is computed.
+    grid points.  The main terms share one zeta_K(rm): on the L route
+    it is computed once and cached; on the Euler ladder each grid
+    point walks the cached cutoff ladder, and only a rung no earlier
+    call reached is computed.
     """
     if x_max > table_N:
         raise ValueError(f"x_max={x_max} exceeds the table cap N={table_N}")

@@ -1,5 +1,8 @@
 import math
+import warnings
+from decimal import Decimal
 from fractions import Fraction as F
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -7,6 +10,8 @@ import pytest
 
 import rprime.analytic as analytic
 from rprime import (
+    FieldInvariants,
+    FieldSpec,
     ToleranceError,
     abelian_exponent,
     dedekind_zeta,
@@ -14,6 +19,7 @@ from rprime import (
     error_term_exponent,
     ideal_remainder_exponent,
     is_sharper,
+    load_field_file,
     main_term,
     run_error_scan,
     sittinger_exponent,
@@ -21,6 +27,15 @@ from rprime import (
 from rprime.analytic import ExponentResult
 from rprime.fields import splitting_type
 from rprime.sieve import count_rprime_mobius, prime_segments, primes_between
+
+
+# x^3 - x - 1 takes the Euler ladder: it is not abelian, so it has no
+# characters.  The invariants are those of its table density check.
+_CUBIC_WITH_INVARIANTS = FieldSpec(
+    "cubic x^3-x-1",
+    (-1, -1, 0, 1),
+    invariants=FieldInvariants(r1=1, r2=1, h=1, R=0.2811995744, w=2, d_K=-23),
+)
 
 
 def _riemann_zeta_reference(s: float, terms: int = 10**4) -> float:
@@ -53,11 +68,11 @@ def test_zeta_gaussian_factorizes(field_qi):
     assert dedekind_zeta(field_qi, 2, 1e-6) == pytest.approx(expected, abs=5e-6)
 
 
-def test_zeta_refinement_stable(field_qi):
+def test_zeta_refinement_stable(field_cubic):
     # doubling the certified cutoff moves the value by less than tol
     tol = 1e-5
-    value, cutoff, _ = dedekind_zeta_with_cutoff(field_qi, 2, tol)
-    refined, refined_cutoff, _ = dedekind_zeta_with_cutoff(field_qi, 2, tol / 8)
+    value, cutoff, _ = dedekind_zeta_with_cutoff(field_cubic, 2, tol)
+    refined, refined_cutoff, _ = dedekind_zeta_with_cutoff(field_cubic, 2, tol / 8)
     assert refined_cutoff >= 2 * cutoff
     assert abs(refined - value) < tol
 
@@ -79,9 +94,9 @@ def test_zeta_rejects_nan_before_the_cache(field_q, monkeypatch, strict):
         dedekind_zeta_with_cutoff(field_q, 2, math.nan, strict=strict)
 
 
-def test_zeta_unreachable_tolerance(field_q):
+def test_zeta_unreachable_tolerance(field_cubic):
     with pytest.raises(ToleranceError, match="unreachable"):
-        dedekind_zeta(field_q, 2, 1e-9, prime_cap=10**4)
+        dedekind_zeta(field_cubic, 2, 1e-9, prime_cap=10**4)
 
 
 @pytest.mark.parametrize("cap", [1, 0, -5])
@@ -120,9 +135,9 @@ def test_main_term_at_zero(field_q):
     assert main_term(field_q, 0, 2, 1) == 0.0
 
 
-def test_main_term_warns_when_target_uncertifiable(field_q):
+def test_main_term_warns_when_target_uncertifiable():
     with pytest.warns(UserWarning, match="certified"):
-        main_term(field_q, 10**6, 2, 1, prime_cap=10**5)
+        main_term(_CUBIC_WITH_INVARIANTS, 10**6, 2, 1, prime_cap=10**5)
 
 
 def test_error_term_examples(field_q, table_q_1e4):
@@ -237,10 +252,21 @@ def _sequential_zeta_ladder(field, s, prime_cap):
             for _, f in splitting_type(field, p).parts:
                 product /= 1.0 - p ** (-f * s)
         P = min(hi, prime_cap)
-        tail_log = n * P ** (1.0 - s) / ((s - 1.0) * (1.0 - P ** (-s)))
-        ladder.append((product, P, product * math.expm1(tail_log)))
+        # the Rosser-Schoenfeld prime sum, or the integral where it is smaller
+        prime_sum = P ** (1.0 - s) * min(
+            1.0 / (s - 1.0), (1.25506 * s / (s - 1.0) - 1.0) / math.log(P)
+        )
+        tail_log = n * prime_sum / (1.0 - P ** (-s))
+        # plus float64 rounding: 128 u of the log sum, and 4 u
+        slack = tail_log + 128 * 2.0**-53 * math.log(product) + 4 * 2.0**-53
+        ladder.append((product, P, product * math.expm1(slack)))
         lo, hi = hi + 1, hi * 4
     return ladder
+
+
+def _ladder(field, s, tol, cap, strict=True):
+    # the Euler-product route, also for a field that takes the L route
+    return analytic._euler_zeta(field, float(s), tol, cap, strict)
 
 
 def _assert_triples_close(got, want):
@@ -260,12 +286,14 @@ def test_zeta_ladder_matches_sequential_product(fields, name, s):
     assert [P for _, P, _ in ladder] == cutoffs
     for want in ladder:
         # just above this rung's error, well below the previous rung's
-        got = dedekind_zeta_with_cutoff(field, s, want[2] * (1 + 1e-9), prime_cap=cap)
+        got = _ladder(field, s, want[2] * (1 + 1e-9), cap)
         _assert_triples_close(got, want)
-    got = dedekind_zeta_with_cutoff(field, s, 1e-30, prime_cap=cap, strict=False)
+    got = _ladder(field, s, 1e-30, cap, strict=False)
     _assert_triples_close(got, ladder[-1])
     with pytest.raises(ToleranceError, match="unreachable"):
-        dedekind_zeta_with_cutoff(field, s, 1e-30, prime_cap=cap)
+        _ladder(field, s, 1e-30, cap)
+    if name == "cubic":  # the one field here without characters
+        assert dedekind_zeta_with_cutoff(field, s, 1e-30, prime_cap=cap, strict=False) == got
 
 
 def test_rational_rungs_are_plain_log1p_sums(field_q):
@@ -283,15 +311,15 @@ def test_rational_rungs_are_plain_log1p_sums(field_q):
 def test_zeta_triple_independent_of_cache_order(field_qi):
     cap = 10**6
     analytic._euler_log_sum.cache_clear()
-    cold = dedekind_zeta_with_cutoff(field_qi, 2, 1e-3, prime_cap=cap)
+    cold = _ladder(field_qi, 2, 1e-3, cap)
     analytic._euler_log_sum.cache_clear()
-    dedekind_zeta_with_cutoff(field_qi, 2, 1e-30, prime_cap=cap, strict=False)
-    warm = dedekind_zeta_with_cutoff(field_qi, 2, 1e-3, prime_cap=cap)
+    _ladder(field_qi, 2, 1e-30, cap, strict=False)
+    warm = _ladder(field_qi, 2, 1e-3, cap)
     assert warm == cold
     assert cold[1] < cap
 
 
-def test_scan_sieves_each_rung_once(field_q, monkeypatch):
+def test_scan_sieves_each_rung_once(monkeypatch):
     calls = []
 
     def counting_prime_segments(lo, hi):
@@ -303,7 +331,7 @@ def test_scan_sieves_each_rung_once(field_q, monkeypatch):
     analytic._euler_log_sum.cache_clear()
     with pytest.warns(UserWarning, match="certified"):
         records = run_error_scan(
-            field_q, 2, 1, 2**12, 2**22, 11, 2**22, table=SimpleNamespace(N=2**22)
+            _CUBIC_WITH_INVARIANTS, 2, 1, 2**12, 2**22, 11, 2**22, table=SimpleNamespace(N=2**22)
         )
     assert len(records) == 11
     # every point asks for more than the cap certifies, so each walks all 7
@@ -317,3 +345,135 @@ def test_scan_sieves_each_rung_once(field_q, monkeypatch):
         (1048577, 4194304),
         (4194305, 10**7),
     ]
+
+
+# ------------------------------------------------------------ the L route
+
+_FIELDS_DIR = Path(__file__).resolve().parent.parent / "fields"
+_L_ROUTE_SPECS = [
+    "q", "gaussian", "qsqrt2", "qsqrtm5", "cyclic_cubic7", "qzeta5", "qzeta11plus", "qzeta7",
+]
+# the closed forms to 40 digits (pi by Machin's formula, Catalan's
+# constant by Ramanujan's series), so the certified intervals are
+# checked with no float64 rounding of the exact values
+_ZETA2 = Decimal("1.644934066848226436472415166646025189218949901207")
+_ZETA4 = Decimal("1.082323233711138191516003696541167902774750951919")
+_ZETA2_CATALAN = Decimal("1.506703009922985030886565048182071395985447701813")
+
+
+def _spec(name):
+    return load_field_file(str(_FIELDS_DIR / f"{name}.json"))
+
+
+def _assert_contains(triple, exact):
+    value, _, err = triple
+    assert abs(Decimal(value) - exact) <= Decimal(err), (value, err, exact)
+
+
+def test_zeta_routes():
+    for name in _L_ROUTE_SPECS:
+        assert analytic.zeta_route(_spec(name)) == "L", name
+    assert analytic.zeta_route(_spec("cubic_x3mxm1")) == "euler"
+
+
+@pytest.mark.parametrize(
+    "name, s, exact",
+    [
+        ("q", 2.0, _ZETA2),
+        ("q", 4.0, _ZETA4),
+        ("gaussian", 2.0, _ZETA2_CATALAN),
+    ],
+    ids=["zeta(2)", "zeta(4)", "zeta_Q(i)(2)"],
+)
+def test_l_route_closed_forms(name, s, exact):
+    triple = dedekind_zeta_with_cutoff(_spec(name), s, 1e-14)
+    _assert_contains(triple, exact)
+    assert triple[2] <= 1e-14 * triple[0]
+    assert triple[1] > 0
+
+
+@pytest.mark.parametrize(
+    "field, s, exact",
+    [
+        ("Q", 2.0, _ZETA2),
+        ("Q", 4.0, _ZETA4),
+        ("Qi", 2.0, _ZETA2_CATALAN),
+    ],
+    ids=["zeta(2)", "zeta(4)", "zeta_Q(i)(2)"],
+)
+def test_every_ladder_rung_contains_the_closed_form(fields, field, s, exact):
+    # from 4096 to the default prime cap; past 65536 the rungs of zeta(4)
+    # are held by float64 rounding, not by the tail
+    for k in range(7):
+        P = analytic._rung_cutoff(analytic.DEFAULT_PRIME_CAP, k)
+        triple = _ladder(fields[field], s, 1e-300, P, strict=False)
+        assert triple[1] == P
+        _assert_contains(triple, exact)
+
+
+@pytest.mark.parametrize("s", [2.0, 3.0])
+@pytest.mark.parametrize("name", _L_ROUTE_SPECS)
+def test_l_route_agrees_with_the_ladder(name, s):
+    field = _spec(name)
+    value, split, err = dedekind_zeta_with_cutoff(field, s, 1e-13)
+    ladder_value, _, ladder_err = _ladder(field, s, 1e-300, 10**5, strict=False)
+    assert abs(value - ladder_value) <= err + ladder_err
+    assert split > 0
+
+
+@pytest.mark.parametrize("name", _L_ROUTE_SPECS)
+def test_real_characters_have_positive_l_values(name):
+    real = [
+        chi for chi in _spec(name).characters
+        if all(k is None or 2 * k % chi.order == 0 for k in chi.phase)
+    ]
+    assert real  # the trivial character at least
+    for s in (1.5, 2.0, 3.0):
+        N = analytic._split_point(s)
+        for chi in real:
+            value, err = analytic._l_value(chi, s, N, {})
+            assert value.imag == 0.0
+            assert value.real - err > 0, (chi, s)
+
+
+def test_qzeta7_is_certified_past_the_ladder():
+    value, split, err = dedekind_zeta_with_cutoff(_spec("qzeta7"), 2, 1e-13)
+    assert err <= 1e-13 and split == 16
+
+
+def test_l_route_keeps_strict_and_tol(field_q):
+    value, _, err = dedekind_zeta_with_cutoff(field_q, 2, 1e-30, strict=False)
+    assert 0 < err < 1e-14 and value == math.pi**2 / 6
+    with pytest.raises(ToleranceError, match="unreachable"):
+        dedekind_zeta_with_cutoff(field_q, 2, 1e-30)
+    # the L route reads no prime, so the cap cannot move it
+    assert dedekind_zeta_with_cutoff(field_q, 2, 1e-9, prime_cap=2) == (value, 16, err)
+
+
+def test_l_route_checks_arguments_first(field_qi, monkeypatch):
+    def no_route(*args):
+        raise AssertionError("a bad argument reached the L route")
+
+    monkeypatch.setattr(analytic, "_l_function_zeta", no_route)
+    for s, tol, cap in ((1.0, 1e-6, 10), (math.nan, 1e-6, 10), (2, 0.0, 10), (2, 1e-6, 1)):
+        with pytest.raises(ValueError):
+            dedekind_zeta_with_cutoff(field_qi, s, tol, prime_cap=cap)
+
+
+@pytest.mark.parametrize("s", [1.0001, 20.0, 1e6, 1e300, math.inf])
+def test_l_route_far_from_two(field_q, s):
+    value, split, err = dedekind_zeta_with_cutoff(field_q, s, 1.0)
+    assert split > 0 and err <= 1e-14 * value
+    if s == 1.0001:  # zeta(s) = 1/(s-1) + Euler's gamma + O(s-1)
+        assert value == pytest.approx(1e4 + 0.5772156649, abs=1e-4)
+    else:
+        assert 1.0 <= value <= 1 + 2.0**-s * 1.01
+
+
+def test_scan_q_main_terms_are_certified(field_q):
+    # the benchmark's scan grid: every main term to within 0.5, no warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for x in (2**12, 2**17, 2**22):
+            main = main_term(field_q, x, 2, 1)
+            assert abs(main - x * x / (math.pi**2 / 6)) <= 1e-14 * main

@@ -13,6 +13,7 @@ from rprime.scan import fit_slope
 FIELDS = Path(__file__).resolve().parent.parent / "fields"
 Q = str(FIELDS / "q.json")
 QI = str(FIELDS / "gaussian.json")
+CUBIC = str(FIELDS / "cubic_x3mxm1.json")
 
 
 def run(capsys, *argv):
@@ -107,9 +108,31 @@ def test_zeta_command(capsys):
 
 
 def test_zeta_default_tol_unreachable_is_diagnosed(capsys):
-    code, _, err = run(capsys, "zeta", "--field", Q, "--s", "2", "--prime-cap", "100000")
+    # x^3 - x - 1 has no conductor, so it takes the Euler ladder
+    code, _, err = run(capsys, "zeta", "--field", CUBIC, "--s", "2", "--prime-cap", "100000")
     assert code == 1
     assert "unreachable" in err
+
+
+@pytest.mark.parametrize(
+    "path, args, route",
+    [
+        (Q, ("--tol", "1e-13"), "L"),
+        (QI, ("--tol", "1e-13"), "L"),
+        (CUBIC, ("--tol", "1e-4", "--prime-cap", "1000000"), "euler"),
+    ],
+    ids=["Q", "Qi", "cubic"],
+)
+def test_zeta_json_names_the_route(capsys, path, args, route):
+    code, out, _ = run(capsys, "zeta", "--field", path, "--s", "2", *args, "--format", "json")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["route"] == route
+    # the ladder's largest prime, or the L route's Euler-Maclaurin split point
+    keys = ["euler_cutoff", "em_split"]
+    cutoff_key, other = keys if route == "euler" else keys[::-1]
+    assert doc[cutoff_key] > 0 and other not in doc
+    assert doc["certified_error"] <= float(args[1])
 
 
 @pytest.mark.parametrize("cap", ["1", "0", "-5"])

@@ -671,3 +671,159 @@ def test_density_constant_real_quadratic(fields):
 def test_density_constant_requires_data(field_cubic):
     with pytest.raises(FieldSpecError, match="invariants"):
         ideal_density_constant(field_cubic)
+
+
+# ------------------------------------------------------------ conductors
+
+_FIELDS_DIR = Path(__file__).resolve().parent.parent / "fields"
+# the conductor each abelian spec ships, and the classes mod it of the
+# primes that split completely (derived from residue_degrees at the
+# primes up to 5000)
+_SHIPPED_CONDUCTORS = {
+    "gaussian": (4, [1]),
+    "qsqrt2": (8, [1, 7]),
+    "qsqrtm5": (20, [1, 3, 7, 9]),
+    "cyclic_cubic7": (7, [1, 6]),
+    "qzeta5": (5, [1]),
+    "qzeta11plus": (11, [1, 10]),
+    "qzeta7": (7, [1]),
+}
+
+
+def _with(path, **changes):
+    doc = json.loads((_FIELDS_DIR / path).read_text())
+    doc.update(changes)
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize("name", sorted(_SHIPPED_CONDUCTORS))
+def test_shipped_conductors(name):
+    field = load_field_file(str(_FIELDS_DIR / f"{name}.json"))
+    conductor, kernel = _SHIPPED_CONDUCTORS[name]
+    assert field.conductor == conductor
+    characters = field.characters
+    assert len(characters) == field.degree
+    # the characters are those trivial on exactly the split classes
+    trivial_on = [
+        a for a in range(1, conductor)
+        if math.gcd(a, conductor) == 1
+        and all(chi.phase[a % chi.conductor] == 0 for chi in characters)
+    ]
+    assert trivial_on == kernel
+    # conductor-discriminant formula
+    assert math.prod(chi.conductor for chi in characters) == abs(field.invariants.d_K)
+    # the conductor is derived data: every table digest holds without it
+    doc = json.loads((_FIELDS_DIR / f"{name}.json").read_text())
+    del doc["conductor"]
+    bare = parse_field_spec(json.dumps(doc))
+    assert bare.conductor is None and bare.characters is None
+    assert table_fingerprint(bare) == table_fingerprint(field)
+
+
+def test_characters_split_primes_by_their_values():
+    # p splits completely exactly when every character is 1 at p
+    field = load_field_file(str(_FIELDS_DIR / "qzeta7.json"))
+    primes = primes_between(8, 2000)
+    degrees = residue_degrees(field, primes)
+    for p, row in zip(primes.tolist(), degrees.tolist()):
+        split = all(chi.phase[p % chi.conductor] == 0 for chi in field.characters)
+        assert split == (row[0] == 6) == (p % 7 == 1)
+
+
+def test_degree_one_has_the_trivial_character(field_q):
+    (chi,) = field_q.characters
+    assert (chi.conductor, chi.phase) == (1, (0,))
+    assert load_field_file(str(_FIELDS_DIR / "cubic_x3mxm1.json")).characters is None
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        # Q(sqrt5)'s conductor: 3 splits in Q(sqrt-5), where the
+        # characters mod 5 see one prime of degree 1
+        (_with("qsqrtm5.json", conductor=5), r"1 primes of degree 1 above p=3.*\[2, 0\]"),
+        # x^3 - x - 1 is not abelian: the split classes mod 23 make 2
+        # split, where the cubic keeps 2 inert
+        (_with("cubic_x3mxm1.json", conductor=23), r"2 primes of degree 1 above p=2.*\[0, 0, 1\]"),
+        (_with("gaussian.json", conductor=3), "residue-degree"),
+        # 5 splits in Q(i), but its class mod the conductor 5 is no unit
+        (_with("gaussian.json", conductor=5), r"1 primes of degree 1 above p=3"),
+        # a multiple of the conductor gives the same characters
+        (_with("qsqrtm5.json", conductor=40), "characters have conductor 20"),
+        (_with("qzeta7.json", conductor=14), "characters have conductor 7"),
+        (_with("q.json", conductor=4), "characters have conductor 1"),
+        (_with("gaussian.json", conductor=2), ">= 3"),
+        (_with("gaussian.json", conductor=256), "below 256"),
+        # the 54 primes below 256 cannot meet the 80 unit classes mod 200
+        (_with("gaussian.json", conductor=200), "miss a unit class"),
+        # a wrong d_K that poly_disc = k^2 d_K cannot see (k = 1), with the
+        # splitting at the index divisor 2 given by an override
+        (
+            _with(
+                "gaussian.json",
+                name="x^2+4",
+                poly=[4, 0, 1],
+                poly_disc=-16,
+                invariants={"r1": 0, "r2": 1, "h": 1, "R": 1.0, "w": 4, "d_K": -16},
+                overrides=[{"p": 2, "parts": [[2, 1]]}],
+            ),
+            r"multiply to 4, not \|d_K\| = 16",
+        ),
+        (_with("gaussian.json", conductor="4"), "must be an integer"),
+        (_with("gaussian.json", conductor=True), "must be an integer"),
+        (_with("gaussian.json", conductor=[4]), "must be an integer"),
+    ],
+    ids=[
+        "qsqrtm5-conductor-5",
+        "cubic-not-abelian",
+        "gaussian-conductor-3",
+        "gaussian-conductor-5",
+        "qsqrtm5-multiple",
+        "qzeta7-multiple",
+        "q-conductor-4",
+        "conductor-2",
+        "conductor-too-large",
+        "classes-unchecked",
+        "conductor-product",
+        "str",
+        "bool",
+        "array",
+    ],
+)
+def test_conductor_refused(doc, message):
+    with pytest.raises(FieldSpecError, match=message):
+        parse_field_spec(doc)
+
+
+def test_conductor_without_invariants_is_checked_against_poly():
+    doc = json.loads(_with("gaussian.json"))
+    del doc["invariants"]
+    field = parse_field_spec(json.dumps(doc))
+    assert sorted(chi.conductor for chi in field.characters) == [1, 4]
+    doc["conductor"] = 5
+    with pytest.raises(FieldSpecError, match="residue-degree"):
+        parse_field_spec(json.dumps(doc))
+
+
+def test_unit_characters_and_their_conductors():
+    # all characters mod q: phi(q) of them, and the primitive ones number
+    # sum over d | q of mu(q / d) phi(d)
+    def phi(n):
+        return sum(math.gcd(a, n) == 1 for a in range(1, n + 1))
+
+    def mu(n):
+        factors = fields_module._prime_factors(n)
+        return 0 if any(n % (p * p) == 0 for p in factors) else (-1) ** len(factors)
+
+    for q in range(3, 61):
+        basis = fields_module._unit_basis(q)
+        assert math.prod(order for _, order in basis) == phi(q)
+        assert all(pow(g, order, q) == 1 for g, order in basis)
+        generated = {1}
+        for g, order in basis:
+            generated = {a * pow(g, e, q) % q for a in generated for e in range(order)}
+        assert len(generated) == phi(q)
+        characters = fields_module._primitive_characters(q, (1,))
+        assert len(characters) == phi(q)
+        primitive = sum(mu(q // d) * phi(d) for d in range(1, q + 1) if q % d == 0)
+        assert sum(chi.conductor == q for chi in characters) == primitive, q
