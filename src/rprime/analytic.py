@@ -4,15 +4,15 @@ The zeta function of the field takes one of two routes, chosen by
 `zeta_route`.
 
 The L route serves every field with characters: Q, and each abelian
-field whose spec gives its conductor.  There zeta_K(s) is the
-product of L(s, chi) over the field's primitive characters chi
-(Washington, GTM 83, ch. 4), and L(s, chi) = sum over b mod f of
-chi(b) f^-s zeta(s, b/f), f the conductor of chi.  Each Hurwitz value
-comes from the Euler-Maclaurin formula with a rigorous remainder
-(Johansson, Numer. Algorithms 69, 2015), and the certified error covers
-that remainder and every float64 rounding on the way: at s = 2 it is
-below 2e-14 of the value on every shipped spec, and the split point
-is 16.
+field of conductor below 256, whose characters `FieldSpec` derives
+from `poly`.  There zeta_K(s) is the product of L(s, chi) over the
+field's primitive characters chi (Washington, GTM 83, ch. 4), and
+L(s, chi) = sum over b mod f of chi(b) f^-s zeta(s, b/f), f the
+conductor of chi.  Each Hurwitz value comes from the Euler-Maclaurin
+formula with a rigorous remainder (Johansson, Numer. Algorithms 69,
+2015), and the certified error covers that remainder and every float64
+rounding on the way: at s = 2 it is below 2e-14 of the value on every
+shipped spec, and the split point is 16.
 
 The ladder serves every other field.  It is a truncated Euler product
 over rational primes, the local factor at p read off the residue
@@ -104,10 +104,9 @@ def _tail_log_bound(n: int, s: float, P: int) -> float:
     return n * prime_sum / (1.0 - P ** (-s))
 
 
-def _euler_zeta(
-    field: FieldSpec, s: float, tol: float, prime_cap: int, strict: bool
-) -> tuple[float, int, float]:
-    """The ladder route: Euler product, cutoff P, certified error.
+def _euler_zeta(field: FieldSpec, s: float, tol: float, prime_cap: int) -> tuple[float, int, float]:
+    """The ladder route: Euler product, cutoff P, certified error, at the
+    first rung that certifies tol or else at the prime cap.
 
     Besides the tail, the error covers float64 rounding: each log
     factor is within 6u (u = 2^-53) and the sums add at most 122u of
@@ -122,15 +121,8 @@ def _euler_zeta(
         value = math.exp(log_sum)
         slack = _tail_log_bound(field.degree, s, P) + 128.0 * _U * log_sum + 4.0 * _U
         err = value * math.expm1(slack)
-        if err <= tol:
+        if err <= tol or P >= prime_cap:
             return value, P, err
-        if P >= prime_cap:
-            if strict:
-                raise ToleranceError(
-                    f"zeta tolerance {tol} unreachable: primes up to {prime_cap} "
-                    f"certify only {err:.3e}"
-                )
-            return value, P, err  # best effort; callers check the bound
         k += 1
 
 
@@ -247,7 +239,7 @@ def _l_function_zeta(field: FieldSpec, s: float) -> tuple[float, int, float]:
 
 def zeta_route(field: FieldSpec) -> str:
     """The zeta route of the field: "L" where it has characters (Q, or
-    an abelian field whose spec gives its conductor), else "euler"."""
+    an abelian field of conductor below 256), else "euler"."""
     return "euler" if field.characters is None else "L"
 
 
@@ -276,14 +268,16 @@ def dedekind_zeta_with_cutoff(
     if prime_cap < 2:
         raise ValueError(f"prime cap must be >= 2, got {prime_cap}")
     s, prime_cap = float(s), int(prime_cap)
-    if zeta_route(field) == "euler":
-        return _euler_zeta(field, s, tol, prime_cap, strict)
-    value, N, err = _l_function_zeta(field, s)
+    route = zeta_route(field)
+    if route == "euler":
+        value, cutoff, err = _euler_zeta(field, s, tol, prime_cap)
+    else:
+        value, cutoff, err = _l_function_zeta(field, s)
     if strict and not err <= tol:
         raise ToleranceError(
-            f"zeta tolerance {tol} unreachable: the L-functions certify only {err:.3e} in float64"
+            f"zeta tolerance {tol} unreachable: the {route} route certifies only {err:.3e}"
         )
-    return value, N, err
+    return value, cutoff, err
 
 
 def dedekind_zeta(

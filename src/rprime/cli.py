@@ -72,7 +72,7 @@ def _add_prime_cap(parser: argparse.ArgumentParser) -> None:
         "--prime-cap",
         type=int,
         default=DEFAULT_PRIME_CAP,
-        help="largest prime the zeta Euler product may use (fields without conductor)",
+        help="largest prime the zeta Euler product may use (fields on the euler route)",
     )
 
 

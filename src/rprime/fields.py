@@ -23,11 +23,12 @@ refusal can apply, and fills every other prime in one batched int64
 pass that peels the factor-degree counts off the traces of the powers
 of Berlekamp's Frobenius matrix.
 
-An abelian field may also carry its conductor, from which `FieldSpec`
-derives the primitive Dirichlet characters whose L-functions multiply
-to zeta_K, reading the kernel off `residue_degrees`.  The conductor
-chooses no splitting type; it is refused where its characters do not
-reproduce the residue degrees or, with invariants, d_K.
+For an abelian field of conductor below 256, `FieldSpec` also derives
+from `residue_degrees` alone the primitive Dirichlet characters whose
+L-functions multiply to zeta_K: the conductor is the least q whose
+prime factors are the ramified primes and whose characters reproduce
+the residue degrees.  The characters choose no splitting type; with
+invariants, their conductors must multiply to |d_K|.
 """
 
 from __future__ import annotations
@@ -135,10 +136,11 @@ class FieldSpec:
     satisfy poly_disc = k^2 * d_K for an integer k >= 1, the index of
     the polynomial order, and Dedekind's criterion must show every
     prime p | k to divide that index.  Overrides are allowed only at
-    primes p with p^2 | poly_disc.  A conductor, given for an abelian
-    field, must pass `_conductor_characters`, and `characters` holds the
-    primitive characters it yields (the trivial one for degree 1, None
-    for a field of higher degree without a conductor).  Instances are
+    primes p with p^2 | poly_disc.  `characters` holds the primitive
+    characters of the field: the trivial one for degree 1, those that
+    `_abelian_characters` derives for a field of higher degree, or None
+    where it finds none.  With invariants, their conductors must
+    multiply to |d_K| (conductor-discriminant formula).  Instances are
     immutable and hashable, and every operation on them is a pure
     function, so they are safe to share across threads.
     """
@@ -148,7 +150,6 @@ class FieldSpec:
     poly_disc: int = dataclass_field(init=False)
     invariants: FieldInvariants | None = None
     splitting_overrides: tuple[tuple[int, SplittingType], ...] = ()
-    conductor: int | None = None
     characters: tuple[Character, ...] | None = dataclass_field(
         init=False, repr=False, compare=False
     )
@@ -198,11 +199,15 @@ class FieldSpec:
                 raise FieldSpecError(
                     f"override at p={p}: sum of e*f is {split.degree_sum}, expected {self.degree}"
                 )
-        characters = None
-        if self.conductor is not None:
-            characters = _conductor_characters(self)
-        elif self.degree == 1:  # Q: the trivial character only
-            characters = (Character(1, 1, (0,)),)
+        # Q: the trivial character only
+        characters = (Character(1, 1, (0,)),) if self.degree == 1 else _abelian_characters(self)
+        if characters is not None and inv is not None:
+            product = math.prod(chi.conductor for chi in characters)
+            if product != abs(inv.d_K):
+                raise FieldSpecError(
+                    f"{self.name}: the conductors of its characters multiply to {product}, "
+                    f"not |d_K| = {abs(inv.d_K)}"
+                )
         object.__setattr__(self, "characters", characters)
 
     @property
@@ -520,9 +525,9 @@ def _peel_traces(Q: np.ndarray, p: np.ndarray) -> np.ndarray:
     return counts
 
 
-# The characters of a conductor are read off the residue degrees at
-# every prime below this bound, and must reproduce them; those primes
-# must meet every unit class mod the conductor.
+# The characters of a candidate conductor are read off the residue
+# degrees at every prime below this bound, and must reproduce them;
+# those primes must meet every unit class mod the conductor.
 _CHARACTER_CHECK_BOUND = 256
 _CHECK_PRIMES = tuple(p for p in range(2, _CHARACTER_CHECK_BOUND) if _is_prime(p))
 
@@ -579,33 +584,23 @@ def _primitive_characters(q: int, kernel: tuple[int, ...]) -> tuple[Character, .
     return tuple(characters)
 
 
-def _conductor_characters(field: FieldSpec) -> tuple[Character, ...]:
-    """The primitive characters of the abelian field of conductor q,
-    refused where they do not describe `field`.
+def _characters_mod(q: int, degrees: np.ndarray) -> tuple[Character, ...] | None:
+    """The primitive characters of the abelian field of conductor q whose
+    residue degrees at `_CHECK_PRIMES` are `degrees`, or None where q
+    cannot be its conductor.
 
     They are the characters of (Z/q)^x trivial on the classes of the
-    primes that split completely (Washington, GTM 83, ch. 3), read off
-    `residue_degrees` at the primes below `_CHARACTER_CHECK_BOUND`,
-    which must meet every unit class mod q.  At each of those primes p,
-    ramified ones included, let X_p be the characters whose conductor p
-    does not divide and f the order of p on X_p; then the residue
-    degrees must be g = |X_p| / f primes of degree f.  The conductors
-    must have lcm q and, with invariants, multiply to |d_K|
-    (conductor-discriminant formula).
+    primes that split completely (Washington, GTM 83, ch. 3), which must
+    meet every unit class mod q.  At each prime p, ramified ones
+    included, let X_p be the characters whose conductor p does not
+    divide and f the order of p on X_p; then the residue degrees must be
+    g = |X_p| / f primes of degree f.  The conductors must have lcm q.
     """
-    q = field.conductor
-    what = f"{field.name}: conductor {q}"
-    if q < 3:
-        raise FieldSpecError(f"{what}: the conductor must be >= 3")
-    if q >= _CHARACTER_CHECK_BOUND:  # fewer primes below the bound than unit classes
-        raise FieldSpecError(f"{what}: the conductor must be below {_CHARACTER_CHECK_BOUND}")
     if len({p % q for p in _CHECK_PRIMES if q % p}) != sum(math.gcd(a, q) == 1 for a in range(q)):
-        raise FieldSpecError(
-            f"{what}: the primes below {_CHARACTER_CHECK_BOUND} miss a unit class mod {q}"
-        )
+        return None
+    n = degrees.shape[1]
     primes = np.array(_CHECK_PRIMES, dtype=np.int64)
-    degrees = residue_degrees(field, primes)
-    split = (degrees[:, 0] == field.degree) & (q % primes != 0)
+    split = (degrees[:, 0] == n) & (q % primes != 0)
     characters = _primitive_characters(q, tuple(sorted(set((primes[split] % q).tolist()))))
     # the order of chi(p) per character and prime, 0 where chi ramifies at p
     orders = np.array(
@@ -620,24 +615,43 @@ def _conductor_characters(field: FieldSpec) -> tuple[Character, ...]:
     )
     f = np.lcm.reduce(np.maximum(orders, 1), axis=0)  # the order of p on X_p
     g = np.count_nonzero(orders, axis=0) // f
-    column = np.minimum(f, field.degree) - 1
+    column = np.minimum(f, n) - 1
     # each row must hold g at column f - 1 and nothing else
-    wrong = (f > field.degree) | (degrees[np.arange(len(primes)), column] != g)
-    wrong |= degrees.sum(axis=1) != g
-    if wrong.any():
-        i = int(np.argmax(wrong))
-        raise FieldSpecError(
-            f"{what}: its characters give {g[i]} primes of degree {f[i]} above p={primes[i]}, "
-            f"but poly gives the residue-degree counts {degrees[i].tolist()}"
-        )
-    lcm = math.lcm(*(chi.conductor for chi in characters))
-    if lcm != q:
-        raise FieldSpecError(f"{what}: its characters have conductor {lcm}")
-    if field.invariants is not None:
-        product, d_K = math.prod(chi.conductor for chi in characters), field.invariants.d_K
-        if product != abs(d_K):
-            raise FieldSpecError(f"{what}: the conductors multiply to {product}, not |d_K| = {abs(d_K)}")
+    wrong = (f > n) | (degrees[np.arange(len(primes)), column] != g) | (degrees.sum(axis=1) != g)
+    if wrong.any() or math.lcm(*(chi.conductor for chi in characters)) != q:
+        return None
     return characters
+
+
+def _abelian_characters(field: FieldSpec) -> tuple[Character, ...] | None:
+    """The primitive characters of `field`, of degree >= 2, if it is
+    abelian of conductor below `_CHARACTER_CHECK_BOUND`, else None.
+
+    The conductor is the least q that `_characters_mod` accepts among
+    those whose prime factors are exactly the ramified primes, the rows
+    with sum f * count below the degree.  None also where |poly_disc|
+    has a prime factor past the bound, or an index divisor below it has
+    no override.
+    """
+    rest = abs(field.poly_disc)
+    for p in _CHECK_PRIMES:
+        while rest % p == 0:
+            rest //= p
+    if rest != 1:
+        return None
+    try:
+        degrees = residue_degrees(field, np.array(_CHECK_PRIMES, dtype=np.int64))
+    except IndexDivisorError:
+        return None
+    unramified = degrees @ np.arange(1, field.degree + 1) == field.degree
+    ramified = [p for p, whole in zip(_CHECK_PRIMES, unramified) if not whole]
+    radical = math.prod(ramified)
+    for q in range(radical, _CHARACTER_CHECK_BOUND, radical):
+        if _prime_factors(q) == ramified:
+            characters = _characters_mod(q, degrees)
+            if characters is not None:
+                return characters
+    return None
 
 
 def ideal_density_constant(field: FieldSpec) -> float:
@@ -656,7 +670,7 @@ def ideal_density_constant(field: FieldSpec) -> float:
 
 
 _INVARIANT_KEYS = {"r1", "r2", "h", "R", "w", "d_K"}
-_SPEC_KEYS = {"name", "poly", "poly_disc", "invariants", "overrides", "conductor"}
+_SPEC_KEYS = {"name", "poly", "poly_disc", "invariants", "overrides"}
 _OVERRIDE_KEYS = {"p", "parts"}
 
 
@@ -678,10 +692,8 @@ def parse_field_spec(text: str) -> FieldSpec:
     Recognized keys: name (string), poly (integer array, constant term
     first), poly_disc (optional integer; a value that is not disc(poly)
     is refused), invariants (object with exactly the keys r1, r2, h, R, w, d_K),
-    overrides (array of {"p": prime, "parts": [[e, f], ...]}),
-    conductor (optional integer, for an abelian field; see
-    `FieldSpec`).  Any other key, at the top level or in an override,
-    is refused.
+    overrides (array of {"p": prime, "parts": [[e, f], ...]}).  Any
+    other key, at the top level or in an override, is refused.
     """
     try:
         doc = json.loads(text)
@@ -744,16 +756,11 @@ def parse_field_spec(text: str) -> FieldSpec:
             )
         overrides.append((p, SplittingType(tuple((e, f) for e, f in parts))))
 
-    conductor = doc.get("conductor")
-    if conductor is not None and not _is_int(conductor):
-        raise FieldSpecError(f"conductor must be an integer, got {conductor!r}")
-
     spec = FieldSpec(
         name=name,
         poly=tuple(poly),
         invariants=invariants,
         splitting_overrides=tuple(overrides),
-        conductor=conductor,
     )
     if doc.get("poly_disc", spec.poly_disc) != spec.poly_disc:
         # a wrong poly_disc would describe another field than poly

@@ -264,9 +264,10 @@ def _sequential_zeta_ladder(field, s, prime_cap):
     return ladder
 
 
-def _ladder(field, s, tol, cap, strict=True):
-    # the Euler-product route, also for a field that takes the L route
-    return analytic._euler_zeta(field, float(s), tol, cap, strict)
+def _ladder(field, s, tol, cap):
+    # the Euler-product route, also for a field that takes the L route:
+    # the first rung that certifies tol, else the rung at the cap
+    return analytic._euler_zeta(field, float(s), tol, cap)
 
 
 def _assert_triples_close(got, want):
@@ -288,12 +289,12 @@ def test_zeta_ladder_matches_sequential_product(fields, name, s):
         # just above this rung's error, well below the previous rung's
         got = _ladder(field, s, want[2] * (1 + 1e-9), cap)
         _assert_triples_close(got, want)
-    got = _ladder(field, s, 1e-30, cap, strict=False)
+    got = _ladder(field, s, 1e-30, cap)
     _assert_triples_close(got, ladder[-1])
-    with pytest.raises(ToleranceError, match="unreachable"):
-        _ladder(field, s, 1e-30, cap)
     if name == "cubic":  # the one field here without characters
         assert dedekind_zeta_with_cutoff(field, s, 1e-30, prime_cap=cap, strict=False) == got
+        with pytest.raises(ToleranceError, match="unreachable: the euler route"):
+            dedekind_zeta_with_cutoff(field, s, 1e-30, prime_cap=cap)
 
 
 def test_rational_rungs_are_plain_log1p_sums(field_q):
@@ -313,7 +314,7 @@ def test_zeta_triple_independent_of_cache_order(field_qi):
     analytic._euler_log_sum.cache_clear()
     cold = _ladder(field_qi, 2, 1e-3, cap)
     analytic._euler_log_sum.cache_clear()
-    _ladder(field_qi, 2, 1e-30, cap, strict=False)
+    _ladder(field_qi, 2, 1e-30, cap)
     warm = _ladder(field_qi, 2, 1e-3, cap)
     assert warm == cold
     assert cold[1] < cap
@@ -361,8 +362,19 @@ _ZETA4 = Decimal("1.082323233711138191516003696541167902774750951919")
 _ZETA2_CATALAN = Decimal("1.506703009922985030886565048182071395985447701813")
 
 
+# abelian fields given by poly alone, with conductors [1, 4, 8, 8] and [1, 20]
+_BARE_ABELIAN = {
+    "x4p1": FieldSpec("x^4+1", (1, 0, 0, 0, 1)),
+    "naked": FieldSpec("naked", (5, 0, 1)),
+}
+
+
 def _spec(name):
     return load_field_file(str(_FIELDS_DIR / f"{name}.json"))
+
+
+def _field(name):
+    return _BARE_ABELIAN[name] if name in _BARE_ABELIAN else _spec(name)
 
 
 def _assert_contains(triple, exact):
@@ -371,9 +383,17 @@ def _assert_contains(triple, exact):
 
 
 def test_zeta_routes():
-    for name in _L_ROUTE_SPECS:
-        assert analytic.zeta_route(_spec(name)) == "L", name
-    assert analytic.zeta_route(_spec("cubic_x3mxm1")) == "euler"
+    for name in _L_ROUTE_SPECS + list(_BARE_ABELIAN):
+        assert analytic.zeta_route(_field(name)) == "L", name
+    # not abelian (the cubic, the quartic of discriminant -283 and the
+    # quintic of discriminant 2869), or of conductor 957 >= 256
+    for field in [
+        _spec("cubic_x3mxm1"),
+        FieldSpec("quartic", (-1, 1, 0, 0, 1)),
+        FieldSpec("quintic", (-1, -1, 0, 0, 0, 1)),
+        FieldSpec("x^2-29x-29", (-29, -29, 1)),
+    ]:
+        assert analytic.zeta_route(field) == "euler", field.name
 
 
 @pytest.mark.parametrize(
@@ -406,17 +426,17 @@ def test_every_ladder_rung_contains_the_closed_form(fields, field, s, exact):
     # are held by float64 rounding, not by the tail
     for k in range(7):
         P = analytic._rung_cutoff(analytic.DEFAULT_PRIME_CAP, k)
-        triple = _ladder(fields[field], s, 1e-300, P, strict=False)
+        triple = _ladder(fields[field], s, 1e-300, P)
         assert triple[1] == P
         _assert_contains(triple, exact)
 
 
 @pytest.mark.parametrize("s", [2.0, 3.0])
-@pytest.mark.parametrize("name", _L_ROUTE_SPECS)
+@pytest.mark.parametrize("name", _L_ROUTE_SPECS + list(_BARE_ABELIAN))
 def test_l_route_agrees_with_the_ladder(name, s):
-    field = _spec(name)
+    field = _field(name)
     value, split, err = dedekind_zeta_with_cutoff(field, s, 1e-13)
-    ladder_value, _, ladder_err = _ladder(field, s, 1e-300, 10**5, strict=False)
+    ladder_value, _, ladder_err = _ladder(field, s, 1e-300, 10**5)
     assert abs(value - ladder_value) <= err + ladder_err
     assert split > 0
 
@@ -444,7 +464,7 @@ def test_qzeta7_is_certified_past_the_ladder():
 def test_l_route_keeps_strict_and_tol(field_q):
     value, _, err = dedekind_zeta_with_cutoff(field_q, 2, 1e-30, strict=False)
     assert 0 < err < 1e-14 and value == math.pi**2 / 6
-    with pytest.raises(ToleranceError, match="unreachable"):
+    with pytest.raises(ToleranceError, match="unreachable: the L route"):
         dedekind_zeta_with_cutoff(field_q, 2, 1e-30)
     # the L route reads no prime, so the cap cannot move it
     assert dedekind_zeta_with_cutoff(field_q, 2, 1e-9, prime_cap=2) == (value, 16, err)

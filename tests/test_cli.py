@@ -108,7 +108,7 @@ def test_zeta_command(capsys):
 
 
 def test_zeta_default_tol_unreachable_is_diagnosed(capsys):
-    # x^3 - x - 1 has no conductor, so it takes the Euler ladder
+    # x^3 - x - 1 is not abelian, so it takes the Euler ladder
     code, _, err = run(capsys, "zeta", "--field", CUBIC, "--s", "2", "--prime-cap", "100000")
     assert code == 1
     assert "unreachable" in err

@@ -173,8 +173,10 @@ def _override_at_2(parts):
         (_qsqrtm5_doc(override=_override_at_2([[2, 1]])), "override"),
         (_qsqrtm5_doc(invariant={}), "invariant"),
         (_qsqrtm5_doc(overrides=[{"p": 2, "parts": [[2, 1]], "part": [[2, 1]]}]), "part"),
+        # FieldSpec derives the conductor from poly
+        (_qsqrtm5_doc(conductor=20), "conductor"),
     ],
-    ids=["poly_is_maximl", "poly_is_maximal", "override", "invariant", "override-entry"],
+    ids=["poly_is_maximl", "poly_is_maximal", "override", "invariant", "override-entry", "conductor"],
 )
 def test_parse_refuses_unknown_keys(doc, unknown):
     with pytest.raises(FieldSpecError, match=rf"unknown \['{unknown}'\]"):
@@ -700,9 +702,9 @@ def _with(path, **changes):
 def test_shipped_conductors(name):
     field = load_field_file(str(_FIELDS_DIR / f"{name}.json"))
     conductor, kernel = _SHIPPED_CONDUCTORS[name]
-    assert field.conductor == conductor
     characters = field.characters
     assert len(characters) == field.degree
+    assert math.lcm(*(chi.conductor for chi in characters)) == conductor
     # the characters are those trivial on exactly the split classes
     trivial_on = [
         a for a in range(1, conductor)
@@ -712,12 +714,8 @@ def test_shipped_conductors(name):
     assert trivial_on == kernel
     # conductor-discriminant formula
     assert math.prod(chi.conductor for chi in characters) == abs(field.invariants.d_K)
-    # the conductor is derived data: every table digest holds without it
-    doc = json.loads((_FIELDS_DIR / f"{name}.json").read_text())
-    del doc["conductor"]
-    bare = parse_field_spec(json.dumps(doc))
-    assert bare.conductor is None and bare.characters is None
-    assert table_fingerprint(bare) == table_fingerprint(field)
+    # derived from poly alone
+    assert FieldSpec(name, field.poly).characters == characters
 
 
 def test_characters_split_primes_by_their_values():
@@ -736,42 +734,33 @@ def test_degree_one_has_the_trivial_character(field_q):
     assert load_field_file(str(_FIELDS_DIR / "cubic_x3mxm1.json")).characters is None
 
 
+def _check_degrees(path):
+    field = load_field_file(str(_FIELDS_DIR / path))
+    return residue_degrees(field, np.array(fields_module._CHECK_PRIMES))
+
+
 @pytest.mark.parametrize(
-    "doc, message",
+    "path, q",
     [
         # Q(sqrt5)'s conductor: 3 splits in Q(sqrt-5), where the
         # characters mod 5 see one prime of degree 1
-        (_with("qsqrtm5.json", conductor=5), r"1 primes of degree 1 above p=3.*\[2, 0\]"),
+        ("qsqrtm5.json", 5),
         # x^3 - x - 1 is not abelian: the split classes mod 23 make 2
         # split, where the cubic keeps 2 inert
-        (_with("cubic_x3mxm1.json", conductor=23), r"2 primes of degree 1 above p=2.*\[0, 0, 1\]"),
-        (_with("gaussian.json", conductor=3), "residue-degree"),
-        # 5 splits in Q(i), but its class mod the conductor 5 is no unit
-        (_with("gaussian.json", conductor=5), r"1 primes of degree 1 above p=3"),
+        ("cubic_x3mxm1.json", 23),
+        ("gaussian.json", 3),
+        # 5 splits in Q(i), but its class mod 5 is no unit
+        ("gaussian.json", 5),
         # a multiple of the conductor gives the same characters
-        (_with("qsqrtm5.json", conductor=40), "characters have conductor 20"),
-        (_with("qzeta7.json", conductor=14), "characters have conductor 7"),
-        (_with("q.json", conductor=4), "characters have conductor 1"),
-        (_with("gaussian.json", conductor=2), ">= 3"),
-        (_with("gaussian.json", conductor=256), "below 256"),
-        # the 54 primes below 256 cannot meet the 80 unit classes mod 200
-        (_with("gaussian.json", conductor=200), "miss a unit class"),
-        # a wrong d_K that poly_disc = k^2 d_K cannot see (k = 1), with the
-        # splitting at the index divisor 2 given by an override
-        (
-            _with(
-                "gaussian.json",
-                name="x^2+4",
-                poly=[4, 0, 1],
-                poly_disc=-16,
-                invariants={"r1": 0, "r2": 1, "h": 1, "R": 1.0, "w": 4, "d_K": -16},
-                overrides=[{"p": 2, "parts": [[2, 1]]}],
-            ),
-            r"multiply to 4, not \|d_K\| = 16",
-        ),
-        (_with("gaussian.json", conductor="4"), "must be an integer"),
-        (_with("gaussian.json", conductor=True), "must be an integer"),
-        (_with("gaussian.json", conductor=[4]), "must be an integer"),
+        ("qsqrtm5.json", 40),
+        ("qzeta7.json", 14),
+        ("q.json", 4),
+        # no character mod 2 has conductor 2
+        ("gaussian.json", 2),
+        # the 53 primes below 256 prime to 256 cannot meet its 128 unit
+        # classes, nor the 52 prime to 200 its 80
+        ("gaussian.json", 256),
+        ("gaussian.json", 200),
     ],
     ids=[
         "qsqrtm5-conductor-5",
@@ -784,13 +773,45 @@ def test_degree_one_has_the_trivial_character(field_q):
         "conductor-2",
         "conductor-too-large",
         "classes-unchecked",
-        "conductor-product",
-        "str",
-        "bool",
-        "array",
     ],
 )
-def test_conductor_refused(doc, message):
+def test_conductor_refused(path, q):
+    # the check the derivation runs per candidate q turns each down
+    assert fields_module._characters_mod(q, _check_degrees(path)) is None
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        # wrong values of d_K that poly_disc = k^2 d_K cannot see (k = 1),
+        # with the splitting at the index divisor 2 given by an override
+        (
+            _with(
+                "gaussian.json",
+                name="x^2+4",
+                poly=[4, 0, 1],
+                poly_disc=-16,
+                invariants={"r1": 0, "r2": 1, "h": 1, "R": 1.0, "w": 4, "d_K": -16},
+                overrides=[{"p": 2, "parts": [[2, 1]]}],
+            ),
+            r"multiply to 4, not \|d_K\| = 16",
+        ),
+        # Q(sqrt-3) claiming d_K = -12 would halve c
+        (
+            _with(
+                "gaussian.json",
+                name="x^2+3",
+                poly=[3, 0, 1],
+                poly_disc=-12,
+                invariants={"r1": 0, "r2": 1, "h": 1, "R": 1.0, "w": 6, "d_K": -12},
+                overrides=[{"p": 2, "parts": [[1, 2]]}],
+            ),
+            r"multiply to 3, not \|d_K\| = 12",
+        ),
+    ],
+    ids=["x2p4", "x2p3"],
+)
+def test_conductor_product_refused(doc, message):
     with pytest.raises(FieldSpecError, match=message):
         parse_field_spec(doc)
 
@@ -800,9 +821,15 @@ def test_conductor_without_invariants_is_checked_against_poly():
     del doc["invariants"]
     field = parse_field_spec(json.dumps(doc))
     assert sorted(chi.conductor for chi in field.characters) == [1, 4]
-    doc["conductor"] = 5
-    with pytest.raises(FieldSpecError, match="residue-degree"):
-        parse_field_spec(json.dumps(doc))
+    # bare polynomials: x^4 + 1 is Q(zeta8); Z[sqrt-3] is not 2-maximal,
+    # so x^2 + 3 needs the inert override at 2 before it has characters
+    inert = ((2, SplittingType(((1, 2),))),)
+    for spec, conductors in [
+        (FieldSpec("x^4+1", (1, 0, 0, 0, 1)), [1, 4, 8, 8]),
+        (FieldSpec("x^2+3", (3, 0, 1), splitting_overrides=inert), [1, 3]),
+    ]:
+        assert sorted(chi.conductor for chi in spec.characters) == conductors
+    assert FieldSpec("x^2+3", (3, 0, 1)).characters is None
 
 
 def test_unit_characters_and_their_conductors():
