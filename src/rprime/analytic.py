@@ -24,19 +24,19 @@ degrees of the prime ideals above p.  The tail is certified by
 (n local factors per prime, each at most (1 - p^-s)^-1, then the
 prime-counting bounds of Rosser and Schoenfeld, Illinois J. Math. 6,
 1962, valid for P >= 17; below 17, or where it is smaller, the integral
-bound P^(1-s) / (s-1) replaces the prime sum), and P climbs the ladder
-P_k = min(4096 * 4^k, prime cap) until the certified absolute error
-drops below the requested tolerance.
+bound P^(1-s) / (s-1) replaces the prime sum), and P climbs the fixed
+ladder 4096, 16384, ..., 4194304, 1e7 (`_RUNGS`) until the certified
+absolute error drops below the requested tolerance.  A tolerance that
+the top rung cannot certify raises `ToleranceError` in strict mode.
 
 Rung k of the ladder is the log of the product over p <= P_k.  It is
-cached per process under (field, s, prime cap, k) and computed once,
-as rung k-1 plus the log factors of the primes in (P_{k-1}, P_k],
-which `sieve.prime_segments` sieves over that range alone, so every
-tolerance for one (field, s, prime cap) shares one Euler product.  A
-rung holds one sieve segment of primes at a time: per segment, the
-factors are one vectorized log1p sum per residue degree f, weighted by
-the column f of `fields.residue_degrees` and computed in one float64
-buffer.
+cached per process under (field, s, k) and computed once, as rung k-1
+plus the log factors of the primes in (P_{k-1}, P_k], which
+`sieve.prime_segments` sieves over that range alone, so every
+tolerance for one (field, s) shares one Euler product.  A rung holds
+one sieve segment of primes at a time: per segment, the factors are
+one vectorized log1p sum per residue degree f, weighted by the column
+f of `fields.residue_degrees` and computed in one float64 buffer.
 
 Exponent tables are exact rationals so tests compare them by equality.
 Bounds of the form x^(e + eps) are returned at eps = 0 with an epsilon
@@ -57,13 +57,10 @@ from .errors import ToleranceError
 from .fields import Character, FieldSpec, ideal_density_constant, residue_degrees
 from .sieve import prime_segments
 
-DEFAULT_PRIME_CAP = 10**7
 MAIN_TERM_TOL = 1e-9  # the loosest zeta tolerance a main term accepts
 _U = 2.0**-53  # unit roundoff of float64
-
-
-def _rung_cutoff(prime_cap: int, k: int) -> int:
-    return min(4096 * 4**k, prime_cap)
+# the Euler ladder's cutoffs P_k: 4096 * 4^k, capped at 1e7
+_RUNGS = (4096, 16384, 65536, 262144, 1048576, 4194304, 10**7)
 
 
 def _log_local_factors(field: FieldSpec, s: float, primes: np.ndarray) -> float:
@@ -81,15 +78,15 @@ def _log_local_factors(field: FieldSpec, s: float, primes: np.ndarray) -> float:
 
 
 @functools.lru_cache(maxsize=None)
-def _euler_log_sum(field: FieldSpec, s: float, prime_cap: int, k: int) -> float:
+def _euler_log_sum(field: FieldSpec, s: float, k: int) -> float:
     """Log of the Euler product over p <= P_k, rung k of the cutoff ladder."""
     if k == 0:
         lo, previous = 2, 0.0
     else:
-        lo = _rung_cutoff(prime_cap, k - 1) + 1
-        previous = _euler_log_sum(field, s, prime_cap, k - 1)
-    hi = _rung_cutoff(prime_cap, k)
-    return previous + sum(_log_local_factors(field, s, seg) for seg in prime_segments(lo, hi))
+        lo, previous = _RUNGS[k - 1] + 1, _euler_log_sum(field, s, k - 1)
+    return previous + sum(
+        _log_local_factors(field, s, seg) for seg in prime_segments(lo, _RUNGS[k])
+    )
 
 
 def _tail_log_bound(n: int, s: float, P: int) -> float:
@@ -104,9 +101,9 @@ def _tail_log_bound(n: int, s: float, P: int) -> float:
     return n * prime_sum / (1.0 - P ** (-s))
 
 
-def _euler_zeta(field: FieldSpec, s: float, tol: float, prime_cap: int) -> tuple[float, int, float]:
+def _euler_zeta(field: FieldSpec, s: float, tol: float) -> tuple[float, int, float]:
     """The ladder route: Euler product, cutoff P, certified error, at the
-    first rung that certifies tol or else at the prime cap.
+    first rung that certifies tol or else at the top rung.
 
     Besides the tail, the error covers float64 rounding: each log
     factor is within 6u (u = 2^-53) and the sums add at most 122u of
@@ -114,16 +111,14 @@ def _euler_zeta(field: FieldSpec, s: float, tol: float, prime_cap: int) -> tuple
     so the log of the value is taken to be off by at most
     tail + 128u L + 4u.
     """
-    k = 0
-    while True:
-        P = _rung_cutoff(prime_cap, k)
-        log_sum = _euler_log_sum(field, s, prime_cap, k)
+    for k, P in enumerate(_RUNGS):
+        log_sum = _euler_log_sum(field, s, k)
         value = math.exp(log_sum)
         slack = _tail_log_bound(field.degree, s, P) + 128.0 * _U * log_sum + 4.0 * _U
         err = value * math.expm1(slack)
-        if err <= tol or P >= prime_cap:
-            return value, P, err
-        k += 1
+        if err <= tol:
+            break
+    return value, P, err
 
 
 # B_2j / (2j)! for j = 1..9, each correctly rounded from the exact rational
@@ -244,33 +239,27 @@ def zeta_route(field: FieldSpec) -> str:
 
 
 def dedekind_zeta_with_cutoff(
-    field: FieldSpec,
-    s: float,
-    tol: float,
-    prime_cap: int = DEFAULT_PRIME_CAP,
-    strict: bool = True,
+    field: FieldSpec, s: float, tol: float, strict: bool = True
 ) -> tuple[float, int, float]:
     """Zeta value plus a cutoff and the certified absolute error.
 
     A field with characters (`zeta_route` "L") takes the product of its
-    L-functions, and the cutoff is the Euler-Maclaurin split point; the
-    prime cap is unused.  Any other field walks the Euler-product
-    cutoff ladder to the first rung whose certified error is at most
-    tol, and the cutoff is that rung's P.  Raises when s <= 1
-    (divergence), tol <= 0 or the prime cap < 2, on either route, and,
-    in strict mode, when the route cannot certify tol; non-strict mode
-    returns its best value and leaves the bound for the caller to check.
+    L-functions, and the cutoff is the Euler-Maclaurin split point.  Any
+    other field walks the fixed Euler-product cutoff ladder to the first
+    rung whose certified error is at most tol, else to its top rung at
+    1e7, and the cutoff is that rung's P.  Raises when s <= 1
+    (divergence) or tol <= 0, on either route, and, in strict mode, when
+    the route cannot certify tol; non-strict mode returns its best value
+    and leaves the bound for the caller to check.
     """
     if not s > 1:
         raise ValueError(f"zeta needs s > 1 (it diverges at s <= 1), got s={s}")
     if not tol > 0:
         raise ValueError(f"tolerance must be positive, got {tol}")
-    if prime_cap < 2:
-        raise ValueError(f"prime cap must be >= 2, got {prime_cap}")
-    s, prime_cap = float(s), int(prime_cap)
+    s = float(s)
     route = zeta_route(field)
     if route == "euler":
-        value, cutoff, err = _euler_zeta(field, s, tol, prime_cap)
+        value, cutoff, err = _euler_zeta(field, s, tol)
     else:
         value, cutoff, err = _l_function_zeta(field, s)
     if strict and not err <= tol:
@@ -280,28 +269,19 @@ def dedekind_zeta_with_cutoff(
     return value, cutoff, err
 
 
-def dedekind_zeta(
-    field: FieldSpec, s: float, tol: float, prime_cap: int = DEFAULT_PRIME_CAP
-) -> float:
+def dedekind_zeta(field: FieldSpec, s: float, tol: float) -> float:
     """Zeta value of the field at real s > 1, within tol."""
-    return dedekind_zeta_with_cutoff(field, s, tol, prime_cap)[0]
+    return dedekind_zeta_with_cutoff(field, s, tol)[0]
 
 
-def main_term(
-    field: FieldSpec,
-    x: float,
-    m: int,
-    r: int,
-    *,
-    prime_cap: int = DEFAULT_PRIME_CAP,
-) -> float:
+def main_term(field: FieldSpec, x: float, m: int, r: int) -> float:
     """Leading asymptotic (c*x)^m / zeta_K(rm) of the r-prime count.
 
     The zeta tolerance is tightened from `MAIN_TERM_TOL` toward
     whatever makes the absolute main-term error less than 0.5 so
     integer-vs-real comparisons stay meaningful; when the zeta route
-    cannot certify that (huge (c*x)^m, or the Euler ladder's prime
-    cap), the best certified value is used and a warning is emitted.
+    cannot certify that (huge (c*x)^m, or the Euler ladder's top
+    rung), the best certified value is used and a warning is emitted.
     """
     if m < 1 or r < 1:
         raise ValueError(f"need m >= 1 and r >= 1, got m={m}, r={r}")
@@ -315,9 +295,7 @@ def main_term(
     if not (x >= 0 and math.isfinite(numerator)):
         raise ValueError(f"x must be finite and >= 0 with (c*x)^m finite, got x={x}, m={m}")
     zeta_tol = min(MAIN_TERM_TOL, 0.5 / max(numerator, 1.0))
-    value, _, certified = dedekind_zeta_with_cutoff(
-        field, float(r * m), zeta_tol, prime_cap, strict=False
-    )
+    value, _, certified = dedekind_zeta_with_cutoff(field, float(r * m), zeta_tol, strict=False)
     # |d main| <= numerator * |d zeta| / zeta^2
     main_bound = numerator * certified / (value * value)
     if main_bound > 0.5:

@@ -19,7 +19,6 @@ from dataclasses import asdict, fields
 
 from . import __version__
 from .analytic import (
-    DEFAULT_PRIME_CAP,
     abelian_exponent,
     dedekind_zeta_with_cutoff,
     error_term_exponent,
@@ -67,15 +66,6 @@ def _add_table_source(parser: argparse.ArgumentParser) -> None:
     source.add_argument("--tables", dest="tables_file", help="reuse a table cache file")
 
 
-def _add_prime_cap(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--prime-cap",
-        type=int,
-        default=DEFAULT_PRIME_CAP,
-        help="largest prime the zeta Euler product may use (fields on the euler route)",
-    )
-
-
 def _add_tuple_shape(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--m", type=int, required=True)
     parser.add_argument("--r", type=int, required=True)
@@ -118,7 +108,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = add("scan", _cmd_scan, "error-term scan over a geometric x-grid")
     _add_common(p)
     _add_table_source(p)
-    _add_prime_cap(p)
     _add_tuple_shape(p)
     p.add_argument("--xmin", type=float, required=True)
     p.add_argument("--xmax", type=float, required=True)
@@ -142,7 +131,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = add("zeta", _cmd_zeta, "evaluate the zeta function of the field")
     _add_common(p)
-    _add_prime_cap(p)
     p.add_argument("--tol", type=float, default=1e-9, help="zeta tolerance (default 1e-9)")
     p.add_argument("--s", type=float, required=True)
 
@@ -232,9 +220,7 @@ def _cmd_direct(field: FieldSpec, args: argparse.Namespace) -> dict:
 
 @_scalar
 def _cmd_zeta(field: FieldSpec, args: argparse.Namespace) -> dict:
-    value, cutoff, certified = dedekind_zeta_with_cutoff(
-        field, args.s, args.tol, prime_cap=args.prime_cap
-    )
+    value, cutoff, certified = dedekind_zeta_with_cutoff(field, args.s, args.tol)
     route = zeta_route(field)
     # the cutoff is the largest prime on the ladder, the split point on the L route
     cutoff_key = "euler_cutoff" if route == "euler" else "em_split"
@@ -259,7 +245,6 @@ def _cmd_scan(args: argparse.Namespace) -> None:
         args.points,
         table_N=table.N,
         table=table,
-        prime_cap=args.prime_cap,
     )
     zero_count = sum(rec.log10_absE is None for rec in records)
     usable = len(records) - zero_count

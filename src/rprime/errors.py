@@ -21,5 +21,5 @@ class BudgetExceededError(RPrimeError):
 
 
 class ToleranceError(RPrimeError):
-    """A requested numeric tolerance cannot be certified under the
-    configured prime cap."""
+    """A requested zeta tolerance cannot be certified by the field's
+    zeta route (the Euler ladder's top rung, or the L-functions)."""

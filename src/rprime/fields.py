@@ -136,8 +136,10 @@ class FieldSpec:
     satisfy poly_disc = k^2 * d_K for an integer k >= 1, the index of
     the polynomial order, and Dedekind's criterion must show every
     prime p | k to divide that index.  Overrides are allowed only at
-    primes p with p^2 | poly_disc.  `characters` holds the primitive
-    characters of the field: the trivial one for degree 1, those that
+    primes where Dedekind's criterion fails (so p^2 | poly_disc), the
+    only primes where the factorization of poly cannot decide the
+    splitting.  `characters` holds the primitive characters of the
+    field: the trivial one for degree 1, those that
     `_abelian_characters` derives for a field of higher degree, or None
     where it finds none.  With invariants, their conductors must
     multiply to |d_K| (conductor-discriminant formula).  Instances are
@@ -191,9 +193,12 @@ class FieldSpec:
             if p in seen:
                 raise FieldSpecError(f"duplicate override for p={p}")
             seen.add(p)
-            if self.poly_disc % (p * p) != 0:
+            if not _is_prime(p):
+                raise FieldSpecError(f"override key p={p!r} is not a prime")
+            if is_p_maximal(self.poly, p):
                 raise FieldSpecError(
-                    f"override at p={p} not allowed: p^2 does not divide poly_disc={self.poly_disc}"
+                    f"override at p={p} not allowed: Dedekind's criterion holds there, "
+                    "so poly mod p decides the splitting"
                 )
             if split.degree_sum != self.degree:
                 raise FieldSpecError(
@@ -325,9 +330,11 @@ def residue_degrees(field: FieldSpec, primes: np.ndarray) -> np.ndarray:
         return np.ones((len(primes), 1), dtype=np.int8)
     degrees = np.zeros((len(primes), n), dtype=np.int8)
     per_prime = primes <= n
-    # p^2 | poly_disc in Python ints (p^2 wraps int64 past p = 3.03e9),
-    # tested only at the few p | poly_disc
-    for i in np.flatnonzero(_mod_primes(field.poly_disc, primes) == 0):
+    # p^2 | poly_disc needs p^2 <= |poly_disc|; the bound is clamped to
+    # int64, and p^2 | poly_disc is tested in Python ints (p^2 wraps
+    # int64 past p = 3.03e9), only at the few such p | poly_disc
+    small = np.flatnonzero(primes <= min(math.isqrt(abs(field.poly_disc)), 2**63 - 1))
+    for i in small[_mod_primes(field.poly_disc, primes[small]) == 0]:
         per_prime[i] |= field.poly_disc % int(primes[i]) ** 2 == 0
     for i in np.flatnonzero(per_prime):
         for _, f in splitting_type(field, int(primes[i])).parts:
@@ -745,7 +752,7 @@ def parse_field_spec(text: str) -> FieldSpec:
             raise FieldSpecError("each override needs keys 'p' and 'parts'")
         _refuse_unknown_keys("an override", entry, _OVERRIDE_KEYS)
         p = entry["p"]
-        if not _is_int(p) or not _is_prime(p):
+        if not _is_int(p):
             raise FieldSpecError(f"override key p={p!r} is not a prime")
         parts = entry["parts"]
         if not isinstance(parts, list) or not all(

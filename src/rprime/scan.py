@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytic import DEFAULT_PRIME_CAP, main_term
+from .analytic import main_term
 from .fields import FieldSpec
 from .sieve import CoefficientTable, build_tables, count_rprime_mobius
 
@@ -85,7 +85,6 @@ def run_error_scan(
     table_N: int,
     *,
     table: CoefficientTable | None = None,
-    prime_cap: int = DEFAULT_PRIME_CAP,
 ) -> list[ScanRecord]:
     """One ScanRecord per grid point, ascending in x.
 
@@ -105,7 +104,7 @@ def run_error_scan(
     records = []
     for x in grid:
         V = count_rprime_mobius(table, x, m, r)
-        main = main_term(field, x, m, r, prime_cap=prime_cap)
+        main = main_term(field, x, m, r)
         records.append(make_record(x, V, main))
     return records
 

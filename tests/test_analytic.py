@@ -95,18 +95,22 @@ def test_zeta_rejects_nan_before_the_cache(field_q, monkeypatch, strict):
 
 
 def test_zeta_unreachable_tolerance(field_cubic):
-    with pytest.raises(ToleranceError, match="unreachable"):
-        dedekind_zeta(field_cubic, 2, 1e-9, prime_cap=10**4)
+    # the top rung at 1e7 certifies only 3.1e-8 at s = 2
+    with pytest.raises(ToleranceError, match="euler route certifies only 3.120e-08"):
+        dedekind_zeta(field_cubic, 2, 1e-9)
 
 
 @pytest.mark.parametrize("cap", [1, 0, -5])
 def test_prime_cap_below_two_rejected(field_q, cap):
-    with pytest.raises(ValueError, match="prime cap"):
-        dedekind_zeta_with_cutoff(field_q, 2, 1e-6, prime_cap=cap)
-    with pytest.raises(ValueError, match="prime cap"):
-        main_term(field_q, 10, 2, 1, prime_cap=cap)
-    with pytest.raises(ValueError, match="prime cap"):
-        run_error_scan(field_q, 2, 1, 4, 64, 3, 64, prime_cap=cap)
+    # the Euler ladder is fixed, so no call takes a prime cap at all
+    for call in (
+        lambda: dedekind_zeta(field_q, 2, 1e-6, prime_cap=cap),
+        lambda: dedekind_zeta_with_cutoff(field_q, 2, 1e-6, prime_cap=cap),
+        lambda: main_term(field_q, 10, 2, 1, prime_cap=cap),
+        lambda: run_error_scan(field_q, 2, 1, 4, 64, 3, 64, prime_cap=cap),
+    ):
+        with pytest.raises(TypeError, match="prime_cap"):
+            call()
 
 
 def test_main_term_example(field_q):
@@ -137,7 +141,7 @@ def test_main_term_at_zero(field_q):
 
 def test_main_term_warns_when_target_uncertifiable():
     with pytest.warns(UserWarning, match="certified"):
-        main_term(_CUBIC_WITH_INVARIANTS, 10**6, 2, 1, prime_cap=10**5)
+        main_term(_CUBIC_WITH_INVARIANTS, 10**6, 2, 1)
 
 
 def test_error_term_examples(field_q, table_q_1e4):
@@ -240,18 +244,19 @@ def test_improvement_over_classical_bound_sweep():
                 assert is_sharper(improved, classical), (n, m, r)
 
 
-def _sequential_zeta_ladder(field, s, prime_cap):
+def _sequential_zeta_ladder(field, s, top):
     """Reference: the per-prime sequential Euler product, one
-    (value, cutoff, certified error) triple per rung of the ladder."""
+    (value, cutoff, certified error) triple per rung of the ladder
+    4096 * 4^k, capped at top."""
     n = field.degree
     ladder = []
     product = 1.0
     lo, hi = 2, 4096
-    while not ladder or ladder[-1][1] < prime_cap:
-        for p in primes_between(lo, min(hi, prime_cap)).tolist():
+    while not ladder or ladder[-1][1] < top:
+        for p in primes_between(lo, min(hi, top)).tolist():
             for _, f in splitting_type(field, p).parts:
                 product /= 1.0 - p ** (-f * s)
-        P = min(hi, prime_cap)
+        P = min(hi, top)
         # the Rosser-Schoenfeld prime sum, or the integral where it is smaller
         prime_sum = P ** (1.0 - s) * min(
             1.0 / (s - 1.0), (1.25506 * s / (s - 1.0) - 1.0) / math.log(P)
@@ -264,10 +269,23 @@ def _sequential_zeta_ladder(field, s, prime_cap):
     return ladder
 
 
-def _ladder(field, s, tol, cap):
+@pytest.fixture
+def short_ladder(monkeypatch):
+    """Sets the Euler ladder's rungs for one test, on a cold rung cache;
+    the cache is cleared again on exit, before the rungs are restored."""
+
+    def set_rungs(rungs):
+        monkeypatch.setattr(analytic, "_RUNGS", tuple(rungs))
+        analytic._euler_log_sum.cache_clear()
+
+    yield set_rungs
+    analytic._euler_log_sum.cache_clear()
+
+
+def _ladder(field, s, tol):
     # the Euler-product route, also for a field that takes the L route:
-    # the first rung that certifies tol, else the rung at the cap
-    return analytic._euler_zeta(field, float(s), tol, cap)
+    # the first rung that certifies tol, else the top rung
+    return analytic._euler_zeta(field, float(s), tol)
 
 
 def _assert_triples_close(got, want):
@@ -278,46 +296,45 @@ def _assert_triples_close(got, want):
 
 @pytest.mark.parametrize("s", [2.0, 3.0])
 @pytest.mark.parametrize("name", ["Q", "Qi", "Qsqrt2", "Qsqrtm5", "cubic"])
-def test_zeta_ladder_matches_sequential_product(fields, name, s):
-    # a cubic splitting type costs a polynomial factorization, so it keeps to two rungs
+def test_zeta_ladder_matches_sequential_product(fields, short_ladder, name, s):
+    # a cubic splitting type costs a polynomial factorization, so it keeps to two
+    # rungs; the others end on a rung off the 4096 * 4^k grid, as 1e7 is
     cutoffs = [4096, 16384] if name == "cubic" else [4096, 16384, 65536, 262144, 300000]
+    short_ladder(cutoffs)
     field = fields[name]
-    cap = cutoffs[-1]
-    ladder = _sequential_zeta_ladder(field, s, cap)
+    ladder = _sequential_zeta_ladder(field, s, cutoffs[-1])
     assert [P for _, P, _ in ladder] == cutoffs
     for want in ladder:
         # just above this rung's error, well below the previous rung's
-        got = _ladder(field, s, want[2] * (1 + 1e-9), cap)
+        got = _ladder(field, s, want[2] * (1 + 1e-9))
         _assert_triples_close(got, want)
-    got = _ladder(field, s, 1e-30, cap)
+    got = _ladder(field, s, 1e-30)
     _assert_triples_close(got, ladder[-1])
     if name == "cubic":  # the one field here without characters
-        assert dedekind_zeta_with_cutoff(field, s, 1e-30, prime_cap=cap, strict=False) == got
+        assert dedekind_zeta_with_cutoff(field, s, 1e-30, strict=False) == got
         with pytest.raises(ToleranceError, match="unreachable: the euler route"):
-            dedekind_zeta_with_cutoff(field, s, 1e-30, prime_cap=cap)
+            dedekind_zeta_with_cutoff(field, s, 1e-30)
 
 
-def test_rational_rungs_are_plain_log1p_sums(field_q):
+def test_rational_rungs_are_plain_log1p_sums(field_q, short_ladder):
     # Q's zeta value stays bit-identical to one log1p sum per rung
-    cap = 10**5
     for s in (2.0, 3.0):
-        analytic._euler_log_sum.cache_clear()
+        short_ladder([4096, 16384, 65536, 10**5])
         total = 0.0
         for k, (lo, hi) in enumerate([(2, 4096), (4097, 16384), (16385, 65536)]):
             p = primes_between(lo, hi)
             total += -np.log1p(-(p.astype(np.float64) ** -s)).sum()
-            assert analytic._euler_log_sum(field_q, s, cap, k) == total
+            assert analytic._euler_log_sum(field_q, s, k) == total
 
 
-def test_zeta_triple_independent_of_cache_order(field_qi):
-    cap = 10**6
+def test_zeta_triple_independent_of_cache_order(field_qi, short_ladder):
+    short_ladder([4096, 16384, 65536, 262144, 10**6])
+    cold = _ladder(field_qi, 2, 1e-3)
     analytic._euler_log_sum.cache_clear()
-    cold = _ladder(field_qi, 2, 1e-3, cap)
-    analytic._euler_log_sum.cache_clear()
-    _ladder(field_qi, 2, 1e-30, cap)
-    warm = _ladder(field_qi, 2, 1e-3, cap)
+    _ladder(field_qi, 2, 1e-30)
+    warm = _ladder(field_qi, 2, 1e-3)
     assert warm == cold
-    assert cold[1] < cap
+    assert cold[1] < 10**6
 
 
 def test_scan_sieves_each_rung_once(monkeypatch):
@@ -335,7 +352,7 @@ def test_scan_sieves_each_rung_once(monkeypatch):
             _CUBIC_WITH_INVARIANTS, 2, 1, 2**12, 2**22, 11, 2**22, table=SimpleNamespace(N=2**22)
         )
     assert len(records) == 11
-    # every point asks for more than the cap certifies, so each walks all 7
+    # every point asks for more than the top rung certifies, so each walks all 7
     # rungs; each rung sieves only its own range, once
     assert calls == [
         (2, 4096),
@@ -421,22 +438,25 @@ def test_l_route_closed_forms(name, s, exact):
     ],
     ids=["zeta(2)", "zeta(4)", "zeta_Q(i)(2)"],
 )
-def test_every_ladder_rung_contains_the_closed_form(fields, field, s, exact):
-    # from 4096 to the default prime cap; past 65536 the rungs of zeta(4)
-    # are held by float64 rounding, not by the tail
-    for k in range(7):
-        P = analytic._rung_cutoff(analytic.DEFAULT_PRIME_CAP, k)
-        triple = _ladder(fields[field], s, 1e-300, P)
+def test_every_ladder_rung_contains_the_closed_form(fields, short_ladder, field, s, exact):
+    # every rung from 4096 to 1e7, each read as the top of a ladder cut
+    # there; past 65536 the rungs of zeta(4) are held by float64
+    # rounding, not by the tail
+    rungs = analytic._RUNGS
+    for k, P in enumerate(rungs):
+        short_ladder(rungs[: k + 1])
+        triple = _ladder(fields[field], s, 1e-300)
         assert triple[1] == P
         _assert_contains(triple, exact)
 
 
 @pytest.mark.parametrize("s", [2.0, 3.0])
 @pytest.mark.parametrize("name", _L_ROUTE_SPECS + list(_BARE_ABELIAN))
-def test_l_route_agrees_with_the_ladder(name, s):
+def test_l_route_agrees_with_the_ladder(short_ladder, name, s):
+    short_ladder([4096, 16384, 65536, 10**5])
     field = _field(name)
     value, split, err = dedekind_zeta_with_cutoff(field, s, 1e-13)
-    ladder_value, _, ladder_err = _ladder(field, s, 1e-300, 10**5)
+    ladder_value, _, ladder_err = _ladder(field, s, 1e-300)
     assert abs(value - ladder_value) <= err + ladder_err
     assert split > 0
 
@@ -466,8 +486,6 @@ def test_l_route_keeps_strict_and_tol(field_q):
     assert 0 < err < 1e-14 and value == math.pi**2 / 6
     with pytest.raises(ToleranceError, match="unreachable: the L route"):
         dedekind_zeta_with_cutoff(field_q, 2, 1e-30)
-    # the L route reads no prime, so the cap cannot move it
-    assert dedekind_zeta_with_cutoff(field_q, 2, 1e-9, prime_cap=2) == (value, 16, err)
 
 
 def test_l_route_checks_arguments_first(field_qi, monkeypatch):
@@ -475,9 +493,9 @@ def test_l_route_checks_arguments_first(field_qi, monkeypatch):
         raise AssertionError("a bad argument reached the L route")
 
     monkeypatch.setattr(analytic, "_l_function_zeta", no_route)
-    for s, tol, cap in ((1.0, 1e-6, 10), (math.nan, 1e-6, 10), (2, 0.0, 10), (2, 1e-6, 1)):
+    for s, tol in ((1.0, 1e-6), (math.nan, 1e-6), (2, 0.0)):
         with pytest.raises(ValueError):
-            dedekind_zeta_with_cutoff(field_qi, s, tol, prime_cap=cap)
+            dedekind_zeta_with_cutoff(field_qi, s, tol)
 
 
 @pytest.mark.parametrize("s", [1.0001, 20.0, 1e6, 1e300, math.inf])

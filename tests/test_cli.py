@@ -109,9 +109,9 @@ def test_zeta_command(capsys):
 
 def test_zeta_default_tol_unreachable_is_diagnosed(capsys):
     # x^3 - x - 1 is not abelian, so it takes the Euler ladder
-    code, _, err = run(capsys, "zeta", "--field", CUBIC, "--s", "2", "--prime-cap", "100000")
+    code, _, err = run(capsys, "zeta", "--field", CUBIC, "--s", "2")
     assert code == 1
-    assert "unreachable" in err
+    assert "unreachable: the euler route certifies only 3.120e-08" in err
 
 
 @pytest.mark.parametrize(
@@ -119,7 +119,7 @@ def test_zeta_default_tol_unreachable_is_diagnosed(capsys):
     [
         (Q, ("--tol", "1e-13"), "L"),
         (QI, ("--tol", "1e-13"), "L"),
-        (CUBIC, ("--tol", "1e-4", "--prime-cap", "1000000"), "euler"),
+        (CUBIC, ("--tol", "1e-4"), "euler"),
     ],
     ids=["Q", "Qi", "cubic"],
 )
@@ -135,7 +135,7 @@ def test_zeta_json_names_the_route(capsys, path, args, route):
     assert doc["certified_error"] <= float(args[1])
 
 
-@pytest.mark.parametrize("cap", ["1", "0", "-5"])
+@pytest.mark.parametrize("cap", ["1", "0", "-5", "100"])
 @pytest.mark.parametrize(
     "command",
     [
@@ -144,9 +144,10 @@ def test_zeta_json_names_the_route(capsys, path, args, route):
     ],
 )
 def test_bad_prime_cap_is_diagnosed(capsys, command, cap):
-    code, _, err = run(capsys, *command, "--field", Q, "--prime-cap", cap)
-    assert code == 1
-    assert err.startswith("error:") and "prime cap" in err
+    # the Euler ladder is fixed, so no subcommand takes --prime-cap
+    code, out, err = run(capsys, *command, "--field", Q, "--prime-cap", cap)
+    assert code == 2 and out == ""
+    assert "unrecognized arguments: --prime-cap" in err
 
 
 @pytest.mark.parametrize(
@@ -347,6 +348,14 @@ def test_bad_field_file_is_diagnosed(tmp_path, capsys):
 def test_parse_scan_csv_rejects_wrong_header():
     with pytest.raises(ValueError, match="header"):
         parse_scan_csv("a,b,c\n1,2,3\n")
+
+
+def test_fit_refuses_a_short_row(tmp_path, capsys):
+    path = tmp_path / "short.csv"
+    path.write_text(CSV_HEADER + "\n4.0,7,6.5,0.5\n")
+    code, out, err = run(capsys, "fit", "--in", str(path))
+    assert code == 1 and out == ""
+    assert err == "error: malformed scan row: '4.0,7,6.5,0.5'\n"
 
 
 def _json_lines(*lines):

@@ -81,17 +81,15 @@ def test_parse_rejects_signature_mismatch():
 
 
 def test_parse_rejects_override_at_good_prime():
-    with pytest.raises(FieldSpecError, match="override"):
-        parse_field_spec(
-            json.dumps(
-                {
-                    "name": "bad",
-                    "poly": [1, 0, 1],
-                    "poly_disc": -4,
-                    "overrides": [{"p": 3, "parts": [[1, 2]]}],
-                }
-            )
-        )
+    # 3 does not divide disc(x^2 + 1) = -4, so poly mod 3 decides it
+    overrides = [{"p": 3, "parts": [[1, 2]]}]
+    bad = {"name": "bad", "poly": [1, 0, 1], "poly_disc": -4, "overrides": overrides}
+    with pytest.raises(FieldSpecError, match="override at p=3"):
+        parse_field_spec(json.dumps(bad))
+    # 2^2 | disc(x^2 + 5) = -20, but Z[sqrt-5] passes Dedekind's criterion
+    # at 2, so an override there would silently beat a correct factorization
+    with pytest.raises(FieldSpecError, match="override at p=2 not allowed: Dedekind"):
+        parse_field_spec(_qsqrtm5_doc(overrides=_override_at_2([[1, 2]])))
 
 
 def test_parse_malformed_document():
@@ -106,6 +104,24 @@ def _qsqrtm5_doc(**changes):
         "poly_disc": -20,
         "invariants": {"r1": 0, "r2": 1, "h": 2, "R": 1.0, "w": 2, "d_K": -20},
     }
+    return _spec_doc(doc, changes)
+
+
+def _x2p3_doc(**changes):
+    # x^2 + 3 fails Dedekind's criterion at 2, where it carries an override:
+    # 2 is inert in Q(sqrt-3)
+    doc = {
+        "name": "x^2 + 3",
+        "poly": [3, 0, 1],
+        "poly_disc": -12,
+        "invariants": {"r1": 0, "r2": 1, "h": 1, "R": 1.0, "w": 6, "d_K": -3},
+        "overrides": _override_at_2([[1, 2]]),
+    }
+    return _spec_doc(doc, changes)
+
+
+def _spec_doc(doc, changes):
+    # a change to an invariant's key (or to c) lands in the invariant block
     for key, value in changes.items():
         if key in doc["invariants"] or key == "c":
             doc["invariants"][key] = value
@@ -195,20 +211,49 @@ def test_parse_refuses_unknown_keys(doc, unknown):
         ({"w": True}, "invariant w must be an integer"),
         ({"d_K": True}, "invariant d_K must be an integer"),
         ({"R": True}, "invariant R must be a number"),
-        # 2^2 | 20, so 2 may carry an override; its parts must be integers
+        # 2 may carry an override; its parts must be integers
         ({"overrides": _override_at_2([["a", 1]])}, r"\[e, f\] integer pairs"),
         ({"overrides": _override_at_2([[2.0, 1]])}, r"\[e, f\] integer pairs"),
         ({"overrides": _override_at_2([[True, 1], [True, 1]])}, r"\[e, f\] integer pairs"),
         ({"overrides": 5}, "overrides must be an array"),
         ({"overrides": _override_at_2([[2, 1]])[0]}, "overrides must be an array"),
+        ({"name": 5}, "name must be a string"),
+        ({"invariants": []}, "invariants must be an object"),
+        ({"overrides": [{"p": True, "parts": [[1, 2]]}]}, "p=True is not a prime"),
     ],
     ids=["poly", "poly_disc", "r1", "r2", "h", "w", "d_K", "R"]
-    + ["part-str", "part-float", "part-bool", "overrides-int", "overrides-object"],
+    + ["part-str", "part-float", "part-bool", "overrides-int", "overrides-object"]
+    + ["name", "invariants", "p-bool"],
 )
 def test_parse_refuses_bools_and_non_integers(changes, message):
-    parse_field_spec(_qsqrtm5_doc(overrides=_override_at_2([[2, 1]])))  # the valid form
+    parse_field_spec(_x2p3_doc())  # the valid form
     with pytest.raises(FieldSpecError, match=message):
-        parse_field_spec(_qsqrtm5_doc(**changes))
+        parse_field_spec(_x2p3_doc(**changes))
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ("[]", "must be a JSON object"),
+        ('{"name": "x"}', "missing required key 'poly'"),
+        (_x2p3_doc(poly=[1]), "degree >= 1"),
+        (_x2p3_doc(w=1), "w must be >= 2"),
+        (_x2p3_doc(h=0), "class number h must be >= 1"),
+        (_x2p3_doc(overrides=[{"parts": [[1, 2]]}]), "needs keys 'p' and 'parts'"),
+        (_x2p3_doc(overrides=[{"p": 4, "parts": [[1, 2]]}]), "p=4 is not a prime"),
+        (_x2p3_doc(overrides=_override_at_2([[1, 2]]) * 2), "duplicate override for p=2"),
+        (_x2p3_doc(overrides=_override_at_2([[1, 1]])), r"sum of e\*f is 1, expected 2"),
+        (_x2p3_doc(overrides=_override_at_2([])), "at least one part"),
+        (_x2p3_doc(overrides=_override_at_2([[0, 2]])), r"part \(0,2\) must be positive"),
+    ],
+    ids=[
+        "not-object", "no-poly", "degree-0", "w=1", "h=0",
+        "override-no-p", "p-not-prime", "duplicate-override", "degree-sum", "no-parts", "e=0",
+    ],
+)
+def test_parse_refuses_malformed_spec(doc, message):
+    with pytest.raises(FieldSpecError, match=message):
+        parse_field_spec(doc)
 
 
 def test_splitting_gaussian(field_qi):
@@ -222,12 +267,16 @@ def test_splitting_cubic_ramified(field_cubic):
 
 
 def test_splitting_respects_override():
+    # x^2 + 3 = (x + 1)^2 mod 2 reads 2 as ramified; the override at this
+    # index divisor says inert, and the override is what every route reads
     field = FieldSpec(
-        name="forced",
-        poly=(1, 0, 1),
-        splitting_overrides=((2, SplittingType(((1, 1), (1, 1)))),),
+        name="x^2 + 3",
+        poly=(3, 0, 1),
+        splitting_overrides=((2, SplittingType(((1, 2),))),),
     )
-    assert splitting_type(field, 2).parts == ((1, 1), (1, 1))
+    assert factor_degrees(field.poly, 2) == [(2, 1)]
+    assert splitting_type(field, 2).parts == ((1, 2),)
+    assert residue_degrees(field, np.array([2])).tolist() == [[0, 1]]
 
 
 def test_splitting_refuses_index_divisor_without_assertion():

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from rprime import (
+    BudgetExceededError,
     CoefficientTable,
     FieldSpecError,
     build_tables,
@@ -196,6 +197,18 @@ def test_build_refuses_values_past_int32_in_a_later_segment(
     monkeypatch.setattr(sieve, "local_series", _fake_local_series(p, k, value))
     with pytest.raises(OverflowError, match=match):
         build_tables(field_q, 40)
+
+
+@pytest.mark.parametrize(
+    "N, error, match",
+    [
+        (0, ValueError, "table cap must be >= 1, got 0"),
+        (sieve.MAX_TABLE_N + 1, BudgetExceededError, "table cap 100000001 exceeds"),
+    ],
+)
+def test_build_refuses_cap_outside_its_range(field_q, N, error, match):
+    with pytest.raises(error, match=match):
+        build_tables(field_q, N)
 
 
 @pytest.mark.parametrize("name", ["Q", "Qi", "cubic"])
