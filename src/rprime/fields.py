@@ -16,19 +16,24 @@ overrides or from the factor degrees of the defining polynomial mod p
 integer coefficients without finding any factor, trusted at a p with
 p^2 | poly_disc only where Dedekind's criterion (`polygf.is_p_maximal`)
 holds.  The invariants never touch splitting.  `splitting_type`
-answers for one prime;
-`residue_degrees` sends through it only the primes p <= the degree and
-the p with p^2 | poly_disc, where an override or an index-divisor
-refusal can apply, and fills every other prime in one batched int64
-pass that peels the factor-degree counts off the traces of the powers
-of Berlekamp's Frobenius matrix.
+answers for one prime; the polynomial route of `residue_degrees`
+sends through it only the primes p <= the degree and the p with
+p^2 | poly_disc, where an override or an index-divisor refusal can
+apply, and fills every other prime in one batched int64 pass that
+peels the factor-degree counts off the traces of the powers of
+Berlekamp's Frobenius matrix.
 
 For an abelian field of conductor below 256, `FieldSpec` also derives
-from `residue_degrees` alone the primitive Dirichlet characters whose
+from that route alone the primitive Dirichlet characters whose
 L-functions multiply to zeta_K: the conductor is the least q whose
 prime factors are the ramified primes and whose characters reproduce
-the residue degrees.  The characters choose no splitting type; with
-invariants, their conductors must multiply to |d_K|.
+the residue degrees at every prime below 256.  With invariants, their
+conductors must multiply to |d_K|.  The characters then split every
+prime of the field: the residue degrees at p depend on p mod q alone,
+so `residue_degrees` reads them off one table with a row per class
+mod q, the table that the check at the primes below 256 compared with
+the polynomial route row by row.  Only fields without characters take
+the polynomial route past that check.
 """
 
 from __future__ import annotations
@@ -141,7 +146,8 @@ class FieldSpec:
     splitting.  `characters` holds the primitive characters of the
     field: the trivial one for degree 1, those that
     `_abelian_characters` derives for a field of higher degree, or None
-    where it finds none.  With invariants, their conductors must
+    where it finds none; where they exist, `residue_degrees` splits
+    every prime by them.  With invariants, their conductors must
     multiply to |d_K| (conductor-discriminant formula).  Instances are
     immutable and hashable, and every operation on them is a pure
     function, so they are safe to share across threads.
@@ -311,11 +317,32 @@ def residue_degrees(field: FieldSpec, primes: np.ndarray) -> np.ndarray:
     """Int8 table: entry [i, f - 1] counts the prime ideals of residue
     degree f above primes[i].
 
-    Degree 1 is all ones.  Otherwise a prime p <= degree, where the
-    traces cannot count, or with p^2 | poly_disc, where an override or
-    an index-divisor refusal can apply, takes `splitting_type`.  Every
-    other prime is not an index divisor, so the degrees of the distinct
-    factors of poly mod p are its residue degrees (Dedekind-Kummer), and
+    Degree 1 is all ones.  A field with characters, abelian of conductor
+    q, splits p by p mod q alone, so its row is that of p's class in
+    `_class_table`, at any prime.  `FieldSpec` compared those rows with
+    `_poly_residue_degrees` at every prime below 256, which meet every
+    class that holds a prime: all the units mod q, and each class of
+    a p | q, which holds p alone.  Every other field takes
+    `_poly_residue_degrees`.
+    """
+    primes = np.asarray(primes, dtype=np.int64)
+    n = field.degree
+    if n == 1:
+        return np.ones((len(primes), 1), dtype=np.int8)
+    if field.characters is not None:
+        table = _class_table(field.characters, n)
+        return table[primes % len(table)]
+    return _poly_residue_degrees(field, primes)
+
+
+def _poly_residue_degrees(field: FieldSpec, primes: np.ndarray) -> np.ndarray:
+    """`residue_degrees` from the polynomial, for a field of degree >= 2.
+
+    A prime p <= degree, where the traces cannot count, or with
+    p^2 | poly_disc, where an override or an index-divisor refusal can
+    apply, takes `splitting_type`.  Every other prime is not an index
+    divisor, so the degrees of the distinct factors of poly mod p are
+    its residue degrees (Dedekind-Kummer), and
     `_frobenius_degree_counts` reads them in one int64 pass over all
     such primes, a batch of lanes at a time.  A row of a product there
     sums at most degree products below p^2, and a row is reduced mod p
@@ -326,8 +353,6 @@ def residue_degrees(field: FieldSpec, primes: np.ndarray) -> np.ndarray:
     """
     primes = np.asarray(primes, dtype=np.int64)
     n = field.degree
-    if n == 1:
-        return np.ones((len(primes), 1), dtype=np.int8)
     degrees = np.zeros((len(primes), n), dtype=np.int8)
     per_prime = primes <= n
     # p^2 | poly_disc needs p^2 <= |poly_disc|; the bound is clamped to
@@ -591,6 +616,33 @@ def _primitive_characters(q: int, kernel: tuple[int, ...]) -> tuple[Character, .
     return tuple(characters)
 
 
+@functools.lru_cache(maxsize=None)
+def _class_table(characters: tuple[Character, ...], n: int) -> np.ndarray:
+    """Read-only int8 table with a row per class a mod q, q the lcm of
+    the conductors of these n characters: the residue degrees of a prime
+    p = a mod q in their field, as `residue_degrees` lays out a row.
+
+    X_a, the characters whose conductor is prime to a, are those
+    unramified at p; on them p has order f_a, the lcm of the orders of
+    chi(a), and lies under g_a = |X_a| / f_a primes of degree f_a
+    (Washington, GTM 83, Thm 3.7).  f_a divides |X_a| <= n, so it has
+    its column and g_a fits int8.
+    """
+    q = math.lcm(*(chi.conductor for chi in characters))
+    table = np.zeros((q, n), dtype=np.int8)
+    for a in range(q):
+        # the order of chi(a) for each chi in X_a
+        orders = [
+            chi.order // math.gcd(chi.order, k)
+            for chi in characters
+            if (k := chi.phase[a % chi.conductor]) is not None
+        ]
+        f = math.lcm(*orders)
+        table[a, f - 1] = len(orders) // f
+    table.flags.writeable = False
+    return table
+
+
 def _characters_mod(q: int, degrees: np.ndarray) -> tuple[Character, ...] | None:
     """The primitive characters of the abelian field of conductor q whose
     residue degrees at `_CHECK_PRIMES` are `degrees`, or None where q
@@ -598,10 +650,9 @@ def _characters_mod(q: int, degrees: np.ndarray) -> tuple[Character, ...] | None
 
     They are the characters of (Z/q)^x trivial on the classes of the
     primes that split completely (Washington, GTM 83, ch. 3), which must
-    meet every unit class mod q.  At each prime p, ramified ones
-    included, let X_p be the characters whose conductor p does not
-    divide and f the order of p on X_p; then the residue degrees must be
-    g = |X_p| / f primes of degree f.  The conductors must have lcm q.
+    meet every unit class mod q.  There must be one per degree of the
+    field, their conductors must have lcm q, and `_class_table` must
+    give each prime its row of `degrees`, ramified ones included.
     """
     if len({p % q for p in _CHECK_PRIMES if q % p}) != sum(math.gcd(a, q) == 1 for a in range(q)):
         return None
@@ -609,23 +660,9 @@ def _characters_mod(q: int, degrees: np.ndarray) -> tuple[Character, ...] | None
     primes = np.array(_CHECK_PRIMES, dtype=np.int64)
     split = (degrees[:, 0] == n) & (q % primes != 0)
     characters = _primitive_characters(q, tuple(sorted(set((primes[split] % q).tolist()))))
-    # the order of chi(p) per character and prime, 0 where chi ramifies at p
-    orders = np.array(
-        [
-            [
-                0 if (k := chi.phase[p % chi.conductor]) is None
-                else chi.order // math.gcd(chi.order, k)
-                for p in _CHECK_PRIMES
-            ]
-            for chi in characters
-        ]
-    )
-    f = np.lcm.reduce(np.maximum(orders, 1), axis=0)  # the order of p on X_p
-    g = np.count_nonzero(orders, axis=0) // f
-    column = np.minimum(f, n) - 1
-    # each row must hold g at column f - 1 and nothing else
-    wrong = (f > n) | (degrees[np.arange(len(primes)), column] != g) | (degrees.sum(axis=1) != g)
-    if wrong.any() or math.lcm(*(chi.conductor for chi in characters)) != q:
+    if len(characters) != n or math.lcm(*(chi.conductor for chi in characters)) != q:
+        return None
+    if (_class_table(characters, n)[primes % q] != degrees).any():
         return None
     return characters
 
@@ -647,7 +684,8 @@ def _abelian_characters(field: FieldSpec) -> tuple[Character, ...] | None:
     if rest != 1:
         return None
     try:
-        degrees = residue_degrees(field, np.array(_CHECK_PRIMES, dtype=np.int64))
+        # the polynomial route: this is the check the class table passes
+        degrees = _poly_residue_degrees(field, np.array(_CHECK_PRIMES, dtype=np.int64))
     except IndexDivisorError:
         return None
     unramified = degrees @ np.arange(1, field.degree + 1) == field.degree

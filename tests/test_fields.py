@@ -18,6 +18,7 @@ from rprime import (
 )
 from rprime import fields as fields_module
 from rprime.fields import _fold_schedule, _frobenius_degree_counts, _is_prime
+from rprime.fields import _poly_residue_degrees
 from rprime.fields import poly_discriminant, residue_degrees
 from rprime.fields import FieldInvariants, FieldSpec, SplittingType
 from rprime.polygf import factor_degrees, factor_mod_p
@@ -407,10 +408,11 @@ def test_residue_degrees_of_no_primes_and_of_two_alone(fields, name):
 
 @pytest.mark.parametrize("name", ["cubic", "zeta5", "quintic"])
 def test_batched_fill_is_exact_just_below_1e8(fields, name):
-    # the top of the table cap, where products come closest to int64
+    # the top of the table cap, where products come closest to int64; the
+    # kernel itself, since Q(zeta5) fills from its class table
     field = _field(fields, name)
     primes = [p for p in range(10**8 - 3000, 10**8) if _is_prime(p)]
-    degrees = residue_degrees(field, np.array(primes))
+    degrees = _frobenius_degree_counts(field.poly, np.array(primes))
     for p, row in zip(primes, degrees.tolist()):
         expected = [0] * field.degree
         for _, f in factor_degrees(field.poly, p):
@@ -549,11 +551,12 @@ def test_fold_by_own_coefficients_is_exact_below(name, top):
     # below 1e7 the big cubic folds by residues up to 1e7, above it by 1e7
     # itself, and it reduces every row before it folds; Q(zeta7) folds by
     # six units and Q(zeta11)^+ by coefficients up to 4, reducing no row
-    # before the last n
+    # before the last n; the kernel itself, since the two abelian fields
+    # fill from their class tables
     fields_dir = Path(__file__).resolve().parent.parent / "fields"
     field = _BIG_CUBIC if name == "big cubic" else load_field_file(str(fields_dir / f"{name}.json"))
     primes = [p for p in range(top - 3000, top) if _is_prime(p)]
-    degrees = residue_degrees(field, np.array(primes))
+    degrees = _frobenius_degree_counts(field.poly, np.array(primes))
     for p, row in zip(primes, degrees.tolist()):
         assert row == _factor_row(field, p), p
 
@@ -596,15 +599,17 @@ def test_fill_is_exact_where_a_target_row_is_reduced_first():
 def test_batched_fill_is_chunk_invariant(fields, name):
     # lanes share a squaring, so a prime's row must not depend on its
     # neighbours: one call over every prime <= 2e5 against one call per
-    # prime, on a sample that includes the primes around 2^17
+    # prime, on a sample that includes the primes around 2^17; the
+    # polynomial route, since Q(i) and Q(zeta5) fill from class tables
     field = _field(fields, name)
     primes = primes_between(2, 2 * 10**5)
-    degrees = residue_degrees(field, primes)
+    degrees = _poly_residue_degrees(field, primes)
     near = np.flatnonzero(abs(primes - 2**17) < 600).tolist()
     rng = random.Random(f"chunks:{name}")
     sample = near + rng.sample(range(len(primes)), 200 - len(near))
     for i in sample:
-        assert residue_degrees(field, primes[i : i + 1]).tolist() == [degrees[i].tolist()], i
+        row = _poly_residue_degrees(field, primes[i : i + 1]).tolist()
+        assert row == [degrees[i].tolist()], i
     # in one kernel call across 2^17, bit 17 is in some lanes only (the
     # masked x-shift); alone, a prime takes x in every lane or none
     window = primes[abs(primes - 2**17) < 3000]
@@ -775,6 +780,51 @@ def test_characters_split_primes_by_their_values():
     for p, row in zip(primes.tolist(), degrees.tolist()):
         split = all(chi.phase[p % chi.conductor] == 0 for chi in field.characters)
         assert split == (row[0] == 6) == (p % 7 == 1)
+
+
+def _shipped_or_more_field(name):
+    if name in _MORE_FIELDS:
+        return _field({}, name)
+    return load_field_file(str(_FIELDS_DIR / f"{name}.json"))
+
+
+@pytest.mark.parametrize("name", [*sorted(_SHIPPED_CONDUCTORS), "zeta5", "zeta8", "cyclic cubic"])
+def test_class_table_matches_the_polynomial_route(name):
+    # a field with characters fills from its class table mod the
+    # conductor; at every prime <= 2e5 it must give the rows of the kernel,
+    # and of splitting_type at p <= n and at the ramified p
+    field = _shipped_or_more_field(name)
+    assert field.characters is not None
+    primes = primes_between(2, 2 * 10**5)
+    degrees = residue_degrees(field, primes)
+    assert degrees.dtype == np.int8 and degrees.shape == (len(primes), field.degree)
+    assert (degrees == _poly_residue_degrees(field, primes)).all()
+
+
+@pytest.mark.parametrize(
+    "name, by_poly",
+    [(name, False) for name in sorted(_SHIPPED_CONDUCTORS)]
+    + [(name, True) for name in ("cubic_x3mxm1", "quartic", "quintic")],
+)
+def test_only_fields_without_characters_take_the_polynomial_route(monkeypatch, name, by_poly):
+    # built before the spies: the check made while a spec is built always
+    # takes the polynomial route
+    field = _shipped_or_more_field(name)
+    assert (field.characters is None) == by_poly
+    per_prime, lanes = [], []
+
+    def spy_splitting(field, p):
+        per_prime.append(p)
+        return splitting_type(field, p)
+
+    def spy_kernel(poly, p):
+        lanes.extend(p.tolist())
+        return _frobenius_degree_counts(poly, p)
+
+    monkeypatch.setattr(fields_module, "splitting_type", spy_splitting)
+    monkeypatch.setattr(fields_module, "_frobenius_degree_counts", spy_kernel)
+    residue_degrees(field, primes_between(2, 2000))
+    assert (bool(per_prime), bool(lanes)) == (by_poly, by_poly)
 
 
 def test_degree_one_has_the_trivial_character(field_q):
