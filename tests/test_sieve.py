@@ -325,9 +325,11 @@ def tables_all_fields(fields, table_q_1e4, table_qi_1e4):
 
 @pytest.mark.parametrize("name", ["Q", "Qi", "Qsqrt2", "Qsqrtm5", "cubic"])
 def test_mobius_count_matches_per_n_reference(tables_all_fields, name):
+    # m past the paper's range: I_K(1e4)^10 has about 140 bits, so the
+    # carries run through three or more limbs
     table = tables_all_fields[name]
     for x in (1, 7.5, 361, 2024.9, 10**4):
-        for m in range(1, 6):
+        for m in range(1, 11):
             for r in range(1, 5):
                 assert count_rprime_mobius(table, x, m, r) == _mobius_count_reference(
                     table, x, m, r
@@ -367,6 +369,64 @@ def test_mobius_count_with_every_block_dead(table_qi_1e4):
         for m in range(1, 5):
             for r in range(1, 5):
                 assert count_rprime_mobius(table, x, m, r) == 0, (x, m, r)
+
+
+def _edge_table(field, alternate):
+    # I_K(N) = 2^31 - 1 and sum |b| = I_K(N), the most a table can hold:
+    # a(1) = 2^30 and the other 2^30 - 1 ideals spread at random, with
+    # b = a, or b = (-1)^(n + 1) a so that B swings; a(1) > sum of the
+    # rest keeps the alternating count positive
+    N = 4096
+    rest = np.random.default_rng(31).integers(0, 2**20, N - 1)
+    rest = rest * (2**30 - 1) // rest.sum()
+    rest[-1] += 2**30 - 1 - rest.sum()
+    a = np.concatenate(([0, 2**30], rest))
+    b = -a if alternate else a.copy()
+    b[1::2] = a[1::2]
+    I_prefix, B_prefix = np.cumsum(a).astype(np.int32), np.cumsum(b).astype(np.int32)
+    assert int(I_prefix[-1]) == 2**31 - 1 == int(np.abs(b).sum())
+    return CoefficientTable(field, N, I_prefix, B_prefix)
+
+
+@pytest.mark.parametrize("alternate", [False, True])
+def test_mobius_count_at_the_int32_edge(field_qi, alternate):
+    # max I_K = sum |dB| = 2^31 - 1 at x = N, r = 1 gives the narrowest
+    # limbs, 31 bits, with every product and dot product at its bound
+    table = _edge_table(field_qi, alternate)
+    for x in (1, 7.5, 361, 2024.9, table.N):
+        for m in range(1, 9):
+            for r in range(1, 4):
+                assert count_rprime_mobius(table, x, m, r) == _mobius_count_reference(
+                    table, x, m, r
+                ), (alternate, x, m, r)
+
+
+def _swinging_B(table):
+    B_prefix = np.full(table.N + 1, 2**31 - 1, dtype=np.int32)
+    B_prefix[1::2] = -(2**31 - 1)
+    B_prefix[0] = 0
+    return _with_B_prefix(table, B_prefix)
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        # sum |dB| >= 2^31
+        _swinging_B,
+        # I_K < 0: an even m would give back the count of the true table
+        lambda t: CoefficientTable(t.field, t.N, -t.I_prefix, t.B_prefix),
+        # I_K >= 2^31, held in int64
+        lambda t: CoefficientTable(t.field, t.N, t.I_prefix + np.int64(2**31), t.B_prefix),
+    ],
+    ids=["B-swings", "I-negative", "I-past-int32"],
+)
+def test_mobius_count_refuses_a_table_past_its_bound(table_qi_1e4, corrupt):
+    table = corrupt(table_qi_1e4)
+    for x in (2, 361, 10**4):
+        for m in range(1, 5):
+            for r in range(1, 4):
+                with pytest.raises(OverflowError, match="table corrupt"):
+                    count_rprime_mobius(table, x, m, r)
 
 
 @pytest.mark.parametrize("name", ["Qi", "cubic"])
@@ -504,6 +564,22 @@ def test_table_cache_rejects_corrupt_slot_in_a_later_segment(
     _save_corrupt_cache(path, table_qi_1e4, column, n, value)
     with pytest.raises(FieldSpecError, match="corrupt"):
         load_table(field_qi, str(path))
+
+
+@pytest.mark.parametrize("segment", [1, 7, 64, 2**17])
+def test_segments_are_fewest_and_even(monkeypatch, segment):
+    monkeypatch.setattr(sieve, "_TABLE_SEGMENT", segment)
+    for N in (*range(1, 300), 2 * segment - 1, 2 * segment, 100 * segment + 7):
+        slices = list(sieve._segments(N))
+        lengths = [seg.stop - seg.start for seg in slices]
+        assert slices[0].start == 0 and slices[-1].stop == N + 1, (N, segment)
+        assert all(s.stop == t.start for s, t in zip(slices, slices[1:])), (N, segment)
+        assert len(slices) == -(-(N + 1) // segment), (N, segment)
+        assert lengths[0] == max(lengths) <= segment, (N, segment)
+        assert lengths[0] - lengths[-1] <= 1, (N, segment)
+    if segment == 2**17:
+        # the cubic's benchmark table: two halves, not 2^17 and 68,929 slots
+        assert [seg.stop - seg.start for seg in sieve._segments(2 * 10**5)] == [100_001, 100_000]
 
 
 @pytest.mark.parametrize("segment", [1, 7, 64])
