@@ -13,22 +13,26 @@ prod_i (1 - X^{f_i})^{-1} and the b-values those of prod_i (1 - X^{f_i}),
 so a prime p > sqrt(N) gives a = g_1, b = -g_1 with g_1 = #{i: f_i = 1}.
 The build fills the table in the fewest segments of at most 2^17
 slots, of equal length to within one slot, in place in its prefix
-arrays, and touches each slot about log log N times.  Each segment
-takes a few strided ops per prime p with p^2 <= 2^17, and one batch
-of ufunc.at products for all primes from there up to sqrt(N), which
-have few multiples in a segment; both also collect the sqrt(N)-smooth
-part of every n.  What is left of n after that part is 1 or its one
-prime factor above sqrt(N), and an int8 lookup of g_1 (1 B/slot)
-finishes the segment.  Each segment is then
-checked and prefix-summed with the running totals.  A cache file is one
+arrays, and touches each slot about log log N times.  Only the primes
+p <= sqrt(N) are sieved, once.  Each segment takes a few strided ops
+per prime p with p^2 <= 2^17, and one batch of ufunc.at products for
+all primes from there up to sqrt(N), which have few multiples in a
+segment; both also collect the sqrt(N)-smooth part of every n.  A slot
+n > 1 whose smooth part is still 1 is a prime above sqrt(N): the
+segment's such primes go to `residue_degrees`, and their -g_1 into an
+int8 lookup over 0..N (1 B/slot).  What is left of n after its smooth
+part is 1 or its one prime factor above sqrt(N), which is n itself or
+lies in an earlier segment, so the lookup then finishes the segment.
+Each segment is then checked and prefix-summed with the running
+totals.  A cache file is one
 52-byte header struct and then a and b: the writer takes them segment by
 segment from `_differences`; the reader reads them into the new table's
 two arrays and checks and sums them there as the build does (a load peaks
 at 8.3 B/slot under tracemalloc at N = 2e6; Q at N = 1e7 loads in
 0.12-0.17 s and 110 MB RSS, shared 2-core Xeon VM, numpy 2.4).
 
-Every consumer of primes (this build, the Euler ladder in `analytic`
-and the oracle's enumeration) takes them from `prime_segments(lo, hi)`
+Every sieve of primes (this build's to sqrt(N), the Euler ladder in
+`analytic` and the oracle's enumeration) is `prime_segments(lo, hi)`
 or its concatenation `primes_between(lo, hi)`: a segmented odd-only
 sieve of Eratosthenes in segments of 2^20 odd slots (1 MB of flags).
 Each rung of the zeta ladder sieves only its own range (P_{k-1}, P_k],
@@ -46,7 +50,8 @@ b (the floor-value grouping of Deleglise and Rivat).  For r = 1 there
 are at most 2 sqrt(x) blocks: the n <= sqrt(x) are read off the floor
 values and the rest end at x // q for each smaller q.  For r >= 2 the
 same pass over n <= x^(1/r) (at most 10^4 at the cap) finds every
-block end.  B is read at all ends with one fancy index.  A block with
+block end.  Each end comes with its q, so no end is divided again.  B
+is read at all ends with one fancy index.  A block with
 B(n_end) = B(n - 1) adds exactly 0 * I_K(q)^m and is dropped; I_K is
 read only at the live blocks.  Their sum is exact with no Python-int
 term per block: each I = I_K(q) is raised to I^m in int64 limbs of
@@ -237,8 +242,9 @@ def _prefix_segment(a: np.ndarray, b: np.ndarray, I_before: int, B_before: int) 
 
     a counts ideals and dominates |b|; a value outside that, or a running
     I_K that int32 cannot hold, raises `OverflowError` rather than ship a
-    wrapped table.  I_before and B_before are I_K and B just below the
-    segment.  Returns I_K and B at the segment's last slot.
+    wrapped table.  I_before and B_before, I_K and B just below the
+    segment, are added to its first slot before the sums.  Returns I_K
+    and B at the segment's last slot.
     """
     # a >= 0 first, so -a cannot wrap
     if int(a.min()) < 0 or bool(np.any(b > a)) or bool(np.any(b < -a)):
@@ -247,44 +253,28 @@ def _prefix_segment(a: np.ndarray, b: np.ndarray, I_before: int, B_before: int) 
     if total >= 2**31:
         raise OverflowError(f"I_K(N) >= {total} does not fit the int32 prefix sums")
     # every partial sum is some I_K(n) <= total or some |B(n)| <= I_K(n)
+    a[0] += I_before
+    b[0] += B_before
     np.cumsum(a, dtype=np.int32, out=a)
     np.cumsum(b, dtype=np.int32, out=b)
-    a += I_before
-    b += B_before
     return total, int(b[-1])
 
 
-def _local_factors(
-    field: FieldSpec, N: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, bool]:
-    """What the build needs of each prime p <= N, from `residue_degrees`
-    read one sieve segment of primes at a time.
+def _local_factors(field: FieldSpec, N: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The local series of each prime p <= sqrt(N), from one
+    `residue_degrees` call over them.
 
-    Returns (P, C, a_ones, lookup, large_a).  P holds the primes
-    p <= sqrt(N) as int64; C[:, i, k] is (a_loc[k], b_loc[k], p^k) of
-    P[i], zero past p^k > N; a_ones[i] says a_loc of P[i] is all ones.
-    lookup is int8 over 0..N with lookup[q] = -g_1(q) at each prime
-    q > sqrt(N), lookup[1] = 1 and 0 elsewhere.  large_a says some
-    g_1(q) != 1.
+    Returns (P, C, a_ones).  P holds the primes p <= sqrt(N) as int64;
+    C[:, i, k] is (a_loc[k], b_loc[k], p^k) of P[i], zero past p^k > N;
+    a_ones[i] says a_loc of P[i] is all ones.
     """
-    root = math.isqrt(N)
-    series = []
-    lookup = np.zeros(N + 1, dtype=np.int8)
-    lookup[1] = 1
-    large_a = False
-    for primes in prime_segments(2, N):
-        degrees = residue_degrees(field, primes)
-        cut = int(np.searchsorted(primes, root, side="right"))
-        for p, row in zip(primes[:cut].tolist(), degrees[:cut]):
-            series.append((p, *local_series(row, p, N)))
-        lookup[primes[cut:]] = -degrees[cut:, 0]
-        large_a = large_a or bool(np.any(degrees[cut:, 0] != 1))
-    C = np.zeros((3, len(series), max((len(a) for _, a, _ in series), default=0)), np.int32)
-    for i, (p, a_loc, b_loc) in enumerate(series):
+    P = primes_between(2, math.isqrt(N))
+    series = [local_series(row, p, N) for p, row in zip(P.tolist(), residue_degrees(field, P))]
+    C = np.zeros((3, len(P), max((len(a) for a, _ in series), default=0)), np.int32)
+    for i, (p, (a_loc, b_loc)) in enumerate(zip(P.tolist(), series)):
         C[:, i, : len(a_loc)] = a_loc, b_loc, [p**k for k in range(len(a_loc))]
-    P = np.array([p for p, _, _ in series], dtype=np.int64)
-    a_ones = np.array([a_loc.count(1) == len(a_loc) for _, a_loc, _ in series], dtype=bool)
-    return P, C, a_ones, lookup, large_a
+    a_ones = np.array([a_loc.count(1) == len(a_loc) for a_loc, _ in series], dtype=bool)
+    return P, C, a_ones
 
 
 def _spread_sparse(
@@ -310,11 +300,11 @@ def _spread_sparse(
     first = np.maximum(P, -(-L // P) * P)
     count = np.maximum((R - 1 - first) // P + 1, 0)
     start = np.cumsum(count) - count  # where each prime's run begins
-    run = np.repeat(np.arange(len(P)), count)
-    offset = np.arange(len(run), dtype=np.int64) - start[run]
-    offset *= P[run]
-    offset += first[run] - L
-    mult = C[:, run, 1]
+    # entry j of the run of p is first - L + (j - start) p
+    offset = np.repeat(P, count)
+    offset *= np.arange(len(offset))
+    offset += np.repeat(first - L - start * P, count)
+    mult = np.repeat(C[:, :, 1], count, axis=1)
     squares = P * P
     m2 = np.maximum(squares, -(-L // squares) * squares)
     hit = np.flatnonzero(m2 < R)
@@ -344,25 +334,34 @@ def build_tables(field: FieldSpec, N: int) -> CoefficientTable:
     coefficients onto its multiples in the segment, and p^k into an
     int32 buffer of smooth parts.  A prime with p^2 at most
     `_TABLE_SEGMENT` does so in strided ops, one per row of a
-    pattern that holds each multiple's factor at its exact valuation;
-    the rest go through `_spread_sparse`.  Every n <= N has at most one
-    prime factor q > sqrt(N), so n // smooth[n] is 1 or q, and the int8
-    lookup of `_local_factors` finishes a and b.  The segment is then
-    checked and prefix-summed with the running totals (`_prefix_segment`).
-    Index-divisor refusals from the splitting computation propagate.
+    pattern that holds each multiple's factor at its exact valuation
+    (no a row where a_loc is all ones); the rest go through
+    `_spread_sparse`.  A slot n > 1 left with smooth part 1 is a prime
+    q > sqrt(N), and `residue_degrees` of the segment's such q writes
+    -g_1(q) into an int8 lookup over 0..N.  Every n <= N has at most one
+    prime factor q > sqrt(N), and q <= n, so n // smooth[n] is 1 or a q
+    of this segment or an earlier one, and the lookup, gathered with
+    np.take, finishes b, and a once some g_1(q) != 1.  The segment is
+    then checked and prefix-summed with the running totals
+    (`_prefix_segment`).  Index-divisor refusals from the splitting
+    computation propagate.
     """
     if N < 1:
         raise ValueError(f"table cap must be >= 1, got {N}")
     if N > MAX_TABLE_N:
         raise BudgetExceededError(f"table cap {N} exceeds the documented limit {MAX_TABLE_N}")
-    P, C, a_ones, lookup, large_a = _local_factors(field, N)
+    P, C, a_ones = _local_factors(field, N)
     dense = int(np.searchsorted(P * P, _TABLE_SEGMENT, side="right"))
     # column k of coef is (a_loc[k], b_loc[k], p^k), shaped to broadcast
-    # over a pattern's three rows
-    strided = [(p, C[:, i].T[:, :, None], a_ones[i]) for i, p in enumerate(P[:dense].tolist())]
+    # over a pattern's rows; a prime whose a_loc is all ones drops its a row
+    strided = [(p, C[int(a_ones[i]) :, i].T[:, :, None]) for i, p in enumerate(P[:dense].tolist())]
     sparse_P, sparse_C, sparse_a = P[dense:], C[:, dense:], not a_ones[dense:].all()
     I_prefix = np.empty(N + 1, dtype=np.int32)
     B_prefix = np.empty(N + 1, dtype=np.int32)
+    # -g_1(q) at each prime q > sqrt(N) of the segments so far, 1 at 1
+    lookup = np.zeros(N + 1, dtype=np.int8)
+    lookup[1] = 1
+    large_a = False  # some g_1(q) != 1 so far
     segments = list(_segments(N))
     smooth_buf = np.empty(segments[0].stop, dtype=np.int32)  # a longest segment
     # rows a, b and p-part over the multiples of one prime in a segment
@@ -377,13 +376,13 @@ def build_tables(field: FieldSpec, N: int) -> CoefficientTable:
         if L == 0:
             a[0] = b[0] = 0
         smooth.fill(1)
-        for p, coef, ones in strided:
+        for p, coef in strided:
             m = max(p, -(-L // p) * p)  # first multiple of p in the segment
             if m >= R:
                 continue
             # entry j is the multiple m + j p; it takes column k of coef
             # for the largest k with p^k dividing it
-            pattern = pattern_buf[:, : (R - 1 - m) // p + 1]
+            pattern = pattern_buf[3 - coef.shape[1] :, : (R - 1 - m) // p + 1]
             pattern[...] = coef[1]
             step = p * p
             for k in range(2, len(coef)):
@@ -392,15 +391,21 @@ def build_tables(field: FieldSpec, N: int) -> CoefficientTable:
                     break
                 pattern[:, (mk - m) // p :: step // p] = coef[k]
                 step *= p
-            ta, tb, ts = pattern
-            smooth[m - L :: p] *= ts
-            if not ones:
-                a[m - L :: p] *= ta
-            b[m - L :: p] *= tb
+            smooth[m - L :: p] *= pattern[-1]
+            b[m - L :: p] *= pattern[-2]
+            if len(pattern) == 3:
+                a[m - L :: p] *= pattern[0]
         if len(sparse_P):
             _spread_sparse(a, b, smooth, L, sparse_P, sparse_C, sparse_a)
-        # n // smooth[n] is 1 or the prime above sqrt(N) that divides n
-        h = lookup[np.floor_divide(np.arange(L, R, dtype=np.int32), smooth, out=smooth)]
+        # no prime <= sqrt(N) divides a slot n > 1 left at 1, so n is a prime
+        lo = max(L, 2)
+        large = np.flatnonzero(smooth[lo - L :] == 1) + lo
+        g1 = residue_degrees(field, large)[:, 0]
+        lookup[large] = -g1
+        large_a = large_a or bool(np.any(g1 != 1))
+        # n // smooth[n] is 1 or the prime above sqrt(N) that divides n,
+        # which is in this segment or an earlier one
+        h = np.take(lookup, np.floor_divide(np.arange(L, R, dtype=np.int32), smooth, out=smooth))
         b *= h
         if large_a:
             np.abs(h, out=h)
@@ -438,21 +443,29 @@ def _integer_root(n: int, r: int) -> int:
     return k
 
 
-def _block_ends(X: int, r: int) -> np.ndarray:
-    """Sorted int64 array [0, e_1, ..., L] of the block ends for floor(X / n^r).
+def _block_ends(X: int, r: int) -> tuple[np.ndarray, np.ndarray]:
+    """The block ends of floor(X / n^r) and the value of each block.
 
-    e_i runs over the n in [1, L], L = floor(X^(1/r)), with
+    Returns (ends, q): ends is the sorted int64 array [0, e_1, ..., L],
+    e_i running over the n in [1, L], L = floor(X^(1/r)), with
     X // n^r != X // (n + 1)^r: the last n of each block of the Mobius
-    sum.  Below T the blocks are read off the floor values directly; for
-    r = 1, T = floor(sqrt(X)) and every value q <= X // (T + 1) then gets
-    the end X // q.  For r >= 2, T = L, so that tail is empty.
+    sum; q[i] = X // e_{i+1}^r.  Below T the blocks are read off the
+    floor values; for r = 1, T = floor(sqrt(X)), where every n < T ends a
+    block (X // n - X // (n + 1) >= 1 as n (n + 1) < T^2 <= X), and every
+    value q <= X // (T + 1) then ends the block at X // q.  For r >= 2,
+    T = L, so that tail is empty.
     """
     T = _integer_root(X, max(r, 2))
-    n = np.arange(1, T + 1, dtype=np.int64)
-    q_small = X // n**r  # n^r <= X, so no power wraps
-    q_T = X // (T + 1) ** r  # Python int: (T + 1)^r can pass int64
-    small = n[q_small != np.concatenate((q_small[1:], [q_T]))]
-    return np.concatenate(([0], small, X // np.arange(q_T, 0, -1, dtype=np.int64)))
+    if r > 1:  # T = L, so X // (T + 1)^r = 0 and there is no tail
+        n = np.arange(1, T + 1, dtype=np.int64)
+        q = X // n**r  # n^r <= X, so no power wraps
+        last = q != np.concatenate((q[1:], [0]))
+        return np.concatenate(([0], n[last])), q[last]
+    q_T = X // (T + 1)
+    # every n < T ends a block, and T does unless X // T = q_T
+    small = np.arange(1, T + (T > 0 and X // T != q_T), dtype=np.int64)
+    tail = np.arange(q_T, 0, -1, dtype=np.int64)  # X // (X // q) = q for q <= q_T
+    return np.concatenate(([0], small, X // tail)), np.concatenate((X // small, tail))
 
 
 def count_rprime_mobius(table: CoefficientTable, x: float, m: int, r: int) -> int:
@@ -476,7 +489,7 @@ def count_rprime_mobius(table: CoefficientTable, x: float, m: int, r: int) -> in
     # once 2^r > X, X // n^r = 0 for every n >= 2, so a larger r leaves
     # the count unchanged; clamping keeps n^r from growing with r
     r = min(r, max(X.bit_length(), 1))
-    ends = _block_ends(X, r)
+    ends, q = _block_ends(X, r)
     # the int64 differences of the stored int32 B_prefix are exact
     B = table.B_prefix[ends].astype(np.int64)
     dB = B[1:] - B[:-1]
@@ -486,7 +499,7 @@ def count_rprime_mobius(table: CoefficientTable, x: float, m: int, r: int) -> in
     dB = dB[live]
     # read as uint64 a negative I_K wraps past 2^63, so one max checks
     # both I_K >= 0 and I_K < 2^31
-    I_q = table.I_prefix[X // ends[1:][live] ** r].astype(np.uint64)
+    I_q = table.I_prefix[q[live]].astype(np.uint64)
     top = int(np.maximum.reduce(I_q))
     weight = int(np.add.reduce(np.abs(dB)))
     if top >= 2**31 or weight >= 2**31:

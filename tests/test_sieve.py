@@ -169,6 +169,42 @@ def test_spread_matches_per_prime_reference_in_segments(fields, monkeypatch, nam
     _assert_spread_matches_reference(_field(fields, name), name)
 
 
+@pytest.mark.parametrize("name", ["Q", "Qi", "cubic"])
+def test_build_sieves_only_to_the_square_root(fields, monkeypatch, name):
+    # the primes above sqrt(N) are the slots the spread leaves with smooth
+    # part 1, so no sieve reaches past sqrt(N)
+    his = []
+    prime_segments = sieve.prime_segments
+
+    def recording(lo, hi):
+        his.append(hi)
+        return prime_segments(lo, hi)
+
+    monkeypatch.setattr(sieve, "prime_segments", recording)
+    N = 10**5 + 7
+    build_tables(fields[name], N)
+    assert his and max(his) <= math.isqrt(N), his
+
+
+def test_large_a_flag_turns_on_in_a_later_segment(fields, monkeypatch):
+    # the cubic at N = 300 in segments of 4 slots: the first prime above
+    # sqrt(N), 19, has g_1 = 1 and lies in [16, 20); the first with
+    # g_1 != 1, 23 (g_1 = 2), lies in [20, 24), so only the later segments
+    # multiply a by g_1
+    field, N = fields["cubic"], 300
+    monkeypatch.setattr(sieve, "_TABLE_SEGMENT", 4)
+    large = primes_between(math.isqrt(N) + 1, N)
+    g1 = residue_degrees(field, large)[:, 0]
+    assert large[:2].tolist() == [19, 23] and g1[:2].tolist() == [1, 2]
+    start = {n: next(s.start for s in sieve._segments(N) if s.start <= n < s.stop) for n in (19, 23)}
+    assert start == {19: 16, 23: 20}
+    table = build_tables(field, N)
+    a, b = _spread_per_prime(field, N)
+    assert np.array_equal(table.a, a)
+    assert np.array_equal(table.b, b)
+    assert table.a[23] == 2 and table.a[5 * 23] == 2
+
+
 def _fake_local_series(p, k, value):
     # local_series with its coefficient of a at p^k replaced by value
     def fake(degrees, q, N):
@@ -214,7 +250,8 @@ def test_build_refuses_cap_outside_its_range(field_q, N, error, match):
 @pytest.mark.parametrize("name", ["Q", "Qi", "cubic"])
 def test_build_peak_memory_per_slot(fields, name):
     # the table keeps 8 B/slot; the int8 lookup of g_1 adds 1 B/slot and
-    # the segment buffers a few hundred kB, with no table-sized temporary
+    # the segment buffers about 3 MB (np.take's int64 copy of a segment's
+    # indices among them), with no table-sized temporary
     N = 2 * 10**6
     build_tables(fields[name], 1000)  # first-call allocations stay out
     tracemalloc.start()
@@ -454,22 +491,26 @@ def test_block_ends_match_scalar_walk(r):
     top = round(10 ** (8 / r))  # k**r near the table cap 1e8
     near_cap = {k**r + d for k in range(max(2, top - 30), top + 30) for d in (-1, 0, 1)}
     for X in sorted(set(range(1, 2001)) | near_cap):
-        ends = _block_ends(X, r)
+        ends, q = _block_ends(X, r)
         assert ends.tolist() == _block_ends_reference(X, r), (X, r)
+        assert q.tolist() == [X // e**r for e in ends[1:].tolist()], (X, r)
         assert ends[0] == 0 and ends[-1] == _integer_root(X, r)
         assert np.all(np.diff(ends) > 0)
 
 
 def test_block_ends_below_norm_one():
     for r in range(1, 7):
-        assert _block_ends(0, r).tolist() == [0]
+        ends, q = _block_ends(0, r)
+        assert ends.tolist() == [0] and q.tolist() == []
 
 
 @pytest.mark.parametrize("r", [30, 64, 100])
 def test_block_ends_when_powers_pass_int64(r):
     # 2^r may not fit int64, so the helper must not form it in numpy
     for X in (1, 2, 3, 2**30 - 1, 2**30, 2**30 + 1, 10**8):
-        assert _block_ends(X, r).tolist() == _block_ends_reference(X, r), (X, r)
+        ends, q = _block_ends(X, r)
+        assert ends.tolist() == _block_ends_reference(X, r), (X, r)
+        assert q.tolist() == [X // e**r for e in ends[1:].tolist()], (X, r)
 
 
 def test_mobius_count_exact_beyond_int64(table_qi_1e4):
