@@ -6,13 +6,8 @@ The zeta function of the field takes one of two routes, chosen by
 The L route serves every field with characters: Q, and each abelian
 field of conductor below 256, whose characters `FieldSpec` derives
 from `poly`.  There zeta_K(s) is the product of L(s, chi) over the
-field's primitive characters chi (Washington, GTM 83, ch. 4), and
-L(s, chi) = sum over b mod f of chi(b) f^-s zeta(s, b/f), f the
-conductor of chi.  Each Hurwitz value comes from the Euler-Maclaurin
-formula with a rigorous remainder (Johansson, Numer. Algorithms 69,
-2015), and the certified error covers that remainder and every float64
-rounding on the way: at s = 2 it is below 2e-14 of the value on every
-shipped spec, and the split point is 16.
+field's primitive characters chi, which `characters.zeta` evaluates
+with a certified error, cached here per (field, s).
 
 The ladder serves every other field.  It is a truncated Euler product
 over rational primes, the local factor at p read off the residue
@@ -53,12 +48,13 @@ from fractions import Fraction
 
 import numpy as np
 
+from . import characters
+from .characters import _U
 from .errors import ToleranceError
-from .fields import Character, FieldSpec, ideal_density_constant, residue_degrees
+from .fields import FieldSpec, ideal_density_constant, residue_degrees
 from .sieve import prime_segments
 
 MAIN_TERM_TOL = 1e-9  # the loosest zeta tolerance a main term accepts
-_U = 2.0**-53  # unit roundoff of float64
 # the Euler ladder's cutoffs P_k: 4096 * 4^k, capped at 1e7
 _RUNGS = (4096, 16384, 65536, 262144, 1048576, 4194304, 10**7)
 
@@ -121,115 +117,10 @@ def _euler_zeta(field: FieldSpec, s: float, tol: float) -> tuple[float, int, flo
     return value, P, err
 
 
-# B_2j / (2j)! for j = 1..9, each correctly rounded from the exact rational
-_EM_COEFFS = tuple(
-    float(Fraction(b) / math.factorial(2 * j))
-    for j, b in enumerate(
-        ("1/6", "-1/30", "1/42", "-1/30", "5/66", "-691/2730", "7/6", "-3617/510", "43867/798"),
-        start=1,
-    )
-)
-_EM_TERMS = 8  # Bernoulli terms summed; the ninth bounds the remainder
-_TRIG_ERR = 16 * _U  # |computed - exact| of cos and sin at 2 pi k / order, |k| <= order / 2
-
-
-@functools.lru_cache(maxsize=None)
-def _split_point(s: float) -> int:
-    """The least N = 8 * 2^k whose Euler-Maclaurin remainder is below
-    u/16 of every sum H(s; b, f), 1 <= b <= f, u = 2^-53.
-
-    The remainder after `_EM_TERMS` = J terms is at most
-    2 |B_(2J+2)| / (2J+2)! (s)_(2J+1) f^(2J+1) t^(-s-2J-1), t = b + N f,
-    and f / t <= 1 / N, b / t <= 1 / (N + 1), H >= b^-s.
-    """
-    J = _EM_TERMS
-    log_c = math.log(2.0 * abs(_EM_COEFFS[J])) + sum(math.log(s + i) for i in range(2 * J + 1))
-    N = 8
-    while log_c - s * math.log(N + 1) - (2 * J + 1) * math.log(N) > math.log(_U / 16):
-        N *= 2
-    return N
-
-
-def _hurwitz(s: float, b: int, f: int, N: int) -> tuple[float, float]:
-    """H(s; b, f) = sum over k >= 0 of (b + k f)^-s = f^-s zeta(s, b/f),
-    and a bound on the error of the value returned.
-
-    Euler-Maclaurin at the split point N, t = b + N f:
-    H = sum_{k<N} (b + k f)^-s + t^(1-s) / (f (s-1)) + t^-s / 2
-        + sum_{j=1..J} B_2j / (2j)! (s)_(2j-1) f^(2j-1) t^(-s-2j+1) + R,
-    with |R| <= u/16 H by the choice of N (`_split_point`).  The bound
-    takes each head term to within 2u (pow within one ulp), the first
-    two tail terms to within 6u, each Bernoulli term to within 64u and
-    the correctly rounded `math.fsum` to within 2u of the sum.
-    """
-    head = [float(b + k * f) ** -s for k in range(N)]
-    t = b + N * f
-    ts = float(t) ** -s
-    first = [ts * t / (f * (s - 1.0)), 0.5 * ts]
-    bernoulli = []
-    x = f / t
-    term = ts * s * x  # (s)_(2j-1) (f / t)^(2j-1) t^-s
-    for j in range(1, _EM_TERMS + 1):
-        bernoulli.append(_EM_COEFFS[j - 1] * term)
-        # left to right, so a term that underflowed to 0 stays 0 at huge s
-        term = term * (s + 2 * j - 1) * x * (s + 2 * j) * x
-    value = math.fsum(head + first + bernoulli)
-    err = _U * (
-        2.0 * math.fsum(head)
-        + 6.0 * math.fsum(first)
-        + 64.0 * math.fsum(map(abs, bernoulli))
-        + (2.0 + 1.0 / 8) * value
-    )
-    return value, err
-
-
-def _l_value(chi: Character, s: float, N: int, hurwitz: dict) -> tuple[complex, float]:
-    """L(s, chi) = sum over b mod f of chi(b) H(s; b, f), and a bound on
-    its error: a real chi takes the values +-1 exactly; a complex one
-    takes cos and sin to within `_TRIG_ERR` and its products to within u."""
-    f = chi.conductor
-    re, im, err = [], [], 0.0
-    for b in range(1, f + 1):
-        k = chi.phase[b % f]
-        if k is None:
-            continue
-        if (b, f) not in hurwitz:
-            hurwitz[b, f] = _hurwitz(s, b, f, N)
-        h, e = hurwitz[b, f]
-        if 2 * k % chi.order == 0:  # chi(b) = +-1
-            re.append(h if k == 0 else -h)
-            err += e
-        else:
-            angle = math.tau * (k if 2 * k < chi.order else k - chi.order) / chi.order
-            re.append(math.cos(angle) * h)
-            im.append(math.sin(angle) * h)
-            err += 2.0 * e + 2.0 * (_TRIG_ERR + _U) * (h + e)
-    value = complex(math.fsum(re), math.fsum(im))
-    return value, err + 2.0 * _U * (abs(value.real) + abs(value.imag))
-
-
 @functools.lru_cache(maxsize=None)
 def _l_function_zeta(field: FieldSpec, s: float) -> tuple[float, int, float]:
-    """The L route: zeta_K(s) = product over the field's primitive
-    characters chi of L(s, chi), the split point N and the certified
-    error.
-
-    With |L~ - L| <= e per factor, the computed product is off by at
-    most prod |L~| (prod (1 + e / |L~|) - 1); each complex product
-    adds at most 3u, and the bound itself is padded by 2^-20 for its own
-    rounding.  The libm pow, cos and sin are taken to be within one ulp.
-    """
-    if s == math.inf:
-        return 1.0, 1, 0.0
-    N = _split_point(s)
-    hurwitz: dict = {}
-    product, size, growth = complex(1.0), 1.0, 0.0
-    for chi in field.characters:
-        value, err = _l_value(chi, s, N, hurwitz)
-        product *= value
-        size *= abs(value)
-        growth += math.log1p(err / abs(value)) + math.log1p(3.0 * _U)
-    return product.real, N, size * math.expm1(growth) * (1.0 + 2.0**-20)
+    """The L route: `characters.zeta` of the field's characters."""
+    return characters.zeta(field.characters, s)
 
 
 def zeta_route(field: FieldSpec) -> str:

@@ -23,29 +23,22 @@ apply, and fills every other prime in one batched int64 pass that
 peels the factor-degree counts off the traces of the powers of
 Berlekamp's Frobenius matrix.
 
-For an abelian field of conductor below 256, `FieldSpec` also derives
-from that route alone the primitive Dirichlet characters whose
-L-functions multiply to zeta_K: the conductor is the least q whose
-prime factors are the ramified primes and whose characters reproduce
-the residue degrees at every prime below 256.  With invariants, their
-conductors must multiply to |d_K|.  The characters then split every
-prime of the field: the residue degrees at p depend on p mod q alone,
-so `residue_degrees` reads them off one table with a row per class
-mod q, the table that the check at the primes below 256 compared with
-the polynomial route row by row.  Only fields without characters take
-the polynomial route past that check.
+`FieldSpec` hands that route's rows at the primes below 256 to
+`characters.derive`; with invariants, the conductors of the characters
+it finds must multiply to |d_K|.  A field with characters reads every
+prime off `characters.class_table`, which matched that route at those
+primes, and only fields without characters take the route past them.
 """
 
 from __future__ import annotations
 
-import functools
-import itertools
 import json
 import math
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
+from .characters import _CHECK_PRIMES, Character, _is_prime, _prime_factors, class_table, derive
 from .errors import FieldSpecError, IndexDivisorError
 from .polygf import factor_degrees, is_p_maximal
 
@@ -93,18 +86,6 @@ class FieldInvariants:
     d_K: int
 
 
-@dataclass(frozen=True)
-class Character:
-    """A primitive Dirichlet character of conductor f:
-    chi(b) = exp(2 pi i phase[b % f] / order), and phase[b % f] is None
-    where gcd(b, f) > 1.  `order` is a multiple of the character's
-    order, shared by the characters of one field."""
-
-    conductor: int
-    order: int
-    phase: tuple[int | None, ...]
-
-
 def poly_discriminant(poly: tuple[int, ...] | list[int]) -> int:
     """Discriminant (-1)^(n(n-1)/2) Res(f, f') of the monic f = poly
     (constant term first), exact in Python ints: Bareiss fraction-free
@@ -136,21 +117,22 @@ class FieldSpec:
     """A number field given by a monic irreducible integer polynomial.
 
     `poly` lists coefficients constant term first with leading
-    coefficient 1.  poly_disc is `poly_discriminant(poly)`, computed
-    here, and must be nonzero, i.e. poly squarefree.  Invariants must
-    satisfy poly_disc = k^2 * d_K for an integer k >= 1, the index of
-    the polynomial order, and Dedekind's criterion must show every
-    prime p | k to divide that index.  Overrides are allowed only at
-    primes where Dedekind's criterion fails (so p^2 | poly_disc), the
-    only primes where the factorization of poly cannot decide the
-    splitting.  `characters` holds the primitive characters of the
-    field: the trivial one for degree 1, those that
-    `_abelian_characters` derives for a field of higher degree, or None
-    where it finds none; where they exist, `residue_degrees` splits
-    every prime by them.  With invariants, their conductors must
-    multiply to |d_K| (conductor-discriminant formula).  Instances are
-    immutable and hashable, and every operation on them is a pure
-    function, so they are safe to share across threads.
+    coefficient 1.  Irreducibility is not checked: the caller must make
+    sure of it, as a reducible `poly` describes no field.  poly_disc is
+    `poly_discriminant(poly)`, computed here, and must be nonzero, i.e.
+    poly squarefree.  Invariants must satisfy poly_disc = k^2 * d_K for
+    an integer k >= 1, the index of the polynomial order, and
+    Dedekind's criterion must show every prime p | k to divide that
+    index.  Overrides are allowed only at primes where Dedekind's
+    criterion fails (so p^2 | poly_disc), the only primes where the
+    factorization of poly cannot decide the splitting.  `characters`
+    holds the primitive characters that `_abelian_characters` derives
+    (the trivial one alone at degree 1), or None where it finds none;
+    where they exist, `residue_degrees` splits every prime by them.
+    With invariants, their conductors must multiply to |d_K|
+    (conductor-discriminant formula).  Instances are immutable and
+    hashable, and every operation on them is a pure function, so they
+    are safe to share across threads.
     """
 
     name: str
@@ -210,8 +192,7 @@ class FieldSpec:
                 raise FieldSpecError(
                     f"override at p={p}: sum of e*f is {split.degree_sum}, expected {self.degree}"
                 )
-        # Q: the trivial character only
-        characters = (Character(1, 1, (0,)),) if self.degree == 1 else _abelian_characters(self)
+        characters = _abelian_characters(self)
         if characters is not None and inv is not None:
             product = math.prod(chi.conductor for chi in characters)
             if product != abs(inv.d_K):
@@ -246,42 +227,6 @@ class FieldSpec:
                 for p, split in self.splitting_overrides
             ],
         }
-
-
-def _prime_factors(k: int) -> list[int]:
-    factors, d = [], 2
-    while d * d <= k:
-        if k % d == 0:
-            factors.append(d)
-            while k % d == 0:
-                k //= d
-        d += 1
-    return factors + [k] * (k > 1)
-
-
-def _is_prime(n: int) -> bool:
-    # deterministic Miller-Rabin; the witness set covers all n < 3.3e24
-    if n < 2:
-        return False
-    for small in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        if n % small == 0:
-            return n == small
-    d = n - 1
-    s = 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for base in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        x = pow(base, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = (x * x) % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
 
 
 def splitting_type(field: FieldSpec, p: int) -> SplittingType:
@@ -319,7 +264,7 @@ def residue_degrees(field: FieldSpec, primes: np.ndarray) -> np.ndarray:
 
     Degree 1 is all ones.  A field with characters, abelian of conductor
     q, splits p by p mod q alone, so its row is that of p's class in
-    `_class_table`, at any prime.  `FieldSpec` compared those rows with
+    `class_table`, at any prime.  `FieldSpec` compared those rows with
     `_poly_residue_degrees` at every prime below 256, which meet every
     class that holds a prime: all the units mod q, and each class of
     a p | q, which holds p alone.  Every other field takes
@@ -330,7 +275,7 @@ def residue_degrees(field: FieldSpec, primes: np.ndarray) -> np.ndarray:
     if n == 1:
         return np.ones((len(primes), 1), dtype=np.int8)
     if field.characters is not None:
-        table = _class_table(field.characters, n)
+        table = class_table(field.characters, n)
         return table[primes % len(table)]
     return _poly_residue_degrees(field, primes)
 
@@ -557,146 +502,25 @@ def _peel_traces(Q: np.ndarray, p: np.ndarray) -> np.ndarray:
     return counts
 
 
-# The characters of a candidate conductor are read off the residue
-# degrees at every prime below this bound, and must reproduce them;
-# those primes must meet every unit class mod the conductor.
-_CHARACTER_CHECK_BOUND = 256
-_CHECK_PRIMES = tuple(p for p in range(2, _CHARACTER_CHECK_BOUND) if _is_prime(p))
-
-
-def _unit_basis(q: int) -> list[tuple[int, int]]:
-    """(generator, order) pairs of a basis of (Z/q)^x, one per cyclic
-    factor of each (Z/p^k)^x, each lifted to 1 mod the other factors."""
-    basis = []
-    for p in _prime_factors(q):
-        k = 0
-        while q % p ** (k + 1) == 0:
-            k += 1
-        pk = p**k
-        if p == 2:  # -1 and 5
-            local = [(pk - 1, 2)] * (k >= 2) + [(5, pk // 4)] * (k >= 3)
-        else:  # a primitive root
-            phi = pk - pk // p
-            root = next(
-                g
-                for g in range(2, pk)
-                if g % p and all(pow(g, phi // r, pk) != 1 for r in _prime_factors(phi))
-            )
-            local = [(root, phi)]
-        rest = q // pk
-        for g, order in local:
-            basis.append((g + pk * ((1 - g) * pow(pk, -1, rest) % rest), order))
-    return basis
-
-
-@functools.lru_cache(maxsize=None)
-def _primitive_characters(q: int, kernel: tuple[int, ...]) -> tuple[Character, ...]:
-    """The characters of (Z/q)^x trivial on the classes in `kernel`,
-    each made primitive."""
-    basis = _unit_basis(q)
-    logs = {1 % q: ()}  # unit -> its exponents over the basis
-    for g, order in basis:
-        logs = {a * pow(g, e, q) % q: v + (e,) for a, v in logs.items() for e in range(order)}
-    orders = [order for _, order in basis]
-    D = math.lcm(*orders)
-    divisors = [f for f in range(1, q + 1) if q % f == 0]
-    characters = []
-    for exps in itertools.product(*map(range, orders)):
-        weights = [c * (D // order) for c, order in zip(exps, orders)]
-        phase = {a: sum(map(int.__mul__, weights, v)) % D for a, v in logs.items()}
-        if any(phase[h] for h in kernel):
-            continue
-        # the conductor: the least f | q with chi trivial on the units = 1 mod f
-        f = next(f for f in divisors if not any(phase[a] for a in logs if a % f == 1 % f))
-        primitive: list[int | None] = [None] * f
-        for a in sorted(logs):
-            if primitive[a % f] is None:
-                primitive[a % f] = phase[a]
-        characters.append(Character(f, D, tuple(primitive)))
-    return tuple(characters)
-
-
-@functools.lru_cache(maxsize=None)
-def _class_table(characters: tuple[Character, ...], n: int) -> np.ndarray:
-    """Read-only int8 table with a row per class a mod q, q the lcm of
-    the conductors of these n characters: the residue degrees of a prime
-    p = a mod q in their field, as `residue_degrees` lays out a row.
-
-    X_a, the characters whose conductor is prime to a, are those
-    unramified at p; on them p has order f_a, the lcm of the orders of
-    chi(a), and lies under g_a = |X_a| / f_a primes of degree f_a
-    (Washington, GTM 83, Thm 3.7).  f_a divides |X_a| <= n, so it has
-    its column and g_a fits int8.
-    """
-    q = math.lcm(*(chi.conductor for chi in characters))
-    table = np.zeros((q, n), dtype=np.int8)
-    for a in range(q):
-        # the order of chi(a) for each chi in X_a
-        orders = [
-            chi.order // math.gcd(chi.order, k)
-            for chi in characters
-            if (k := chi.phase[a % chi.conductor]) is not None
-        ]
-        f = math.lcm(*orders)
-        table[a, f - 1] = len(orders) // f
-    table.flags.writeable = False
-    return table
-
-
-def _characters_mod(q: int, degrees: np.ndarray) -> tuple[Character, ...] | None:
-    """The primitive characters of the abelian field of conductor q whose
-    residue degrees at `_CHECK_PRIMES` are `degrees`, or None where q
-    cannot be its conductor.
-
-    They are the characters of (Z/q)^x trivial on the classes of the
-    primes that split completely (Washington, GTM 83, ch. 3), which must
-    meet every unit class mod q.  There must be one per degree of the
-    field, their conductors must have lcm q, and `_class_table` must
-    give each prime its row of `degrees`, ramified ones included.
-    """
-    if len({p % q for p in _CHECK_PRIMES if q % p}) != sum(math.gcd(a, q) == 1 for a in range(q)):
-        return None
-    n = degrees.shape[1]
-    primes = np.array(_CHECK_PRIMES, dtype=np.int64)
-    split = (degrees[:, 0] == n) & (q % primes != 0)
-    characters = _primitive_characters(q, tuple(sorted(set((primes[split] % q).tolist()))))
-    if len(characters) != n or math.lcm(*(chi.conductor for chi in characters)) != q:
-        return None
-    if (_class_table(characters, n)[primes % q] != degrees).any():
-        return None
-    return characters
-
-
 def _abelian_characters(field: FieldSpec) -> tuple[Character, ...] | None:
-    """The primitive characters of `field`, of degree >= 2, if it is
-    abelian of conductor below `_CHARACTER_CHECK_BOUND`, else None.
-
-    The conductor is the least q that `_characters_mod` accepts among
-    those whose prime factors are exactly the ramified primes, the rows
-    with sum f * count below the degree.  None also where |poly_disc|
-    has a prime factor past the bound, or an index divisor below it has
-    no override.
-    """
+    """`derive` on the residue degrees at `_CHECK_PRIMES` (by the
+    polynomial route; all ones at degree 1), or None where |poly_disc|
+    has a prime factor past them or an index divisor has no override."""
     rest = abs(field.poly_disc)
     for p in _CHECK_PRIMES:
         while rest % p == 0:
             rest //= p
     if rest != 1:
         return None
+    primes = np.array(_CHECK_PRIMES, dtype=np.int64)
+    if field.degree == 1:
+        return derive(np.ones((len(primes), 1), dtype=np.int8))
     try:
         # the polynomial route: this is the check the class table passes
-        degrees = _poly_residue_degrees(field, np.array(_CHECK_PRIMES, dtype=np.int64))
+        degrees = _poly_residue_degrees(field, primes)
     except IndexDivisorError:
         return None
-    unramified = degrees @ np.arange(1, field.degree + 1) == field.degree
-    ramified = [p for p, whole in zip(_CHECK_PRIMES, unramified) if not whole]
-    radical = math.prod(ramified)
-    for q in range(radical, _CHARACTER_CHECK_BOUND, radical):
-        if _prime_factors(q) == ramified:
-            characters = _characters_mod(q, degrees)
-            if characters is not None:
-                return characters
-    return None
+    return derive(degrees)
 
 
 def ideal_density_constant(field: FieldSpec) -> float:

@@ -79,7 +79,7 @@ def enumerate_ideals(
     Xi = _norm_bound(X)
     if Xi > ENUMERATION_GUARD:
         raise BudgetExceededError(
-            f"enumeration of norms <= {Xi} exceeds the guard {ENUMERATION_GUARD}"
+            f"enumeration of norms <= {X} exceeds the guard {ENUMERATION_GUARD}"
         )
     if Xi < 1:
         return []
@@ -137,7 +137,7 @@ def _checked_group_sizes(
     if m < 1 or r < 1:
         raise ValueError(f"need m >= 1 and r >= 1, got m={m}, r={r}")
     Xi = _norm_bound(X)
-    ideals = enumerate_ideals(field, Xi, r)
+    ideals = enumerate_ideals(field, X, r)
     # every prefix count and product counts m-tuples or fewer-member
     # prefixes of ideals of norm <= Xi, so all are <= I_K(Xi)^m
     if len(ideals) ** m >= DIRECT_COUNT_BUDGET:

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import rprime.analytic as analytic
+import rprime.characters as characters
 from rprime import (
     FieldInvariants,
     FieldSpec,
@@ -469,9 +470,9 @@ def test_real_characters_have_positive_l_values(name):
     ]
     assert real  # the trivial character at least
     for s in (1.5, 2.0, 3.0):
-        N = analytic._split_point(s)
+        N = characters._split_point(s)
         for chi in real:
-            value, err = analytic._l_value(chi, s, N, {})
+            value, err = characters._l_value(chi, s, N, {})
             assert value.imag == 0.0
             assert value.real - err > 0, (chi, s)
 

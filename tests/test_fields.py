@@ -16,8 +16,10 @@ from rprime import (
     parse_field_spec,
     splitting_type,
 )
+from rprime import characters as characters_module
 from rprime import fields as fields_module
-from rprime.fields import _fold_schedule, _frobenius_degree_counts, _is_prime
+from rprime.characters import _is_prime
+from rprime.fields import _fold_schedule, _frobenius_degree_counts
 from rprime.fields import _poly_residue_degrees
 from rprime.fields import poly_discriminant, residue_degrees
 from rprime.fields import FieldInvariants, FieldSpec, SplittingType
@@ -835,7 +837,7 @@ def test_degree_one_has_the_trivial_character(field_q):
 
 def _check_degrees(path):
     field = load_field_file(str(_FIELDS_DIR / path))
-    return residue_degrees(field, np.array(fields_module._CHECK_PRIMES))
+    return residue_degrees(field, np.array(characters_module._CHECK_PRIMES))
 
 
 @pytest.mark.parametrize(
@@ -876,7 +878,7 @@ def _check_degrees(path):
 )
 def test_conductor_refused(path, q):
     # the check the derivation runs per candidate q turns each down
-    assert fields_module._characters_mod(q, _check_degrees(path)) is None
+    assert characters_module._characters_mod(q, _check_degrees(path)) is None
 
 
 @pytest.mark.parametrize(
@@ -938,18 +940,18 @@ def test_unit_characters_and_their_conductors():
         return sum(math.gcd(a, n) == 1 for a in range(1, n + 1))
 
     def mu(n):
-        factors = fields_module._prime_factors(n)
+        factors = characters_module._prime_factors(n)
         return 0 if any(n % (p * p) == 0 for p in factors) else (-1) ** len(factors)
 
     for q in range(3, 61):
-        basis = fields_module._unit_basis(q)
+        basis = characters_module._unit_basis(q)
         assert math.prod(order for _, order in basis) == phi(q)
         assert all(pow(g, order, q) == 1 for g, order in basis)
         generated = {1}
         for g, order in basis:
             generated = {a * pow(g, e, q) % q for a in generated for e in range(order)}
         assert len(generated) == phi(q)
-        characters = fields_module._primitive_characters(q, (1,))
+        characters = characters_module._primitive_characters(q, (1,))
         assert len(characters) == phi(q)
         primitive = sum(mu(q // d) * phi(d) for d in range(1, q + 1) if q % d == 0)
         assert sum(chi.conductor == q for chi in characters) == primitive, q

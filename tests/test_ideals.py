@@ -55,6 +55,15 @@ def test_enumerate_guard(field_q):
         enumerate_ideals(field_q, 10**6, 1)
 
 
+def test_enumerate_guard_names_a_huge_x_as_given(field_q):
+    # floor(1e300) has 301 digits; the one short line names x as given
+    message = r"^enumeration of norms <= 1e\+300 exceeds the guard 100000$"
+    with pytest.raises(BudgetExceededError, match=message):
+        enumerate_ideals(field_q, 1e300, 1)
+    with pytest.raises(BudgetExceededError, match=message):
+        count_rprime_direct(field_q, 1e300, 2, 1)
+
+
 def test_enumerate_no_duplicates(fields):
     # one pair per ideal: a[n] ideals of norm n, for every n <= 200
     from rprime import build_tables

@@ -6,7 +6,8 @@ from pathlib import Path
 import pytest
 
 from rprime import load_field_file
-from rprime.fields import _is_prime, poly_discriminant
+from rprime.characters import _is_prime
+from rprime.fields import poly_discriminant
 from rprime.polygf import (
     _divmod,
     _gcd,
