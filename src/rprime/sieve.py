@@ -15,17 +15,25 @@ The build fills the table in the fewest segments of at most 2^17
 slots, of equal length to within one slot, in place in its prefix
 arrays, and touches each slot about log log N times.  Only the primes
 p <= sqrt(N) are sieved, once.  Each segment takes a few strided ops
-per prime p with p^2 <= 2^17, and one batch of ufunc.at products for
-all primes from there up to sqrt(N), which have few multiples in a
-segment; both also collect the sqrt(N)-smooth part of every n.  A slot
-n > 1 whose smooth part is still 1 is a prime above sqrt(N): the
+per prime p with p^2 <= 2^17 (and 2 at any segment size), and one
+batch of ufunc.at products for all primes from there up to sqrt(N),
+which have few multiples in a segment.  Both also divide a uint32
+cofactor row, which starts at n, by the power of p in n: an odd p^v
+by a product with its inverse mod 2^32, exact because p^v divides the
+row (Granlund and Montgomery, PLDI 1994, section 9), and 2^v by a
+right shift.  The row so ends at n over its sqrt(N)-smooth part, with
+no division.  A
+slot n > 1 whose cofactor is still n is a prime above sqrt(N): the
 segment's such primes go to `residue_degrees`, and their -g_1 into an
-int8 lookup over 0..N (1 B/slot).  What is left of n after its smooth
-part is 1 or its one prime factor above sqrt(N), which is n itself or
-lies in an earlier segment, so the lookup then finishes the segment.
-Each segment is then checked and prefix-summed with the running
-totals.  A cache file is one
-52-byte header struct and then a and b: the writer takes them segment by
+int8 lookup over 0..N (1 B/slot).  Every cofactor is 1 or the one
+prime factor of n above sqrt(N), which is n itself or lies in an
+earlier segment, so the lookup, gathered at the cofactors, finishes
+the segment.  Each segment is then checked and prefix-summed with the
+running totals in rows of 8 slots: 7 column adds, one short cumsum
+over the row ends and one broadcast add, in place of numpy's
+accumulate, a scalar loop whose every step waits on the last.  A
+cache file is one 52-byte header struct and then a and b: the writer
+takes them segment by
 segment from `_differences`; the reader reads them into the new table's
 two arrays and checks and sums them there as the build does (a load peaks
 at 8.3 B/slot under tracemalloc at N = 2e6; Q at N = 1e7 loads in
@@ -252,12 +260,31 @@ def _prefix_segment(a: np.ndarray, b: np.ndarray, I_before: int, B_before: int) 
     total = I_before + int(a.sum(dtype=np.int64))
     if total >= 2**31:
         raise OverflowError(f"I_K(N) >= {total} does not fit the int32 prefix sums")
-    # every partial sum is some I_K(n) <= total or some |B(n)| <= I_K(n)
+    # every partial sum is some I_K(n) <= total, some |B(n)| <= I_K(n), or
+    # a sum over consecutive slots, which the same bounds cover
     a[0] += I_before
     b[0] += B_before
-    np.cumsum(a, dtype=np.int32, out=a)
-    np.cumsum(b, dtype=np.int32, out=b)
+    _running_sum(a)
+    _running_sum(b)
     return total, int(b[-1])
+
+
+def _running_sum(x: np.ndarray) -> None:
+    """Prefix-sum a contiguous int32 array in place, in rows of 8.
+
+    numpy's accumulate is a scalar loop, each step waiting on the last.
+    Here 7 column adds sum each row, one short cumsum over the row ends
+    gives the offset of every row, and one broadcast add lays them on.
+    The slots past the last full row are summed on from its end.
+    """
+    full = len(x) - len(x) % 8
+    rows = x[:full].reshape(-1, 8)
+    for j in range(1, 8):
+        rows[:, j] += rows[:, j - 1]
+    ends = np.cumsum(rows[:, 7], dtype=np.int32)
+    rows[1:] += ends[:-1, None]
+    tail = x[max(full - 1, 0) :]
+    np.cumsum(tail, dtype=np.int32, out=tail)
 
 
 def _local_factors(field: FieldSpec, N: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -265,14 +292,18 @@ def _local_factors(field: FieldSpec, N: int) -> tuple[np.ndarray, np.ndarray, np
     `residue_degrees` call over them.
 
     Returns (P, C, a_ones).  P holds the primes p <= sqrt(N) as int64;
-    C[:, i, k] is (a_loc[k], b_loc[k], p^k) of P[i], zero past p^k > N;
-    a_ones[i] says a_loc of P[i] is all ones.
+    C[:, i, k] is (a_loc[k], b_loc[k], d_k) of P[i], zero past p^k > N,
+    where d_k takes the factor p^k out of a multiple of p^k: the inverse
+    of p^k mod 2^32 for odd p (its bits stored as int32), the shift k
+    for p = 2; a_ones[i] says a_loc of P[i] is all ones.
     """
     P = primes_between(2, math.isqrt(N))
     series = [local_series(row, p, N) for p, row in zip(P.tolist(), residue_degrees(field, P))]
     C = np.zeros((3, len(P), max((len(a) for a, _ in series), default=0)), np.int32)
     for i, (p, (a_loc, b_loc)) in enumerate(zip(P.tolist(), series)):
-        C[:, i, : len(a_loc)] = a_loc, b_loc, [p**k for k in range(len(a_loc))]
+        k = range(len(a_loc))
+        d = k if p == 2 else [pow(p, -j, 2**32) for j in k]
+        C[:, i, : len(a_loc)] = a_loc, b_loc, np.array(d, np.uint32).view(np.int32)
     a_ones = np.array([a_loc.count(1) == len(a_loc) for a_loc, _ in series], dtype=bool)
     return P, C, a_ones
 
@@ -280,7 +311,7 @@ def _local_factors(field: FieldSpec, N: int) -> tuple[np.ndarray, np.ndarray, np
 def _spread_sparse(
     a: np.ndarray,
     b: np.ndarray,
-    smooth: np.ndarray,
+    cofactor: np.ndarray,
     L: int,
     P: np.ndarray,
     C: np.ndarray,
@@ -288,7 +319,8 @@ def _spread_sparse(
 ) -> None:
     """Multiply the local coefficients of the primes P onto their
     multiples in the segment [L, L + len(b)), for primes with p^2 above
-    the segment length, all at once.
+    the segment length, all at once, and divide the cofactor row by the
+    power of p in each multiple.
 
     Such a prime has few multiples in a segment and at most one multiple
     of p^2, so one index array covers every prime's multiples, the
@@ -319,7 +351,7 @@ def _spread_sparse(
             v += divides
             q[divides] //= p[divides]
         mult[:, start[hit] + (m2[hit] - first[hit]) // p] = C[:, hit, v]
-    np.multiply.at(smooth, offset, mult[2])
+    np.multiply.at(cofactor, offset, mult[2].view(np.uint32))
     np.multiply.at(b, offset, mult[1])
     if with_a:
         np.multiply.at(a, offset, mult[0])
@@ -331,18 +363,21 @@ def build_tables(field: FieldSpec, N: int) -> CoefficientTable:
     The table is filled one segment [L, R) of `_segments` at a time, in
     place in its own prefix arrays; the work buffers are sized to the
     longest segment.  Each prime p <= sqrt(N) multiplies its local
-    coefficients onto its multiples in the segment, and p^k into an
-    int32 buffer of smooth parts.  A prime with p^2 at most
-    `_TABLE_SEGMENT` does so in strided ops, one per row of a
-    pattern that holds each multiple's factor at its exact valuation
-    (no a row where a_loc is all ones); the rest go through
-    `_spread_sparse`.  A slot n > 1 left with smooth part 1 is a prime
-    q > sqrt(N), and `residue_degrees` of the segment's such q writes
-    -g_1(q) into an int8 lookup over 0..N.  Every n <= N has at most one
-    prime factor q > sqrt(N), and q <= n, so n // smooth[n] is 1 or a q
-    of this segment or an earlier one, and the lookup, gathered with
-    np.take, finishes b, and a once some g_1(q) != 1.  The segment is
-    then checked and prefix-summed with the running totals
+    coefficients onto its multiples in the segment, and divides the
+    exact power p^k out of a uint32 cofactor row that starts at n: a
+    product with the inverse of p^k mod 2^32 for odd p, a right shift
+    by k for p = 2.  A prime with p^2 at most `_TABLE_SEGMENT`, and 2
+    always, does so in strided ops, one per row of a pattern that holds
+    each multiple's factor at its exact valuation (no a row where a_loc
+    is all ones); the rest go through `_spread_sparse`.  The cofactor
+    then is n over its sqrt(N)-smooth part.  A slot n > 1 whose
+    cofactor is still n is a prime q > sqrt(N), and `residue_degrees`
+    of the segment's such q writes -g_1(q) into an int8 lookup over
+    0..N.  Every n <= N has at most one prime factor q > sqrt(N), and
+    q <= n, so the cofactor is 1 or a q of this segment or an earlier
+    one, and the lookup, gathered at the cofactors with np.take,
+    finishes b, and a once some g_1(q) != 1.  The segment is then
+    checked and prefix-summed in rows of 8 with the running totals
     (`_prefix_segment`).  Index-divisor refusals from the splitting
     computation propagate.
     """
@@ -351,10 +386,15 @@ def build_tables(field: FieldSpec, N: int) -> CoefficientTable:
     if N > MAX_TABLE_N:
         raise BudgetExceededError(f"table cap {N} exceeds the documented limit {MAX_TABLE_N}")
     P, C, a_ones = _local_factors(field, N)
-    dense = int(np.searchsorted(P * P, _TABLE_SEGMENT, side="right"))
-    # column k of coef is (a_loc[k], b_loc[k], p^k), shaped to broadcast
+    # 2 is strided at every segment size: it divides by a right shift,
+    # and the sparse pass only multiplies
+    dense = int(np.searchsorted(P * P, max(_TABLE_SEGMENT, 4), side="right"))
+    # column k of coef is (a_loc[k], b_loc[k], d_k), shaped to broadcast
     # over a pattern's rows; a prime whose a_loc is all ones drops its a row
-    strided = [(p, C[int(a_ones[i]) :, i].T[:, :, None]) for i, p in enumerate(P[:dense].tolist())]
+    strided = [
+        (p, C[int(a_ones[i]) :, i].T[:, :, None], np.right_shift if p == 2 else np.multiply)
+        for i, p in enumerate(P[:dense].tolist())
+    ]
     sparse_P, sparse_C, sparse_a = P[dense:], C[:, dense:], not a_ones[dense:].all()
     I_prefix = np.empty(N + 1, dtype=np.int32)
     B_prefix = np.empty(N + 1, dtype=np.int32)
@@ -363,20 +403,23 @@ def build_tables(field: FieldSpec, N: int) -> CoefficientTable:
     lookup[1] = 1
     large_a = False  # some g_1(q) != 1 so far
     segments = list(_segments(N))
-    smooth_buf = np.empty(segments[0].stop, dtype=np.int32)  # a longest segment
-    # rows a, b and p-part over the multiples of one prime in a segment
-    pattern_buf = np.empty((3, len(smooth_buf) // 2 + 1), dtype=np.int32)
+    # rows a, b and d over the multiples of one prime in a longest segment
+    pattern_buf = np.empty((3, segments[0].stop // 2 + 1), dtype=np.int32)
+    cofactor_buf = np.empty(segments[0].stop, dtype=np.uint32)
     carry = (0, 0)
     for seg in segments:
         L, R = seg.start, seg.stop
         a, b = I_prefix[seg], B_prefix[seg]
-        smooth = smooth_buf[: R - L]
+        # n over its sqrt(N)-smooth part once every prime <= sqrt(N) has
+        # divided its power out; p^v divides the row exactly, so its product with p^-v mod
+        # 2^32 is the quotient itself
+        cofactor = cofactor_buf[: R - L]
+        np.copyto(cofactor, np.arange(L, R, dtype=np.uint32))
         a.fill(1)
         b.fill(1)
         if L == 0:
             a[0] = b[0] = 0
-        smooth.fill(1)
-        for p, coef in strided:
+        for p, coef, divide in strided:
             m = max(p, -(-L // p) * p)  # first multiple of p in the segment
             if m >= R:
                 continue
@@ -391,21 +434,23 @@ def build_tables(field: FieldSpec, N: int) -> CoefficientTable:
                     break
                 pattern[:, (mk - m) // p :: step // p] = coef[k]
                 step *= p
-            smooth[m - L :: p] *= pattern[-1]
+            part = cofactor[m - L :: p]
+            divide(part, pattern[-1].view(np.uint32), out=part)
             b[m - L :: p] *= pattern[-2]
             if len(pattern) == 3:
                 a[m - L :: p] *= pattern[0]
         if len(sparse_P):
-            _spread_sparse(a, b, smooth, L, sparse_P, sparse_C, sparse_a)
-        # no prime <= sqrt(N) divides a slot n > 1 left at 1, so n is a prime
+            _spread_sparse(a, b, cofactor, L, sparse_P, sparse_C, sparse_a)
+        # no prime <= sqrt(N) divides a slot n > 1 whose cofactor is still
+        # n, so n is a prime
         lo = max(L, 2)
-        large = np.flatnonzero(smooth[lo - L :] == 1) + lo
+        large = np.flatnonzero(cofactor[lo - L :] == np.arange(lo, R, dtype=np.uint32)) + lo
         g1 = residue_degrees(field, large)[:, 0]
         lookup[large] = -g1
         large_a = large_a or bool(np.any(g1 != 1))
-        # n // smooth[n] is 1 or the prime above sqrt(N) that divides n,
+        # the cofactor is 1 or the prime above sqrt(N) that divides n,
         # which is in this segment or an earlier one
-        h = np.take(lookup, np.floor_divide(np.arange(L, R, dtype=np.int32), smooth, out=smooth))
+        h = np.take(lookup, cofactor)
         b *= h
         if large_a:
             np.abs(h, out=h)
@@ -415,8 +460,9 @@ def build_tables(field: FieldSpec, N: int) -> CoefficientTable:
 
 
 def _norm_bound(x: float) -> int:
-    """floor(x) for a finite x >= 0; ValueError naming x otherwise."""
-    if not math.isfinite(x) or x < 0:
+    """floor(x) for a finite x >= 0; ValueError naming x otherwise.  An
+    int is taken exactly, so one past the float range is not refused."""
+    if x < 0 or not (isinstance(x, int) or math.isfinite(x)):
         raise ValueError(f"x must be finite and nonnegative, got {x}")
     return int(x)
 

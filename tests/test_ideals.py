@@ -64,6 +64,12 @@ def test_enumerate_guard_names_a_huge_x_as_given(field_q):
         count_rprime_direct(field_q, 1e300, 2, 1)
 
 
+def test_direct_count_refuses_an_int_past_the_float_range(field_q):
+    # 10**400 has no float; it is compared with the guard exactly
+    with pytest.raises(BudgetExceededError, match="exceeds the guard 100000"):
+        count_rprime_direct(field_q, 10**400, 2, 1)
+
+
 def test_enumerate_no_duplicates(fields):
     # one pair per ideal: a[n] ideals of norm n, for every n <= 200
     from rprime import build_tables

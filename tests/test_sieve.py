@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import itertools
 import math
 import random
 import tracemalloc
@@ -205,6 +206,61 @@ def test_large_a_flag_turns_on_in_a_later_segment(fields, monkeypatch):
     assert table.a[23] == 2 and table.a[5 * 23] == 2
 
 
+def _running_sum_cases():
+    rng = np.random.default_rng(7)
+    for length in [*range(3 * 8 + 2), 2**17]:
+        a = rng.integers(0, 9, length).astype(np.int32)
+        b = (rng.integers(-1, 2, length) * a).astype(np.int32)
+        yield a, b, 12_345, -678
+    # the running I_K ends at exactly 2^31 - 1, past a partial last row
+    a = np.full(2**17 + 3, 2**14, dtype=np.int32)
+    b = -a
+    b[1::2] *= -1
+    a[0] = b[0] = 0
+    yield a, b, 2**31 - 1 - int(a.sum(dtype=np.int64)), -7
+
+
+def test_running_sum_matches_cumsum():
+    for a, b, _, _ in _running_sum_cases():
+        for x in (a, b):
+            got = x.copy()
+            sieve._running_sum(got)
+            assert np.array_equal(got, np.cumsum(x, dtype=np.int32)), len(x)
+
+
+def test_prefix_segment_matches_cumsum():
+    # a build or load segment is never empty
+    for a, b, I_before, B_before in itertools.islice(_running_sum_cases(), 1, None):
+        want_a = np.cumsum(a, dtype=np.int64) + I_before
+        want_b = np.cumsum(b, dtype=np.int64) + B_before
+        got_a, got_b = a.copy(), b.copy()
+        carry = sieve._prefix_segment(got_a, got_b, I_before, B_before)
+        assert np.array_equal(got_a, want_a), len(a)
+        assert np.array_equal(got_b, want_b), len(a)
+        assert carry == (want_a[-1], want_b[-1])
+    assert want_a[-1] == 2**31 - 1
+
+
+def test_prefix_segment_refuses_a_running_sum_past_int32(tmp_path, field_q):
+    a = np.full(2**17, 2**14, dtype=np.int32)  # sums to 2^31
+    with pytest.raises(OverflowError, match="I_K\\(N\\) >= 2147483648 does not fit"):
+        sieve._prefix_segment(a, np.zeros_like(a), 0, 0)
+    with pytest.raises(OverflowError, match="I_K\\(N\\) >= 2147483648 does not fit"):
+        sieve._prefix_segment(a[1:], np.zeros_like(a[1:]), 2**14, 0)
+    # a Q cache whose a sums to exactly 2^31 across its two segments
+    N = 2**17 + 1
+    path = tmp_path / "q.tab"
+    save_table(build_tables(field_q, N), str(path))
+    blob = bytearray(path.read_bytes())
+    a = np.full(N + 1, 2**14, dtype="<i4")
+    a[0] = 0
+    a[1] += 2**31 - int(a.sum(dtype=np.int64))
+    blob[len(blob) - 8 * (N + 1) :] = a.tobytes() + bytes(4 * (N + 1))  # b = 0
+    path.write_bytes(bytes(blob))
+    with pytest.raises(FieldSpecError, match="corrupt cache: I_K\\(N\\) >= 2147483648 does not fit"):
+        load_table(field_q, str(path))
+
+
 def _fake_local_series(p, k, value):
     # local_series with its coefficient of a at p^k replaced by value
     def fake(degrees, q, N):
@@ -250,8 +306,8 @@ def test_build_refuses_cap_outside_its_range(field_q, N, error, match):
 @pytest.mark.parametrize("name", ["Q", "Qi", "cubic"])
 def test_build_peak_memory_per_slot(fields, name):
     # the table keeps 8 B/slot; the int8 lookup of g_1 adds 1 B/slot and
-    # the segment buffers about 3 MB (np.take's int64 copy of a segment's
-    # indices among them), with no table-sized temporary
+    # the segment buffers about 3 MB (the uint32 cofactor row and np.take's
+    # int64 copy of it among them), with no table-sized temporary
     N = 2 * 10**6
     build_tables(fields[name], 1000)  # first-call allocations stay out
     tracemalloc.start()
@@ -303,6 +359,13 @@ def test_table_cap_compares_floor_of_x(table_q_1e4, count):
     assert count(table_q_1e4, N + 0.5) == count(table_q_1e4, N)
     with pytest.raises(ValueError, match=f"x={N + 1} exceeds the table cap N={N}"):
         count(table_q_1e4, N + 1)
+
+
+@pytest.mark.parametrize("count", [ideal_count, lambda table, x: count_rprime_mobius(table, x, 2, 1)])
+def test_table_cap_refuses_an_int_past_the_float_range(table_q_1e4, count):
+    # 10**400 has no float; it is compared with the cap exactly
+    with pytest.raises(ValueError, match="exceeds the table cap N=10000"):
+        count(table_q_1e4, 10**400)
 
 
 def test_mobius_count_examples(table_q_1e4):
