@@ -16,18 +16,23 @@ overrides or from the factor degrees of the defining polynomial mod p
 integer coefficients without finding any factor, trusted at a p with
 p^2 | poly_disc only where Dedekind's criterion (`polygf.is_p_maximal`)
 holds.  The invariants never touch splitting.  `splitting_type`
-answers for one prime; the polynomial route of `residue_degrees`
-sends through it only the primes p <= the degree and the p with
-p^2 | poly_disc, where an override or an index-divisor refusal can
-apply, and fills every other prime in one batched int64 pass that
-peels the factor-degree counts off the traces of the powers of
-Berlekamp's Frobenius matrix.
-
-`FieldSpec` hands that route's rows at the primes below 256 to
-`characters.derive`; with invariants, the conductors of the characters
-it finds must multiply to |d_K|.  A field with characters reads every
-prime off `characters.class_table`, which matched that route at those
-primes, and only fields without characters take the route past them.
+answers for one prime.  `residue_degrees` fills many primes by one of
+three routes, each checked against the polynomial while a spec is
+built:
+- the class table: `FieldSpec` hands the polynomial route's rows at
+  the primes below 256 to `characters.derive`; with invariants, the
+  conductors of the characters it finds must multiply to |d_K|.  A
+  field with characters reads every prime off
+  `characters.class_table`, which matched those rows;
+- the form classes: a cubic whose poly_disc d is a negative
+  fundamental discriminant splits each prime p > 3 not dividing d by
+  (d/p) and by the reduced forms of d that represent p (`forms`);
+- the kernel: every other field takes the polynomial route.  It sends
+  through `splitting_type` only the primes p <= the degree and the p
+  with p^2 | poly_disc, where an override or an index-divisor refusal
+  can apply, and fills every other prime in one batched int64 pass
+  that peels the factor-degree counts off the traces of the powers of
+  Berlekamp's Frobenius matrix.
 """
 
 from __future__ import annotations
@@ -40,6 +45,7 @@ import numpy as np
 
 from .characters import _CHECK_PRIMES, Character, _is_prime, _prime_factors, class_table, derive
 from .errors import FieldSpecError, IndexDivisorError
+from .forms import is_fundamental, kronecker, reduced_forms, represented
 from .polygf import factor_degrees, is_p_maximal
 
 
@@ -117,8 +123,10 @@ class FieldSpec:
     """A number field given by a monic irreducible integer polynomial.
 
     `poly` lists coefficients constant term first with leading
-    coefficient 1.  Irreducibility is not checked: the caller must make
-    sure of it, as a reducible `poly` describes no field.  poly_disc is
+    coefficient 1.  At degree 2 and 3 a reducible `poly`, which has an
+    integer root, is refused; at degree >= 4 irreducibility is not
+    checked, and the caller must make sure of it, as a reducible `poly`
+    describes no field.  poly_disc is
     `poly_discriminant(poly)`, computed here, and must be nonzero, i.e.
     poly squarefree.  Invariants must satisfy poly_disc = k^2 * d_K for
     an integer k >= 1, the index of the polynomial order, and
@@ -130,7 +138,12 @@ class FieldSpec:
     (the trivial one alone at degree 1), or None where it finds none;
     where they exist, `residue_degrees` splits every prime by them.
     With invariants, their conductors must multiply to |d_K|
-    (conductor-discriminant formula).  Instances are immutable and
+    (conductor-discriminant formula).  `forms` holds, for a cubic whose
+    poly_disc is a negative fundamental discriminant d, the reduced
+    forms of d that represent the primes split completely in it, as
+    `_complex_cubic_forms` derives them, and None for every other
+    field; where they exist, `residue_degrees` splits the primes
+    p > 3, p not dividing d, by them.  Instances are immutable and
     hashable, and every operation on them is a pure function, so they
     are safe to share across threads.
     """
@@ -141,6 +154,9 @@ class FieldSpec:
     invariants: FieldInvariants | None = None
     splitting_overrides: tuple[tuple[int, SplittingType], ...] = ()
     characters: tuple[Character, ...] | None = dataclass_field(
+        init=False, repr=False, compare=False
+    )
+    forms: tuple[tuple[int, int, int], ...] | None = dataclass_field(
         init=False, repr=False, compare=False
     )
 
@@ -154,6 +170,12 @@ class FieldSpec:
         object.__setattr__(self, "poly_disc", poly_discriminant(self.poly))
         if self.poly_disc == 0:
             raise FieldSpecError("defining polynomial is not squarefree: its discriminant is 0")
+        if self.degree in (2, 3):
+            root = _integer_root(self.poly)
+            if root is not None:
+                raise FieldSpecError(
+                    f"defining polynomial is reducible: it has the integer root {root}"
+                )
         inv = self.invariants
         if inv is not None:
             if min(inv.r1, inv.r2) < 0 or inv.r1 + 2 * inv.r2 != self.degree:
@@ -201,6 +223,7 @@ class FieldSpec:
                     f"not |d_K| = {abs(inv.d_K)}"
                 )
         object.__setattr__(self, "characters", characters)
+        object.__setattr__(self, "forms", _complex_cubic_forms(self))
 
     @property
     def degree(self) -> int:
@@ -262,13 +285,18 @@ def residue_degrees(field: FieldSpec, primes: np.ndarray) -> np.ndarray:
     """Int8 table: entry [i, f - 1] counts the prime ideals of residue
     degree f above primes[i].
 
-    Degree 1 is all ones.  A field with characters, abelian of conductor
-    q, splits p by p mod q alone, so its row is that of p's class in
-    `class_table`, at any prime.  `FieldSpec` compared those rows with
-    `_poly_residue_degrees` at every prime below 256, which meet every
-    class that holds a prime: all the units mod q, and each class of
-    a p | q, which holds p alone.  Every other field takes
-    `_poly_residue_degrees`.
+    Degree 1 is all ones.  Otherwise one of three routes fills the
+    table:
+    - the class table: a field with characters, abelian of conductor
+      q, splits p by p mod q alone, so its row is that of p's class in
+      `class_table`, at any prime.  `FieldSpec` compared those rows with
+      `_poly_residue_degrees` at every prime below 256, which meet every
+      class that holds a prime: all the units mod q, and each class of
+      a p | q, which holds p alone;
+    - the form classes: a cubic with `forms` takes
+      `_form_residue_degrees`, which `FieldSpec` compared with
+      `_poly_residue_degrees` at the same primes;
+    - the kernel: every other field takes `_poly_residue_degrees`.
     """
     primes = np.asarray(primes, dtype=np.int64)
     n = field.degree
@@ -277,7 +305,49 @@ def residue_degrees(field: FieldSpec, primes: np.ndarray) -> np.ndarray:
     if field.characters is not None:
         table = class_table(field.characters, n)
         return table[primes % len(table)]
+    if field.forms is not None:
+        return _form_residue_degrees(field, field.forms, primes)
     return _poly_residue_degrees(field, primes)
+
+
+# The form route takes this many primes at a time, so that its int64
+# temporaries stay within 64 KiB each.
+_FORM_CHUNK = 1 << 13
+
+# rows of a cubic's p not dividing 6d, indexed by [(d/p) = 1] + [p split]:
+# (1, 2) where (d/p) = -1, else (3), or (1, 1, 1) where a form of H represents p
+_CUBIC_ROWS = np.array([[1, 1, 0], [0, 0, 1], [3, 0, 0]], dtype=np.int8)
+
+
+def _form_residue_degrees(
+    field: FieldSpec, split: tuple[tuple[int, int, int], ...], primes: np.ndarray
+) -> np.ndarray:
+    """`residue_degrees` of a cubic K whose poly_disc d is a negative
+    fundamental discriminant, from `split`, the reduced forms of d in the
+    index-3 subgroup H of Cl(d) that K corresponds to (Hasse, Math. Z. 31,
+    1930).
+
+    p <= 3 and p | d take `splitting_type`.  A p with (d/p) = -1 splits
+    as (1, 2).  A p with (d/p) = 1 splits in Q(sqrt d) into ideals of
+    the classes of the forms that represent p, and these lie in H, where
+    K's closure splits them, exactly when p splits completely in K;
+    otherwise p is inert.  One `represented` call per `_FORM_CHUNK`
+    primes marks the p of the first kind.
+    """
+    primes = np.asarray(primes, dtype=np.int64)
+    d = field.poly_disc
+    degrees = np.empty((len(primes), 3), dtype=np.int8)
+    for start in range(0, len(primes), _FORM_CHUNK):
+        p = primes[start : start + _FORM_CHUNK]
+        residue = kronecker(d, p) == 1
+        marked = np.zeros(len(p), dtype=bool)
+        marked[residue] = represented(split, p[residue])
+        degrees[start : start + len(p)] = _CUBIC_ROWS[residue.view(np.int8) + marked]
+        for i in start + np.flatnonzero((p <= 3) | (d % p == 0)):
+            degrees[i] = 0
+            for _, f in splitting_type(field, int(primes[i])).parts:
+                degrees[i, f - 1] += 1
+    return degrees
 
 
 def _poly_residue_degrees(field: FieldSpec, primes: np.ndarray) -> np.ndarray:
@@ -505,7 +575,10 @@ def _peel_traces(Q: np.ndarray, p: np.ndarray) -> np.ndarray:
 def _abelian_characters(field: FieldSpec) -> tuple[Character, ...] | None:
     """`derive` on the residue degrees at `_CHECK_PRIMES` (by the
     polynomial route; all ones at degree 1), or None where |poly_disc|
-    has a prime factor past them or an index divisor has no override."""
+    has a prime factor past them or an index divisor has no override,
+    and for a cubic of negative discriminant, which is not Galois."""
+    if field.degree == 3 and field.poly_disc < 0:
+        return None
     rest = abs(field.poly_disc)
     for p in _CHECK_PRIMES:
         while rest % p == 0:
@@ -521,6 +594,101 @@ def _abelian_characters(field: FieldSpec) -> tuple[Character, ...] | None:
     except IndexDivisorError:
         return None
     return derive(degrees)
+
+
+# Cubics with |poly_disc| past this bound keep the kernel: `reduced_forms`
+# takes about |d| / 6 steps, and the labels one search per class.
+_FORM_DISC_BOUND = 10**5
+
+
+def _complex_cubic_forms(field: FieldSpec) -> tuple[tuple[int, int, int], ...] | None:
+    """The reduced forms of d = poly_disc that represent the primes split
+    completely in a cubic field, where d < 0 is a fundamental
+    discriminant of |d| <= `_FORM_DISC_BOUND`; None for every other field.
+
+    Such a poly generates the ring of integers (poly_disc = k^2 d_K with
+    d fundamental forces k = 1).  Each reduced form is labelled by the
+    polynomial route at the least prime p not dividing d that it
+    represents; the forms labelled (1, 1, 1) are H.  They are accepted
+    only if every label is (1, 1, 1) or (3), (a, b, c) and (a, -b, c)
+    agree, the principal form is split, 3 |H| = h(d), and
+    `_form_residue_degrees` gives the polynomial route's rows at
+    `_CHECK_PRIMES`; else None, and the field keeps the kernel.
+    """
+    d = field.poly_disc
+    if field.degree != 3 or not -_FORM_DISC_BOUND <= d < 0 or not is_fundamental(d):
+        return None
+    reduced = reduced_forms(d)
+    least = [_least_prime(form, d) for form in reduced]
+    if None in least:
+        return None
+    primes = np.array(sorted({*_CHECK_PRIMES, *least}), dtype=np.int64)
+    rows = dict(zip(primes.tolist(), map(tuple, _poly_residue_degrees(field, primes).tolist())))
+    label = {form: rows[p] for form, p in zip(reduced, least)}
+    split = tuple(form for form in reduced if label[form] == (3, 0, 0))
+    if (
+        any(row not in ((3, 0, 0), (0, 0, 1)) for row in label.values())
+        or any(label.get((a, -b, c), row) != row for (a, b, c), row in label.items())
+        or reduced[0] not in split
+        or 3 * len(split) != len(reduced)
+    ):
+        return None
+    check = np.array(_CHECK_PRIMES, dtype=np.int64)
+    expected = np.array([rows[p] for p in _CHECK_PRIMES], dtype=np.int8)
+    if (_form_residue_degrees(field, split, check) != expected).any():
+        return None
+    return split
+
+
+def _least_prime(form: tuple[int, int, int], d: int) -> int | None:
+    # the least prime not dividing d that form represents, searched to 2^20
+    bounds = (2, 2**8, 2**12, 2**16, 2**20)
+    for lo, hi in zip(bounds, bounds[1:]):
+        values = np.arange(lo, hi)
+        for v in values[represented([form], values)].tolist():
+            if d % v and _is_prime(v):
+                return v
+    return None
+
+
+def _integer_root(poly: tuple[int, ...]) -> int | None:
+    """An integer root of the monic poly of degree 2 or 3, or None.
+
+    Every root has |r| < 1 + max |c_i| (Cauchy).  poly is monotone
+    between its real critical points, each of which lies within 1 of a
+    cut below; poly is evaluated at the cuts, and bisected over the
+    integers strictly between two consecutive cuts, where it is
+    monotone.
+    """
+
+    def value(x: int) -> int:
+        return sum(c * x**i for i, c in enumerate(poly))
+
+    bound = 1 + max(abs(c) for c in poly[:-1])
+    if len(poly) == 3:
+        near = [-poly[1] // 2]
+    else:
+        # poly' = 3x^2 + 2 c_2 x + c_1 vanishes at (-c_2 +- sqrt(c_2^2 - 3 c_1)) / 3
+        disc = poly[2] ** 2 - 3 * poly[1]
+        near = [(-poly[2] + s * math.isqrt(disc)) // 3 for s in (-1, 1)] if disc >= 0 else []
+    cuts = {min(max(k + j, -bound), bound) for k in near for j in (-1, 0, 1, 2)}
+    cuts = sorted(cuts | {-bound, bound})
+    for k in cuts:
+        if value(k) == 0:
+            return k
+    for lo, hi in zip(cuts, cuts[1:]):
+        lo, hi = lo + 1, hi - 1
+        rising = value(hi) > value(lo)
+        while lo <= hi:
+            mid = (lo + hi) // 2
+            v = value(mid)
+            if v == 0:
+                return mid
+            if (v < 0) == rising:
+                lo = mid + 1
+            else:
+                hi = mid - 1
+    return None
 
 
 def ideal_density_constant(field: FieldSpec) -> float:

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import random
@@ -449,6 +450,41 @@ def test_spec_refuses_a_polynomial_that_is_not_squarefree(poly):
         FieldSpec(name="square", poly=poly)
 
 
+@pytest.mark.parametrize(
+    "poly, root",
+    [
+        ((-4, 0, 1), 2),  # x^2 - 4
+        ((6, -5, 1), 2),  # (x - 2)(x - 3)
+        ((0, 1, 0, 1), 0),  # x (x^2 + 1)
+        ((-1, 1, -1, 1), 1),  # (x - 1)(x^2 + 1)
+        ((-8, 0, 0, 1), 2),  # x^3 - 8
+        ((10**6 + 3, 10**6 + 2, 0, 1), -1),  # (x + 1)(x^2 - x + 10^6 + 3)
+    ],
+)
+def test_spec_refuses_a_reducible_polynomial_of_degree_2_or_3(poly, root):
+    # a monic poly of degree <= 3 is reducible exactly when it has an
+    # integer root; one of degree >= 4, such as (x^2 + 1)(x^2 + 2), is
+    # still taken as it is
+    with pytest.raises(FieldSpecError, match=f"reducible: it has the integer root {root}$"):
+        FieldSpec(name="reducible", poly=poly)
+    assert FieldSpec(name="quartic", poly=(2, 0, 3, 0, 1)).degree == 4
+
+
+def test_integer_root_search_matches_a_divisor_scan():
+    # every monic poly of degree 2 and 3 with coefficients in [-9, 9]: an
+    # integer root divides c_0, and c_0 = 0 has the root 0
+    def roots(poly):
+        c0 = poly[0]
+        candidates = range(-9, 10) if c0 == 0 else [d for d in range(-abs(c0), abs(c0) + 1) if d and c0 % d == 0]
+        return {r for r in candidates if sum(c * r**i for i, c in enumerate(poly)) == 0}
+
+    for degree in (2, 3):
+        for coeffs in itertools.product(range(-9, 10), repeat=degree):
+            poly = (*coeffs, 1)
+            root = fields_module._integer_root(poly)
+            assert (root in roots(poly)) if root is not None else not roots(poly), poly
+
+
 def test_spec_refuses_poly_disc_that_is_not_the_discriminant():
     # FieldSpec computes poly_disc itself; a document may state it, and a
     # stated value that is not disc(poly) is refused with both values
@@ -500,12 +536,12 @@ def test_discriminant_past_int64_splits_primes_exactly():
 def test_batched_fill_refuses_primes_past_int64_exact_range(field_cubic):
     # 2 * 3 * (2^31 - 1)^2 >= 2^63: the pass would wrap, so it must refuse
     with pytest.raises(ValueError, match="int64-exact"):
-        residue_degrees(field_cubic, np.array([2**31 - 1]))
+        _poly_residue_degrees(field_cubic, np.array([2**31 - 1]))
 
 
-def test_batched_fill_is_exact_at_the_edge_of_its_guard(field_cubic):
-    # the largest prime with 2 * 3 * p^2 < 2^63 runs the pass with products
-    # closest to int64 and must match the scalar route; the next is refused
+def _edge_of_the_guard():
+    # the largest prime with 2 * 3 * p^2 < 2^63, the primes up to 2000
+    # below it, and the least prime past it
     edge = math.isqrt((2**63 - 1) // 6)
     while not _is_prime(edge):
         edge -= 1
@@ -514,15 +550,29 @@ def test_batched_fill_is_exact_at_the_edge_of_its_guard(field_cubic):
         after += 1
     assert 6 * edge**2 < 2**63 <= 6 * after**2
     below = [p for p in range(edge - 2000, edge + 1) if _is_prime(p)]
-    degrees = residue_degrees(field_cubic, np.array(below))
-    for p, row in zip(below, degrees.tolist()):
-        expected = [0] * 3
-        for _, f in factor_degrees(field_cubic.poly, p):
-            expected[f - 1] += 1
-        assert row == expected, p
     assert below[-1] == edge
+    return below, after
+
+
+def test_batched_fill_is_exact_at_the_edge_of_its_guard(field_cubic):
+    # the largest prime with 2 * 3 * p^2 < 2^63 runs the pass with products
+    # closest to int64 and must match the scalar route; the next is refused
+    below, after = _edge_of_the_guard()
+    degrees = _poly_residue_degrees(field_cubic, np.array(below))
+    for p, row in zip(below, degrees.tolist()):
+        assert row == _degree_row(field_cubic, p), p
     with pytest.raises(ValueError, match="int64-exact"):
-        residue_degrees(field_cubic, np.array([edge, after]))
+        _poly_residue_degrees(field_cubic, np.array([below[-1], after]))
+
+
+def test_form_classes_are_exact_past_the_kernel_guard(field_cubic):
+    # the cubic's form classes have no such guard: near 1.24e9 their
+    # windows hold 14,700 rows, and they must still give the factor degrees
+    below, after = _edge_of_the_guard()
+    primes = np.array(below + [after])
+    degrees = residue_degrees(field_cubic, primes)
+    for p, row in zip(primes.tolist(), degrees.tolist()):
+        assert row == _degree_row(field_cubic, p), p
 
 
 # x^3 + 1e7 x + 1e7: its coefficients pass every prime below 1e7, so
@@ -621,17 +671,21 @@ def test_batched_fill_is_chunk_invariant(fields, name):
 
 
 def test_fill_working_set_stays_bounded(field_cubic):
-    # beyond its int8 output the fill of the 78,498 primes below 1e6 holds
-    # one batch's buffers, none above 128 KiB, and the per-prime routing
-    # arrays: 969 KiB measured, 1,669 KiB when each squaring allocated
+    # beyond its int8 output the kernel's fill of the 78,498 primes below
+    # 1e6 holds one batch's buffers, none above 128 KiB, and the per-prime
+    # routing arrays: 969 KiB measured, 1,669 KiB when each squaring
+    # allocated.  The cubic's form classes hold one chunk's primes and one
+    # window's points: 1,007 KiB measured, 1,330 KiB before the points were
+    # evaluated in place.
     primes = primes_between(2, 10**6)
-    tracemalloc.start()
-    try:
-        degrees = residue_degrees(field_cubic, primes)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak - degrees.nbytes < 1152 * 1024
+    for route in (_poly_residue_degrees, residue_degrees):
+        tracemalloc.start()
+        try:
+            degrees = route(field_cubic, primes)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - degrees.nbytes < 1152 * 1024, route
 
 
 def test_traces_separate_degree_patterns_of_equal_factor_count():
@@ -803,16 +857,82 @@ def test_class_table_matches_the_polynomial_route(name):
     assert (degrees == _poly_residue_degrees(field, primes)).all()
 
 
+# complex cubics whose poly_disc is a negative fundamental discriminant,
+# with the class number h of d: Cl(d) has an index-3 subgroup H, whose
+# forms represent the primes that split completely
+_COMPLEX_CUBICS = {
+    (-1, -1, 0, 1): (-23, 3),
+    (-3, -2, 1, 1): (-87, 6),
+    (-3, -4, -1, 1): (-199, 9),
+    (-3, 0, 1, 1): (-231, 12),
+    (-3, -1, 0, 1): (-239, 15),
+    (-6, -4, -3, 1): (-2516, 36),
+}
+
+
+@pytest.mark.parametrize("poly", sorted(_COMPLEX_CUBICS), ids=str)
+def test_form_classes_match_the_polynomial_route(poly):
+    # at every prime <= 2e5 the form classes must give the kernel's rows,
+    # and splitting_type's at p <= 3 and at p | d
+    d, h = _COMPLEX_CUBICS[poly]
+    field = FieldSpec(name=f"cubic {d}", poly=poly)
+    assert field.poly_disc == d and field.characters is None
+    assert field.forms is not None and 3 * len(field.forms) == h
+    assert field.forms[0][0] == 1  # the principal form is split
+    primes = primes_between(2, 2 * 10**5)
+    degrees = residue_degrees(field, primes)
+    assert degrees.dtype == np.int8 and degrees.shape == (len(primes), 3)
+    assert (degrees == _poly_residue_degrees(field, primes)).all()
+
+
+@pytest.mark.parametrize(
+    "poly",
+    [
+        (-2, 0, 0, 1),  # x^3 - 2: d = -108 is not fundamental
+        (1, -4, 0, 1),  # x^3 - 4x + 1: totally real, d = 229
+        _MORE_FIELDS["quartic"][0],
+        _MORE_FIELDS["quintic"][0],
+    ],
+    ids=str,
+)
+def test_fields_outside_the_form_route_keep_the_kernel(monkeypatch, poly):
+    field = FieldSpec(name="outside", poly=poly)
+    assert field.forms is None and field.characters is None
+    lanes = []
+
+    def spy_kernel(poly, p):
+        lanes.extend(p.tolist())
+        return _frobenius_degree_counts(poly, p)
+
+    monkeypatch.setattr(fields_module, "_frobenius_degree_counts", spy_kernel)
+    primes = primes_between(2, 2000)
+    residue_degrees(field, primes)
+    assert len(lanes) > 250
+
+
+def test_forms_are_not_compared_or_hashed(field_cubic):
+    # derived from poly like the characters: two specs of one poly are
+    # equal and share a hash, and no init argument sets them
+    again = FieldSpec(name=field_cubic.name, poly=field_cubic.poly)
+    assert again == field_cubic and hash(again) == hash(field_cubic)
+    assert again.forms == field_cubic.forms == ((1, 1, 6),)
+    assert "forms" not in repr(again)
+    with pytest.raises(TypeError):
+        FieldSpec(name="c", poly=field_cubic.poly, forms=None)
+
+
 @pytest.mark.parametrize(
     "name, by_poly",
     [(name, False) for name in sorted(_SHIPPED_CONDUCTORS)]
-    + [(name, True) for name in ("cubic_x3mxm1", "quartic", "quintic")],
+    + [("cubic_x3mxm1", False)]
+    + [(name, True) for name in ("quartic", "quintic")],
 )
 def test_only_fields_without_characters_take_the_polynomial_route(monkeypatch, name, by_poly):
     # built before the spies: the check made while a spec is built always
-    # takes the polynomial route
+    # takes the polynomial route.  The cubic takes its form classes, which
+    # send only 2, 3 and 23 | d through splitting_type and fill no lane.
     field = _shipped_or_more_field(name)
-    assert (field.characters is None) == by_poly
+    assert (field.characters is None and field.forms is None) == by_poly
     per_prime, lanes = [], []
 
     def spy_splitting(field, p):
@@ -826,7 +946,10 @@ def test_only_fields_without_characters_take_the_polynomial_route(monkeypatch, n
     monkeypatch.setattr(fields_module, "splitting_type", spy_splitting)
     monkeypatch.setattr(fields_module, "_frobenius_degree_counts", spy_kernel)
     residue_degrees(field, primes_between(2, 2000))
-    assert (bool(per_prime), bool(lanes)) == (by_poly, by_poly)
+    if field.forms is not None:
+        assert (per_prime, lanes) == ([2, 3, 23], [])
+    else:
+        assert (bool(per_prime), bool(lanes)) == (by_poly, by_poly)
 
 
 def test_degree_one_has_the_trivial_character(field_q):

@@ -11,9 +11,9 @@ def test_star_import_resolves_every_exported_name():
     assert len(set(rprime.__all__)) == len(rprime.__all__)
 
 
-def test_characters_imports_no_package_module_but_errors():
-    # fields and analytic import characters, never the other way round
-    source = Path(rprime.__file__).with_name("characters.py").read_text(encoding="utf-8")
+def _package_imports(module):
+    # the relative imports of rprime/<module>.py, and any absolute one of rprime
+    source = Path(rprime.__file__).with_name(f"{module}.py").read_text(encoding="utf-8")
     relative, absolute = set(), set()
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.ImportFrom) and node.level:
@@ -22,5 +22,14 @@ def test_characters_imports_no_package_module_but_errors():
             absolute.add(node.module)
         elif isinstance(node, ast.Import):
             absolute.update(a.name for a in node.names)
-    assert relative <= {"errors"}
-    assert not any(name.split(".")[0] == "rprime" for name in absolute)
+    return relative | {name for name in absolute if name.split(".")[0] == "rprime"}
+
+
+def test_characters_imports_no_package_module_but_errors():
+    # fields and analytic import characters, never the other way round
+    assert _package_imports("characters") <= {"errors"}
+
+
+def test_forms_imports_no_package_module_but_errors():
+    # fields imports forms, never the other way round
+    assert _package_imports("forms") <= {"errors"}
