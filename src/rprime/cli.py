@@ -59,10 +59,26 @@ def _add_output(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
 
 
+def _table_cap(text: str) -> int:
+    """--N: an integer literal, or a float literal of an integer such as
+    1e7 or 1.5e6; 2.5, inf and nan are refused with exit status 2."""
+    try:
+        return int(text)
+    except ValueError:
+        value = float(text)
+    if not value.is_integer():
+        raise argparse.ArgumentTypeError(f"table cap must be an integer, got {text}")
+    return int(value)
+
+
+def _add_table_cap(parser) -> None:
+    parser.add_argument("--N", type=_table_cap, default=10**6, help="table cap (default 1e6)")
+
+
 def _add_table_source(parser: argparse.ArgumentParser) -> None:
     # a cache fixes its own N, so the two sources exclude each other
     source = parser.add_mutually_exclusive_group()
-    source.add_argument("--N", type=int, default=10**6, help="table cap (default 1e6)")
+    _add_table_cap(source)
     source.add_argument("--tables", dest="tables_file", help="reuse a table cache file")
 
 
@@ -86,7 +102,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = add("tables", _cmd_tables, "build a coefficient table and write a binary cache")
     p.add_argument("--field", required=True, help="field-spec document (JSON)")
-    p.add_argument("--N", type=int, default=10**6, help="table cap (default 1e6)")
+    _add_table_cap(p)
     p.add_argument("--out", required=True, help="table cache file to write")
 
     p = add("count", _cmd_count, "number of ideals of norm <= x")

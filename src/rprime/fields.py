@@ -16,29 +16,32 @@ overrides or from the factor degrees of the defining polynomial mod p
 integer coefficients without finding any factor, trusted at a p with
 p^2 | poly_disc only where Dedekind's criterion (`polygf.is_p_maximal`)
 holds.  The invariants never touch splitting.  `splitting_type`
-answers for one prime.  `residue_degrees` fills many primes by one of
-three routes, each checked against the polynomial while a spec is
-built:
-- the class table: `FieldSpec` hands the polynomial route's rows at
-  the primes below 256 to `characters.derive`; with invariants, the
-  conductors of the characters it finds must multiply to |d_K|.  A
-  field with characters reads every prime off
-  `characters.class_table`, which matched those rows;
+answers for one prime.  `FieldSpec` computes the polynomial route's
+rows at the primes below 256 at most once, and `residue_degrees` fills
+many primes by one of three routes, each of which must give back those
+rows:
+- the class table: `FieldSpec` hands the rows to `characters.derive`;
+  with invariants, the conductors of the characters it finds must
+  multiply to |d_K|.  A field with characters reads every prime off
+  `characters.class_table`, with no per-prime call;
 - the form classes: a cubic whose poly_disc d is a negative
-  fundamental discriminant splits each prime p > 3 not dividing d by
-  (d/p) and by the reduced forms of d that represent p (`forms`);
-- the kernel: every other field takes the polynomial route.  It sends
-  through `splitting_type` only the primes p <= the degree and the p
-  with p^2 | poly_disc, where an override or an index-divisor refusal
-  can apply, and fills every other prime in one batched int64 pass
-  that peels the factor-degree counts off the traces of the powers of
-  Berlekamp's Frobenius matrix.
+  fundamental discriminant splits every prime, ramified ones included,
+  by (d/p) and by the reduced forms of d that represent p (`forms`),
+  with no per-prime call;
+- the kernel: every other field takes the polynomial route, the only
+  one that goes per prime.  It sends through `splitting_type` only the
+  primes p <= the degree and the p with p^2 | poly_disc, where an
+  override or an index-divisor refusal can apply, and fills every
+  other prime in one batched int64 pass that peels the factor-degree
+  counts off the traces of the powers of Berlekamp's Frobenius matrix.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
@@ -133,17 +136,21 @@ class FieldSpec:
     Dedekind's criterion must show every prime p | k to divide that
     index.  Overrides are allowed only at primes where Dedekind's
     criterion fails (so p^2 | poly_disc), the only primes where the
-    factorization of poly cannot decide the splitting.  `characters`
-    holds the primitive characters that `_abelian_characters` derives
-    (the trivial one alone at degree 1), or None where it finds none;
-    where they exist, `residue_degrees` splits every prime by them.
-    With invariants, their conductors must multiply to |d_K|
-    (conductor-discriminant formula).  `forms` holds, for a cubic whose
-    poly_disc is a negative fundamental discriminant d, the reduced
-    forms of d that represent the primes split completely in it, as
-    `_complex_cubic_forms` derives them, and None for every other
-    field; where they exist, `residue_degrees` splits the primes
-    p > 3, p not dividing d, by them.  Instances are immutable and
+    factorization of poly cannot decide the splitting.  The polynomial
+    route's rows at `_CHECK_PRIMES` are computed here at most once, and
+    only where a derivation below can use them (none where an index
+    divisor has no override); both derivations read the same rows.
+    `characters` holds the primitive characters that
+    `_abelian_characters` derives from them (the trivial one alone at
+    degree 1), or None where it finds none; where they exist,
+    `residue_degrees` splits every prime by them.  With invariants,
+    their conductors must multiply to |d_K| (conductor-discriminant
+    formula).  `forms` holds, for a cubic whose poly_disc is a negative
+    fundamental discriminant d, the reduced forms of d that represent
+    the primes split completely in it, as `_complex_cubic_forms`
+    derives them, and None for every other field; where they exist,
+    `residue_degrees` splits every prime by them and by (d/p), those
+    dividing d included.  Instances are immutable and
     hashable, and every operation on them is a pure function, so they
     are safe to share across threads.
     """
@@ -214,7 +221,11 @@ class FieldSpec:
                 raise FieldSpecError(
                     f"override at p={p}: sum of e*f is {split.degree_sum}, expected {self.degree}"
                 )
-        characters = _abelian_characters(self)
+        # the one check pass, made at most once and only for a spec that
+        # a derivation below can serve: the class table and the form
+        # classes must each give back these rows of the polynomial route
+        rows = functools.cache(lambda: _check_rows(self))
+        characters = _abelian_characters(self, rows)
         if characters is not None and inv is not None:
             product = math.prod(chi.conductor for chi in characters)
             if product != abs(inv.d_K):
@@ -223,17 +234,11 @@ class FieldSpec:
                     f"not |d_K| = {abs(inv.d_K)}"
                 )
         object.__setattr__(self, "characters", characters)
-        object.__setattr__(self, "forms", _complex_cubic_forms(self))
+        object.__setattr__(self, "forms", _complex_cubic_forms(self, rows))
 
     @property
     def degree(self) -> int:
         return len(self.poly) - 1
-
-    def override_for(self, p: int) -> SplittingType | None:
-        for q, split in self.splitting_overrides:
-            if q == p:
-                return split
-        return None
 
     def fingerprint_data(self) -> dict:
         """Everything that determines splitting types and hence tables."""
@@ -261,7 +266,7 @@ def splitting_type(field: FieldSpec, p: int) -> SplittingType:
     index of the polynomial order, where the factorization misreports
     the splitting.
     """
-    override = field.override_for(p)
+    override = dict(field.splitting_overrides).get(p)
     if override is not None:
         return override
     if field.poly_disc % (p * p) == 0 and not is_p_maximal(field.poly, p):
@@ -286,7 +291,7 @@ def residue_degrees(field: FieldSpec, primes: np.ndarray) -> np.ndarray:
     degree f above primes[i].
 
     Degree 1 is all ones.  Otherwise one of three routes fills the
-    table:
+    table, and only the last goes per prime:
     - the class table: a field with characters, abelian of conductor
       q, splits p by p mod q alone, so its row is that of p's class in
       `class_table`, at any prime.  `FieldSpec` compared those rows with
@@ -294,19 +299,18 @@ def residue_degrees(field: FieldSpec, primes: np.ndarray) -> np.ndarray:
       class that holds a prime: all the units mod q, and each class of
       a p | q, which holds p alone;
     - the form classes: a cubic with `forms` takes
-      `_form_residue_degrees`, which `FieldSpec` compared with
-      `_poly_residue_degrees` at the same primes;
+      `_form_residue_degrees` at every prime, ramified ones included,
+      which `FieldSpec` compared with `_poly_residue_degrees` at the
+      same primes;
     - the kernel: every other field takes `_poly_residue_degrees`.
     """
     primes = np.asarray(primes, dtype=np.int64)
     n = field.degree
-    if n == 1:
-        return np.ones((len(primes), 1), dtype=np.int8)
-    if field.characters is not None:
+    if n > 1 and field.characters is not None:
         table = class_table(field.characters, n)
         return table[primes % len(table)]
     if field.forms is not None:
-        return _form_residue_degrees(field, field.forms, primes)
+        return _form_residue_degrees(field.poly_disc, field.forms, primes)
     return _poly_residue_degrees(field, primes)
 
 
@@ -314,46 +318,43 @@ def residue_degrees(field: FieldSpec, primes: np.ndarray) -> np.ndarray:
 # temporaries stay within 64 KiB each.
 _FORM_CHUNK = 1 << 13
 
-# rows of a cubic's p not dividing 6d, indexed by [(d/p) = 1] + [p split]:
-# (1, 2) where (d/p) = -1, else (3), or (1, 1, 1) where a form of H represents p
-_CUBIC_ROWS = np.array([[1, 1, 0], [0, 0, 1], [3, 0, 0]], dtype=np.int8)
+# a cubic's rows, indexed by (d/p) + 1 + [a form of H represents p]:
+# (1, 2), ramified (1, 1), inert (3), split (1, 1, 1)
+_CUBIC_ROWS = np.array([[1, 1, 0], [2, 0, 0], [0, 0, 1], [3, 0, 0]], dtype=np.int8)
 
 
 def _form_residue_degrees(
-    field: FieldSpec, split: tuple[tuple[int, int, int], ...], primes: np.ndarray
+    d: int, split: tuple[tuple[int, int, int], ...], primes: np.ndarray
 ) -> np.ndarray:
     """`residue_degrees` of a cubic K whose poly_disc d is a negative
     fundamental discriminant, from `split`, the reduced forms of d in the
     index-3 subgroup H of Cl(d) that K corresponds to (Hasse, Math. Z. 31,
-    1930).
+    1930), at every prime.
 
-    p <= 3 and p | d take `splitting_type`.  A p with (d/p) = -1 splits
-    as (1, 2).  A p with (d/p) = 1 splits in Q(sqrt d) into ideals of
-    the classes of the forms that represent p, and these lie in H, where
-    K's closure splits them, exactly when p splits completely in K;
-    otherwise p is inert.  One `represented` call per `_FORM_CHUNK`
-    primes marks the p of the first kind.
+    d_K = d, so K's Galois closure is unramified over Q(sqrt d): no
+    prime ramifies totally, and each p | d, 2 included, is P^2 Q, that
+    is (1, 1).  Every other p, 2 and 3 included, is unramified in the
+    closure.  A p with (d/p) = -1 splits as (1, 2).  A p with
+    (d/p) = 1 splits in Q(sqrt d) into ideals of the classes of the
+    forms that represent p, and these lie in H, where K's closure splits
+    them, exactly when p splits completely in K; otherwise p is inert.
+    One `represented` call per `_FORM_CHUNK` primes marks the p of the
+    first kind, and the chunk's rows are filled in place.
     """
-    primes = np.asarray(primes, dtype=np.int64)
-    d = field.poly_disc
     degrees = np.empty((len(primes), 3), dtype=np.int8)
     for start in range(0, len(primes), _FORM_CHUNK):
         p = primes[start : start + _FORM_CHUNK]
-        residue = kronecker(d, p) == 1
-        marked = np.zeros(len(p), dtype=bool)
-        marked[residue] = represented(split, p[residue])
-        degrees[start : start + len(p)] = _CUBIC_ROWS[residue.view(np.int8) + marked]
-        for i in start + np.flatnonzero((p <= 3) | (d % p == 0)):
-            degrees[i] = 0
-            for _, f in splitting_type(field, int(primes[i])).parts:
-                degrees[i, f - 1] += 1
+        index = kronecker(d, p) + 1
+        residue = index == 2
+        index[residue] += represented(split, p[residue])
+        degrees[start : start + len(p)] = _CUBIC_ROWS[index]
     return degrees
 
 
 def _poly_residue_degrees(field: FieldSpec, primes: np.ndarray) -> np.ndarray:
-    """`residue_degrees` from the polynomial, for a field of degree >= 2.
+    """`residue_degrees` from the polynomial: all ones at degree 1.
 
-    A prime p <= degree, where the traces cannot count, or with
+    Otherwise a prime p <= degree, where the traces cannot count, or with
     p^2 | poly_disc, where an override or an index-divisor refusal can
     apply, takes `splitting_type`.  Every other prime is not an index
     divisor, so the degrees of the distinct factors of poly mod p are
@@ -368,6 +369,8 @@ def _poly_residue_degrees(field: FieldSpec, primes: np.ndarray) -> np.ndarray:
     """
     primes = np.asarray(primes, dtype=np.int64)
     n = field.degree
+    if n == 1:
+        return np.ones((len(primes), 1), dtype=np.int8)
     degrees = np.zeros((len(primes), n), dtype=np.int8)
     per_prime = primes <= n
     # p^2 | poly_disc needs p^2 <= |poly_disc|; the bound is clamped to
@@ -572,28 +575,31 @@ def _peel_traces(Q: np.ndarray, p: np.ndarray) -> np.ndarray:
     return counts
 
 
-def _abelian_characters(field: FieldSpec) -> tuple[Character, ...] | None:
-    """`derive` on the residue degrees at `_CHECK_PRIMES` (by the
-    polynomial route; all ones at degree 1), or None where |poly_disc|
-    has a prime factor past them or an index divisor has no override,
-    and for a cubic of negative discriminant, which is not Galois."""
+def _check_rows(field: FieldSpec) -> np.ndarray | None:
+    # the polynomial route's rows at `_CHECK_PRIMES`, or None where an
+    # index divisor has no override
+    try:
+        return _poly_residue_degrees(field, np.array(_CHECK_PRIMES, dtype=np.int64))
+    except IndexDivisorError:
+        return None
+
+
+_Rows = Callable[[], "np.ndarray | None"]
+
+
+def _abelian_characters(field: FieldSpec, rows: _Rows) -> tuple[Character, ...] | None:
+    """`derive` on `rows()`, the polynomial route's residue degrees at
+    `_CHECK_PRIMES`, or None where there are none (an index divisor with
+    no override), where |poly_disc| has a prime factor past them, and
+    for a cubic of negative discriminant, which is not Galois."""
     if field.degree == 3 and field.poly_disc < 0:
         return None
     rest = abs(field.poly_disc)
     for p in _CHECK_PRIMES:
         while rest % p == 0:
             rest //= p
-    if rest != 1:
-        return None
-    primes = np.array(_CHECK_PRIMES, dtype=np.int64)
-    if field.degree == 1:
-        return derive(np.ones((len(primes), 1), dtype=np.int8))
-    try:
-        # the polynomial route: this is the check the class table passes
-        degrees = _poly_residue_degrees(field, primes)
-    except IndexDivisorError:
-        return None
-    return derive(degrees)
+    degrees = rows() if rest == 1 else None
+    return None if degrees is None else derive(degrees)
 
 
 # Cubics with |poly_disc| past this bound keep the kernel: `reduced_forms`
@@ -601,7 +607,7 @@ def _abelian_characters(field: FieldSpec) -> tuple[Character, ...] | None:
 _FORM_DISC_BOUND = 10**5
 
 
-def _complex_cubic_forms(field: FieldSpec) -> tuple[tuple[int, int, int], ...] | None:
+def _complex_cubic_forms(field: FieldSpec, rows: _Rows) -> tuple[tuple[int, int, int], ...] | None:
     """The reduced forms of d = poly_disc that represent the primes split
     completely in a cubic field, where d < 0 is a fundamental
     discriminant of |d| <= `_FORM_DISC_BOUND`; None for every other field.
@@ -609,11 +615,12 @@ def _complex_cubic_forms(field: FieldSpec) -> tuple[tuple[int, int, int], ...] |
     Such a poly generates the ring of integers (poly_disc = k^2 d_K with
     d fundamental forces k = 1).  Each reduced form is labelled by the
     polynomial route at the least prime p not dividing d that it
-    represents; the forms labelled (1, 1, 1) are H.  They are accepted
-    only if every label is (1, 1, 1) or (3), (a, b, c) and (a, -b, c)
-    agree, the principal form is split, 3 |H| = h(d), and
-    `_form_residue_degrees` gives the polynomial route's rows at
-    `_CHECK_PRIMES`; else None, and the field keeps the kernel.
+    represents: its row of `rows()`, the route's rows at
+    `_CHECK_PRIMES`, or a fresh one past them.  The forms labelled
+    (1, 1, 1) are H.  They are accepted only if every label is
+    (1, 1, 1) or (3), (a, b, c) and (a, -b, c) agree, the principal form
+    is split, 3 |H| = h(d), and `_form_residue_degrees` gives back
+    `rows()`; else None, and the field keeps the kernel.
     """
     d = field.poly_disc
     if field.degree != 3 or not -_FORM_DISC_BOUND <= d < 0 or not is_fundamental(d):
@@ -622,9 +629,11 @@ def _complex_cubic_forms(field: FieldSpec) -> tuple[tuple[int, int, int], ...] |
     least = [_least_prime(form, d) for form in reduced]
     if None in least:
         return None
-    primes = np.array(sorted({*_CHECK_PRIMES, *least}), dtype=np.int64)
-    rows = dict(zip(primes.tolist(), map(tuple, _poly_residue_degrees(field, primes).tolist())))
-    label = {form: rows[p] for form, p in zip(reduced, least)}
+    by_prime = dict(zip(_CHECK_PRIMES, map(tuple, rows().tolist())))
+    past = sorted(set(least) - set(by_prime))
+    if past:
+        by_prime.update(zip(past, map(tuple, _poly_residue_degrees(field, past).tolist())))
+    label = {form: by_prime[p] for form, p in zip(reduced, least)}
     split = tuple(form for form in reduced if label[form] == (3, 0, 0))
     if (
         any(row not in ((3, 0, 0), (0, 0, 1)) for row in label.values())
@@ -633,11 +642,8 @@ def _complex_cubic_forms(field: FieldSpec) -> tuple[tuple[int, int, int], ...] |
         or 3 * len(split) != len(reduced)
     ):
         return None
-    check = np.array(_CHECK_PRIMES, dtype=np.int64)
-    expected = np.array([rows[p] for p in _CHECK_PRIMES], dtype=np.int8)
-    if (_form_residue_degrees(field, split, check) != expected).any():
-        return None
-    return split
+    check = _form_residue_degrees(d, split, np.array(_CHECK_PRIMES, dtype=np.int64))
+    return split if (check == rows()).all() else None
 
 
 def _least_prime(form: tuple[int, int, int], d: int) -> int | None:

@@ -34,8 +34,9 @@ a single count and its dense form answer or refuse together.
 On a shared 2-core VM, Q at x = 1389 with (m, r) = (2, 1), at the edge
 of the step-cell guard, takes about 0.03 s as a single count and 0.22 s
 in the dense form; the 20 oracle counts of a `tables-cubic` benchmark
-pass take about 0.022 s, 0.018 s of it ideal enumeration and 0.010 s
-of that the residue-degree fill of a few hundred primes per count.
+pass take 0.016-0.028 s, most of it ideal enumeration.  The
+residue-degree fill of a few hundred primes per count takes the
+cubic's form classes and makes no per-prime call.
 
 A tuple is relatively r-prime exactly when its surviving set is empty,
 so the count is the definition's finite sum over tuples, regrouped; no

@@ -101,6 +101,29 @@ def test_count_json_metadata(capsys):
     assert "tool_version" in doc
 
 
+def test_table_cap_takes_an_integral_float_literal(tmp_path, capsys):
+    cache = tmp_path / "qi.tab"
+    code, out, _ = run(capsys, "tables", "--field", QI, "--N", "1e3", "--out", str(cache))
+    assert code == 0 and "up to N=1000:" in out
+    code, out, _ = run(capsys, "count", "--field", QI, "--x", "100", "--tables", str(cache))
+    assert (code, out) == (0, "79\n")
+    code, out, _ = run(capsys, "count", "--field", Q, "--x", "1500", "--N", "1.5e3")
+    assert (code, out) == (0, "1500\n")
+
+
+@pytest.mark.parametrize("cap", ["2.5", "inf", "nan", "1e3.5", "ten"])
+@pytest.mark.parametrize("command", ["tables", "count"])
+def test_table_cap_that_is_no_integer_is_refused(capsys, monkeypatch, command, cap):
+    def refuse(*args):
+        raise AssertionError("build_tables ran")
+
+    monkeypatch.setattr("rprime.cli.build_tables", refuse)
+    args = _REQUIRED_ARGS[command][2:]
+    code, out, err = run(capsys, command, "--field", Q, *args, "--N", cap)
+    assert code == 2 and out == ""
+    assert "argument --N" in err
+
+
 def test_zeta_command(capsys):
     code, out, _ = run(capsys, "zeta", "--field", Q, "--s", "2", "--tol", "1e-6")
     assert code == 0

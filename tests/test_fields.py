@@ -873,14 +873,23 @@ _COMPLEX_CUBICS = {
 @pytest.mark.parametrize("poly", sorted(_COMPLEX_CUBICS), ids=str)
 def test_form_classes_match_the_polynomial_route(poly):
     # at every prime <= 2e5 the form classes must give the kernel's rows,
-    # and splitting_type's at p <= 3 and at p | d
+    # and splitting_type's at p <= 3 and at p | d, with no per-prime call
     d, h = _COMPLEX_CUBICS[poly]
     field = FieldSpec(name=f"cubic {d}", poly=poly)
     assert field.poly_disc == d and field.characters is None
     assert field.forms is not None and 3 * len(field.forms) == h
     assert field.forms[0][0] == 1  # the principal form is split
     primes = primes_between(2, 2 * 10**5)
-    degrees = residue_degrees(field, primes)
+    per_prime = []
+
+    def spy_splitting(field, p):
+        per_prime.append(p)
+        return splitting_type(field, p)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(fields_module, "splitting_type", spy_splitting)
+        degrees = residue_degrees(field, primes)
+    assert per_prime == []
     assert degrees.dtype == np.int8 and degrees.shape == (len(primes), 3)
     assert (degrees == _poly_residue_degrees(field, primes)).all()
 
@@ -930,7 +939,8 @@ def test_forms_are_not_compared_or_hashed(field_cubic):
 def test_only_fields_without_characters_take_the_polynomial_route(monkeypatch, name, by_poly):
     # built before the spies: the check made while a spec is built always
     # takes the polynomial route.  The cubic takes its form classes, which
-    # send only 2, 3 and 23 | d through splitting_type and fill no lane.
+    # fill every prime, 2, 3 and 23 | d included, with no per-prime call
+    # and no lane.
     field = _shipped_or_more_field(name)
     assert (field.characters is None and field.forms is None) == by_poly
     per_prime, lanes = [], []
@@ -947,9 +957,25 @@ def test_only_fields_without_characters_take_the_polynomial_route(monkeypatch, n
     monkeypatch.setattr(fields_module, "_frobenius_degree_counts", spy_kernel)
     residue_degrees(field, primes_between(2, 2000))
     if field.forms is not None:
-        assert (per_prime, lanes) == ([2, 3, 23], [])
+        assert (per_prime, lanes) == ([], [])
     else:
         assert (bool(per_prime), bool(lanes)) == (by_poly, by_poly)
+
+
+@pytest.mark.parametrize("name, calls", [("cubic_x3mxm1", [2, 3]), ("gaussian", [2])])
+def test_building_a_spec_checks_each_prime_once(monkeypatch, name, calls):
+    # the polynomial route's rows at the check primes are computed once and
+    # serve both the characters and the form classes; only p <= the degree
+    # goes per prime, 23 | d included in the kernel's lanes
+    per_prime = []
+
+    def spy_splitting(field, p):
+        per_prime.append(p)
+        return splitting_type(field, p)
+
+    monkeypatch.setattr(fields_module, "splitting_type", spy_splitting)
+    load_field_file(str(_FIELDS_DIR / f"{name}.json"))
+    assert per_prime == calls
 
 
 def test_degree_one_has_the_trivial_character(field_q):

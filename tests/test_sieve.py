@@ -24,6 +24,7 @@ from rprime import sieve
 from rprime.fields import residue_degrees
 from rprime.sieve import _block_ends, _integer_root, primes_between
 
+from eta_witness import dirichlet_inverse, divisor_sums, eta_coefficients
 from test_fields import _MORE_FIELDS, _field
 
 
@@ -168,6 +169,19 @@ def test_spread_matches_per_prime_reference(fields, name):
 def test_spread_matches_per_prime_reference_in_segments(fields, monkeypatch, name, segment):
     monkeypatch.setattr(sieve, "_TABLE_SEGMENT", segment)
     _assert_spread_matches_reference(_field(fields, name), name)
+
+
+def test_cubic_table_matches_the_eta_product(field_cubic):
+    # zeta_K = zeta L(s, f) with f = eta(z) eta(23 z): a witness that shares
+    # no code with the fields, the forms or the spread.  The form classes
+    # alone fill 23 | d, where a(23) = 2, and 59, the least prime split
+    # completely, where a(59) = 3
+    N = 2 * 10**5
+    table = build_tables(field_cubic, N)
+    a = divisor_sums(eta_coefficients(N))
+    assert (a[23], a[59]) == (2, 3)
+    assert np.array_equal(table.a[1:], a[1:])
+    assert np.array_equal(table.b[1:], dirichlet_inverse(a)[1:])
 
 
 @pytest.mark.parametrize("name", ["Q", "Qi", "cubic"])
