@@ -13,8 +13,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .analytic import main_term
 from .fields import FieldSpec
 from .sieve import CoefficientTable, build_tables, count_rprime_mobius
@@ -110,22 +108,34 @@ def run_error_scan(
 
 
 def fit_slope(records: list[ScanRecord]) -> SlopeFit:
-    """OLS slope of log10|E| vs log10 x over the records with E != 0."""
+    """OLS slope of log10|E| vs log10 x over the records with E != 0.
+
+    The least squares are taken in closed form with `math.fsum`.  Records
+    that all share one x leave the slope undetermined and are refused.
+    """
     usable = [rec for rec in records if rec.log10_absE is not None]
     if len(usable) < 2:
         raise ValueError(
             f"need at least 2 records with nonzero E to fit, have {len(usable)}"
         )
-    lx = np.array([rec.log10_x for rec in usable])
-    ly = np.array([rec.log10_absE for rec in usable])
-    slope, intercept = np.polyfit(lx, ly, 1)
-    predicted = slope * lx + intercept
-    ss_res = float(np.sum((ly - predicted) ** 2))
-    ss_tot = float(np.sum((ly - ly.mean()) ** 2))
+    lx = [rec.log10_x for rec in usable]
+    ly = [rec.log10_absE for rec in usable]
+    if min(lx) == max(lx):
+        raise ValueError(
+            f"all {len(usable)} records with nonzero E have x = {usable[0].x!r}: "
+            "a slope needs at least 2 distinct x"
+        )
+    mx = math.fsum(lx) / len(lx)
+    my = math.fsum(ly) / len(ly)
+    sxx = math.fsum((x - mx) ** 2 for x in lx)
+    slope = math.fsum((x - mx) * (y - my) for x, y in zip(lx, ly)) / sxx
+    intercept = my - slope * mx
+    ss_res = math.fsum((y - (slope * x + intercept)) ** 2 for x, y in zip(lx, ly))
+    ss_tot = math.fsum((y - my) ** 2 for y in ly)
     r_squared = 1.0 if ss_tot == 0.0 else max(0.0, 1.0 - ss_res / ss_tot)
     return SlopeFit(
-        slope=float(slope),
-        intercept=float(intercept),
+        slope=slope,
+        intercept=intercept,
         r_squared=r_squared,
         points_used=len(usable),
     )

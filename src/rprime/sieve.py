@@ -12,9 +12,10 @@ residue degrees f_i of the prime ideals above p, one row of
 prod_i (1 - X^{f_i})^{-1} and the b-values those of prod_i (1 - X^{f_i}),
 so a prime p > sqrt(N) gives a = g_1, b = -g_1 with g_1 = #{i: f_i = 1}.
 The build fills the table in the fewest segments of at most 2^17
-slots, of equal length to within one slot, in place in its prefix
-arrays, and touches each slot about log log N times.  Only the primes
-p <= sqrt(N) are sieved, once.  Each segment takes a few strided ops
+slots, of equal length to within one slot, a in place in its prefix
+array and b in a reused int32 segment row, and touches each slot about
+log log N times.  Only the primes p <= sqrt(N) are sieved, once, and 2
+at every N >= 2.  Each segment takes a few strided ops
 per prime p with p^2 <= 2^17 (and 2 at any segment size), and one
 batch of ufunc.at products for all primes from there up to sqrt(N),
 which have few multiples in a segment.  Both also divide a uint32
@@ -22,22 +23,32 @@ cofactor row, which starts at n, by the power of p in n: an odd p^v
 by a product with its inverse mod 2^32, exact because p^v divides the
 row (Granlund and Montgomery, PLDI 1994, section 9), and 2^v by a
 right shift.  The row so ends at n over its sqrt(N)-smooth part, with
-no division.  A
-slot n > 1 whose cofactor is still n is a prime above sqrt(N): the
-segment's such primes go to `residue_degrees`, and their -g_1 into an
-int8 lookup over 0..N (1 B/slot).  Every cofactor is 1 or the one
-prime factor of n above sqrt(N), which is n itself or lies in an
-earlier segment, so the lookup, gathered at the cofactors, finishes
-the segment.  Each segment is then checked and prefix-summed with the
+no division.  A slot n > 1 whose cofactor still equals its entry in a
+reused row of n is a prime above sqrt(N): the segment's such primes go
+to `residue_degrees`, and their -g_1 into an int8 lookup at q >> 1
+(0.5 B/slot), exact because 2 is sieved, so every such q is odd.
+Every cofactor is 1 or the one prime factor of n above sqrt(N), which
+is n itself or lies in an earlier segment, so the lookup, gathered at
+the cofactors shifted right by one (into the intp row np.take would
+otherwise copy the uint32 row to), finishes the segment.
+Each segment is then checked and prefix-summed with the
 running totals in rows of 8 slots: 7 column adds, one short cumsum
 over the row ends and one broadcast add, in place of numpy's
-accumulate, a scalar loop whose every step waits on the last.  A
-cache file is one 52-byte header struct and then a and b: the writer
-takes them segment by
-segment from `_differences`; the reader reads them into the new table's
-two arrays and checks and sums them there as the build does (a load peaks
-at 8.3 B/slot under tracemalloc at N = 2e6; Q at N = 1e7 loads in
-0.12-0.17 s and 110 MB RSS, shared 2-core Xeon VM, numpy 2.4).
+accumulate, a scalar loop whose every step waits on the last.  B is
+then stored in int16 while every |B(n)| < 2^15, at the cost of one
+min, one max and one narrowing copy per segment; the first segment past
+that moves B_prefix to int32, copying only the slots before it.  Every
+shipped field keeps B in int16 at N = 1e7 (max |B| = 5,726), so its
+table holds 6 B/slot and a build peaks at 8.3-8.4 B/slot under
+tracemalloc at N = 2e6 (10.3-10.4 with B in int32 and the lookup over
+every slot).  A cache file is one 52-byte header struct and then a and
+b in int32, whatever the width of B_prefix: the writer takes them
+segment by segment from `_differences`, which widens; the reader reads
+a into the new table's I_prefix and b one segment at a time into a
+reused row, and checks, sums and stores them as the build does (a load
+peaks at 6.6 B/slot under tracemalloc at N = 2e6, 8.3 with B in
+int32; Q at N = 1e7 loads in 0.09-0.11 s and 92 MB RSS, 111 MB with B
+in int32, shared 2-core Xeon VM, numpy 2.4).
 
 Every sieve of primes (this build's to sqrt(N), the Euler ladder in
 `analytic` and the oracle's enumeration) is `prime_segments(lo, hi)`
@@ -85,7 +96,6 @@ Below norm 1 the sum is empty and the count is 0.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import os
@@ -98,7 +108,9 @@ import numpy as np
 from .errors import BudgetExceededError, FieldSpecError
 from .fields import FieldSpec, residue_degrees
 
-MAX_TABLE_N = 10**8  # beyond this the flat int32 layout stops fitting desk RAM
+# Q at this cap peaks at 655 MB RSS (I_K in int32, B in int16, the odd-q
+# lookup); beyond it the flat layout stops fitting desk RAM
+MAX_TABLE_N = 10**8
 
 
 def local_series(degrees: np.ndarray | list[int], p: int, N: int) -> tuple[list[int], list[int]]:
@@ -188,10 +200,11 @@ def prime_flags(N: int) -> np.ndarray:
 def _differences(prefix: np.ndarray, seg: slice = slice(None)) -> np.ndarray:
     """Read-only int32 first differences of a table's prefix array over the slots of seg."""
     part = prefix[seg]
-    d = np.empty_like(part)
-    # each difference is one a or b value, so int32 holds it exactly
-    np.subtract(part[1:], part[:-1], out=d[1:])
-    d[0] = part[0] - (prefix[seg.start - 1] if seg.start else 0)  # slot 0 has no base
+    d = np.empty(len(part), dtype=np.int32)
+    # each difference is one a or b value, so int32 holds it exactly; an
+    # int16 B_prefix is widened before it is subtracted, where it could wrap
+    np.subtract(part[1:], part[:-1], out=d[1:], dtype=np.int32)
+    d[0] = int(part[0]) - (int(prefix[seg.start - 1]) if seg.start else 0)  # slot 0 has no base
     d.setflags(write=False)
     return d
 
@@ -200,12 +213,14 @@ def _differences(prefix: np.ndarray, seg: slice = slice(None)) -> np.ndarray:
 class CoefficientTable:
     """Immutable prefix sums of the a/b tables for one field up to norm N.
 
-    Two flat int32 arrays, 8 B per slot: I_prefix[n] = I_K(n) and
-    B_prefix[n] = B(n).  I_K(N) < 2^31 is checked before the prefixes
-    are taken, and |B(n)| <= I_K(n), so neither wraps.  The arrays are
-    marked read-only, so a built table can be shared across threads and
-    queried concurrently.  Tables compare by identity (the arrays make
-    value equality a trap).
+    Two flat arrays: I_prefix[n] = I_K(n) in int32, and B_prefix[n] = B(n)
+    in int16 while every |B(n)| < 2^15, else in int32: 6 B per slot on
+    every shipped field up to N = 1e7, 8 B once some |B(n)| >= 2^15.
+    I_K(N) < 2^31 is checked before the prefixes are taken,
+    |B(n)| <= I_K(n), and B is narrowed only after its range check, so
+    neither wraps.  The arrays are marked read-only, so a built table can
+    be shared across threads and queried concurrently.  Tables compare by
+    identity (the arrays make value equality a trap).
     """
 
     field: FieldSpec
@@ -226,7 +241,8 @@ class CoefficientTable:
     @property
     def b(self) -> np.ndarray:
         """b[n], the ideal Mobius sum over norm n: a fresh read-only int32
-        array of N + 1 entries, taken from B_prefix in O(N) per access."""
+        array of N + 1 entries, taken from B_prefix (widened from int16 where
+        it is stored so) in O(N) per access."""
         return _differences(self.B_prefix)
 
 
@@ -269,6 +285,22 @@ def _prefix_segment(a: np.ndarray, b: np.ndarray, I_before: int, B_before: int) 
     return total, int(b[-1])
 
 
+def _store_B(B_prefix: np.ndarray, seg: slice, B: np.ndarray) -> np.ndarray:
+    """Copy one finished int32 segment of B into B_prefix and return the
+    array that holds it.
+
+    B_prefix stays int16 while every |B(n)| < 2^15.  The first segment
+    past that moves the table to a new int32 array, copying only the
+    slots before seg, and every later segment is stored there.
+    """
+    if B_prefix.dtype == np.int16 and not -(2**15) < int(B.min()) <= int(B.max()) < 2**15:
+        wide = np.empty(len(B_prefix), dtype=np.int32)
+        wide[: seg.start] = B_prefix[: seg.start]
+        B_prefix = wide
+    B_prefix[seg] = B  # in range, so an int16 store does not wrap
+    return B_prefix
+
+
 def _running_sum(x: np.ndarray) -> None:
     """Prefix-sum a contiguous int32 array in place, in rows of 8.
 
@@ -291,13 +323,16 @@ def _local_factors(field: FieldSpec, N: int) -> tuple[np.ndarray, np.ndarray, np
     """The local series of each prime p <= sqrt(N), from one
     `residue_degrees` call over them.
 
-    Returns (P, C, a_ones).  P holds the primes p <= sqrt(N) as int64;
+    Returns (P, C, a_ones).  P holds the primes p <= sqrt(N), and 2 for
+    N >= 2, as int64;
     C[:, i, k] is (a_loc[k], b_loc[k], d_k) of P[i], zero past p^k > N,
     where d_k takes the factor p^k out of a multiple of p^k: the inverse
     of p^k mod 2^32 for odd p (its bits stored as int32), the shift k
     for p = 2; a_ones[i] says a_loc of P[i] is all ones.
     """
-    P = primes_between(2, math.isqrt(N))
+    # 2 is sieved at every N >= 2, so every prime left above the sieve
+    # bound is odd, and the g_1 lookup needs odd slots only
+    P = primes_between(2, max(math.isqrt(N), min(N, 2)))
     series = [local_series(row, p, N) for p, row in zip(P.tolist(), residue_degrees(field, P))]
     C = np.zeros((3, len(P), max((len(a) for a, _ in series), default=0)), np.int32)
     for i, (p, (a_loc, b_loc)) in enumerate(zip(P.tolist(), series)):
@@ -360,9 +395,10 @@ def _spread_sparse(
 def build_tables(field: FieldSpec, N: int) -> CoefficientTable:
     """Sieve the a/b tables for all norms up to N.
 
-    The table is filled one segment [L, R) of `_segments` at a time, in
-    place in its own prefix arrays; the work buffers are sized to the
-    longest segment.  Each prime p <= sqrt(N) multiplies its local
+    The table is filled one segment [L, R) of `_segments` at a time, a
+    in place in I_prefix and b in a reused int32 row; the work buffers
+    are sized to the longest segment.  Each prime p <= sqrt(N), and 2
+    at every N >= 2, multiplies its local
     coefficients onto its multiples in the segment, and divides the
     exact power p^k out of a uint32 cofactor row that starts at n: a
     product with the inverse of p^k mod 2^32 for odd p, a right shift
@@ -372,14 +408,16 @@ def build_tables(field: FieldSpec, N: int) -> CoefficientTable:
     is all ones); the rest go through `_spread_sparse`.  The cofactor
     then is n over its sqrt(N)-smooth part.  A slot n > 1 whose
     cofactor is still n is a prime q > sqrt(N), and `residue_degrees`
-    of the segment's such q writes -g_1(q) into an int8 lookup over
-    0..N.  Every n <= N has at most one prime factor q > sqrt(N), and
-    q <= n, so the cofactor is 1 or a q of this segment or an earlier
-    one, and the lookup, gathered at the cofactors with np.take,
-    finishes b, and a once some g_1(q) != 1.  The segment is then
-    checked and prefix-summed in rows of 8 with the running totals
-    (`_prefix_segment`).  Index-divisor refusals from the splitting
-    computation propagate.
+    of the segment's such q writes -g_1(q) into an int8 lookup at
+    q >> 1; with 2 sieved, every such q is odd.  Every n <= N
+    has at most one prime factor q > sqrt(N), and q <= n, so the
+    cofactor is 1 or a q of this segment or an earlier one, and the
+    lookup, gathered at the cofactors shifted right by one with
+    np.take, finishes b, and a once some g_1(q) != 1.  The segment is
+    then checked and prefix-summed in rows of 8 with the running totals
+    (`_prefix_segment`), and its B stored by `_store_B`: int16 while
+    every |B(n)| < 2^15, int32 from the first segment past that.
+    Index-divisor refusals from the splitting computation propagate.
     """
     if N < 1:
         raise ValueError(f"table cap must be >= 1, got {N}")
@@ -397,24 +435,28 @@ def build_tables(field: FieldSpec, N: int) -> CoefficientTable:
     ]
     sparse_P, sparse_C, sparse_a = P[dense:], C[:, dense:], not a_ones[dense:].all()
     I_prefix = np.empty(N + 1, dtype=np.int32)
-    B_prefix = np.empty(N + 1, dtype=np.int32)
-    # -g_1(q) at each prime q > sqrt(N) of the segments so far, 1 at 1
-    lookup = np.zeros(N + 1, dtype=np.int8)
-    lookup[1] = 1
+    B_prefix = np.empty(N + 1, dtype=np.int16)  # widened by _store_B if B leaves int16
+    # -g_1(q) at q >> 1 for each prime q > sqrt(N) of the segments so far,
+    # all odd, and 1 at slot 0 for the cofactor 1
+    lookup = np.zeros(N // 2 + 1, dtype=np.int8)
+    lookup[0] = 1
     large_a = False  # some g_1(q) != 1 so far
     segments = list(_segments(N))
+    longest = segments[0].stop
     # rows a, b and d over the multiples of one prime in a longest segment
-    pattern_buf = np.empty((3, segments[0].stop // 2 + 1), dtype=np.int32)
-    cofactor_buf = np.empty(segments[0].stop, dtype=np.uint32)
+    pattern_buf = np.empty((3, longest // 2 + 1), dtype=np.int32)
+    cofactor_buf = np.empty(longest, dtype=np.uint32)
+    b_buf = np.empty(longest, dtype=np.int32)
+    n_buf = np.arange(longest, dtype=np.uint32)  # n at each slot of the segment
     carry = (0, 0)
     for seg in segments:
         L, R = seg.start, seg.stop
-        a, b = I_prefix[seg], B_prefix[seg]
+        a, b, n = I_prefix[seg], b_buf[: R - L], n_buf[: R - L]
         # n over its sqrt(N)-smooth part once every prime <= sqrt(N) has
         # divided its power out; p^v divides the row exactly, so its product with p^-v mod
         # 2^32 is the quotient itself
         cofactor = cofactor_buf[: R - L]
-        np.copyto(cofactor, np.arange(L, R, dtype=np.uint32))
+        np.copyto(cofactor, n)
         a.fill(1)
         b.fill(1)
         if L == 0:
@@ -444,18 +486,23 @@ def build_tables(field: FieldSpec, N: int) -> CoefficientTable:
         # no prime <= sqrt(N) divides a slot n > 1 whose cofactor is still
         # n, so n is a prime
         lo = max(L, 2)
-        large = np.flatnonzero(cofactor[lo - L :] == np.arange(lo, R, dtype=np.uint32)) + lo
+        large = np.flatnonzero(cofactor[lo - L :] == n[lo - L :]) + lo
         g1 = residue_degrees(field, large)[:, 0]
-        lookup[large] = -g1
+        lookup[large >> 1] = -g1
         large_a = large_a or bool(np.any(g1 != 1))
         # the cofactor is 1 or the prime above sqrt(N) that divides n,
-        # which is in this segment or an earlier one
-        h = np.take(lookup, cofactor)
+        # which is in this segment or an earlier one.  np.take would copy
+        # the uint32 row to intp anyway, so the shift makes that copy; it is
+        # freed at once, so its pages serve the next temporaries, where a
+        # kept row would leave them to fault in fresh ones
+        h = np.take(lookup, np.right_shift(cofactor, 1, dtype=np.intp))
         b *= h
         if large_a:
             np.abs(h, out=h)
             a *= h
         carry = _prefix_segment(a, b, *carry)
+        B_prefix = _store_B(B_prefix, seg, b)
+        n_buf += R - L  # the next segment starts at R
     return CoefficientTable(field=field, N=N, I_prefix=I_prefix, B_prefix=B_prefix)
 
 
@@ -536,7 +583,7 @@ def count_rprime_mobius(table: CoefficientTable, x: float, m: int, r: int) -> in
     # the count unchanged; clamping keeps n^r from growing with r
     r = min(r, max(X.bit_length(), 1))
     ends, q = _block_ends(X, r)
-    # the int64 differences of the stored int32 B_prefix are exact
+    # the int64 differences of the stored B_prefix, int16 or int32, are exact
     B = table.B_prefix[ends].astype(np.int64)
     dB = B[1:] - B[:-1]
     live = dB.nonzero()[0]
@@ -587,6 +634,10 @@ _CACHE_HEADER = struct.Struct("<8sI32sQ")  # magic, version, fingerprint, N: 52 
 
 def table_fingerprint(field: FieldSpec) -> bytes:
     """Digest of the field data that determines the table contents."""
+    # imported here, its only use: importing hashlib after numpy maps
+    # OpenSSL, about 3.5 MB of RSS in every process that never caches
+    import hashlib
+
     payload = json.dumps(field.fingerprint_data(), sort_keys=True).encode("utf-8")
     return hashlib.sha256(payload).digest()
 
@@ -607,8 +658,10 @@ def save_table(table: CoefficientTable, path: str) -> None:
 def load_table(field: FieldSpec, path: str) -> CoefficientTable:
     """Load a cached table, validating magic, version, fingerprint, the
     cap (1 <= N <= `MAX_TABLE_N`), the size and the a/b values (a = b = 0
-    at norm 0, a >= 0, |b| <= a, I_K(N) < 2^31).  a and b are read into
-    the table's own arrays and checked and summed there, as the build does."""
+    at norm 0, a >= 0, |b| <= a, I_K(N) < 2^31).  a is read into the
+    table's I_prefix and b one segment at a time into a reused buffer;
+    each segment is checked and summed as the build does, and B is stored
+    by the build's rule (int16 while every |B(n)| < 2^15)."""
     with open(path, "rb") as handle:
         head = handle.read(_CACHE_HEADER.size)
         if len(head) < _CACHE_HEADER.size or not head.startswith(_CACHE_MAGIC):
@@ -622,18 +675,25 @@ def load_table(field: FieldSpec, path: str) -> CoefficientTable:
             raise FieldSpecError(f"{path}: corrupt cache: N={N} outside [1, {MAX_TABLE_N}]")
         expected = _CACHE_HEADER.size + 2 * 4 * (N + 1)
         size = os.fstat(handle.fileno()).st_size
-        if size == expected:  # checked before allocating, and on the items read
-            a, b = (np.fromfile(handle, dtype="<i4", count=N + 1) for _ in range(2))
-            size = _CACHE_HEADER.size + 4 * (len(a) + len(b))
-    if size != expected:
-        raise FieldSpecError(f"{path}: truncated cache (have {size} bytes, want {expected})")
-    if a[0] or b[0]:
-        # no ideal has norm 0, and every count reads I_K and B from slot 0 up
-        raise FieldSpecError(f"{path}: corrupt cache: norm-0 slot holds a={a[0]}, b={b[0]}")
-    carry = (0, 0)
-    try:
-        for seg in _segments(N):
-            carry = _prefix_segment(a[seg], b[seg], *carry)
-    except OverflowError as exc:
-        raise FieldSpecError(f"{path}: corrupt cache: {exc}") from exc
-    return CoefficientTable(field=field, N=N, I_prefix=a, B_prefix=b)
+        if size != expected:  # checked before allocating, and on the bytes read
+            raise FieldSpecError(f"{path}: truncated cache (have {size} bytes, want {expected})")
+        I_prefix = np.fromfile(handle, dtype="<i4", count=N + 1)
+        B_prefix = np.empty(N + 1, dtype=np.int16)
+        segments = list(_segments(N))
+        b_buf = np.empty(segments[0].stop, dtype="<i4")
+        size = _CACHE_HEADER.size + 4 * len(I_prefix)
+        carry = (0, 0)
+        for seg in segments:
+            a, b = I_prefix[seg], b_buf[: seg.stop - seg.start]
+            size += handle.readinto(b)  # 0 at the end of the file
+            if size < _CACHE_HEADER.size + 4 * (N + 1 + seg.stop):
+                raise FieldSpecError(f"{path}: truncated cache (have {size} bytes, want {expected})")
+            if seg.start == 0 and (a[0] or b[0]):
+                # no ideal has norm 0, and every count reads I_K and B from slot 0 up
+                raise FieldSpecError(f"{path}: corrupt cache: norm-0 slot holds a={a[0]}, b={b[0]}")
+            try:
+                carry = _prefix_segment(a, b, *carry)
+            except OverflowError as exc:
+                raise FieldSpecError(f"{path}: corrupt cache: {exc}") from exc
+            B_prefix = _store_B(B_prefix, seg, b)
+    return CoefficientTable(field=field, N=N, I_prefix=I_prefix, B_prefix=B_prefix)

@@ -381,6 +381,21 @@ def test_fit_refuses_a_short_row(tmp_path, capsys):
     assert err == "error: malformed scan row: '4.0,7,6.5,0.5'\n"
 
 
+def test_fit_refuses_records_that_share_one_x(tmp_path, capsys):
+    # two scan rows at x = 1000 with different E leave the slope undetermined
+    path = tmp_path / "one_x.csv"
+    path.write_text(
+        CSV_HEADER + "\n1000.0,5,3.0,2.0,3.0,0.3010299956639812\n"
+        "1000.0,9,3.0,6.0,3.0,0.7781512503836436\n"
+    )
+    code, out, err = run(capsys, "fit", "--in", str(path))
+    assert code == 1 and out == ""
+    assert err == (
+        "error: all 2 records with nonzero E have x = 1000.0: "
+        "a slope needs at least 2 distinct x\n"
+    )
+
+
 def _json_lines(*lines):
     # the documents are written with indent=2 and one trailing newline
     return "\n".join(("{", *(f"  {line}" for line in lines), "}")) + "\n"

@@ -1,4 +1,7 @@
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import rprime
@@ -33,3 +36,20 @@ def test_characters_imports_no_package_module_but_errors():
 def test_forms_imports_no_package_module_but_errors():
     # fields imports forms, never the other way round
     assert _package_imports("forms") <= {"errors"}
+
+
+def test_importing_the_package_leaves_hashlib_out():
+    # hashlib maps OpenSSL, about 3.5 MB of RSS once numpy is loaded; only
+    # the table cache's fingerprint needs it, and imports it when called
+    src = str(Path(rprime.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    script = "import sys, rprime, rprime.cli; print(sorted(m for m in sys.modules if 'hashlib' in m))"
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+        timeout=120,
+        check=True,
+    )
+    assert proc.stdout == "[]\n"

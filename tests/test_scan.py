@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from rprime import build_tables, fit_slope, run_error_scan
@@ -58,6 +59,32 @@ def test_fit_needs_two_points():
         fit_slope(_synthetic([10], 0.5, 1.0))
     with pytest.raises(ValueError, match="at least 2"):
         fit_slope([make_record(5.0, 7, 7.0)])
+
+
+def test_fit_refuses_records_at_one_x():
+    # two records at x = 1000 with different E: no line through them has
+    # a slope, so they are refused rather than fitted to one
+    records = [make_record(1000, 5, 3.0), make_record(1000, 9, 3.0)]
+    with pytest.raises(ValueError, match="all 2 records with nonzero E have x = 1000.0"):
+        fit_slope(records)
+    # a zero-E record at another x does not count as a second x
+    with pytest.raises(ValueError, match="at least 2 distinct x"):
+        fit_slope([*records, make_record(10, 7, 7.0)])
+
+
+def test_fit_matches_least_squares_off_the_line():
+    xs = [10, 100, 1000, 10000, 2.5e4]
+    records = [make_record(x, 0, -(x**0.5) * (1.5 if i % 2 else 0.75)) for i, x in enumerate(xs)]
+    lx = [rec.log10_x for rec in records]
+    ly = [rec.log10_absE for rec in records]
+    slope, intercept = np.polyfit(lx, ly, 1)
+    fit = fit_slope(records)
+    assert fit.slope == pytest.approx(slope, rel=1e-12)
+    assert fit.intercept == pytest.approx(intercept, rel=1e-12)
+    residual = sum((y - slope * x - intercept) ** 2 for x, y in zip(lx, ly))
+    spread = sum((y - np.mean(ly)) ** 2 for y in ly)
+    assert fit.r_squared == pytest.approx(1 - residual / spread, rel=1e-12)
+    assert 0 < fit.r_squared < 1
 
 
 def test_scan_single_point_values(field_q):

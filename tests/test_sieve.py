@@ -16,6 +16,7 @@ from rprime import (
     build_tables,
     count_rprime_mobius,
     ideal_count,
+    load_field_file,
     load_table,
     local_series,
     save_table,
@@ -24,6 +25,7 @@ from rprime import sieve
 from rprime.fields import residue_degrees
 from rprime.sieve import _block_ends, _integer_root, primes_between
 
+from conftest import FIELDS_DIR
 from eta_witness import dirichlet_inverse, divisor_sums, eta_coefficients
 from test_fields import _MORE_FIELDS, _field
 
@@ -275,12 +277,15 @@ def test_prefix_segment_refuses_a_running_sum_past_int32(tmp_path, field_q):
         load_table(field_q, str(path))
 
 
-def _fake_local_series(p, k, value):
-    # local_series with its coefficient of a at p^k replaced by value
+def _fake_local_series(p, k, value, b_value=None):
+    # local_series with its coefficient of a at p^k replaced by value,
+    # and that of b by b_value if given
     def fake(degrees, q, N):
         a_loc, b_loc = local_series(degrees, q, N)
         if q == p:
             a_loc[k] = value
+            if b_value is not None:
+                b_loc[k] = b_value
         return a_loc, b_loc
 
     return fake
@@ -305,6 +310,53 @@ def test_build_refuses_values_past_int32_in_a_later_segment(
         build_tables(field_q, 40)
 
 
+def _count_or_refusal(table, x, m, r):
+    try:
+        return count_rprime_mobius(table, x, m, r)
+    except OverflowError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize(
+    "value, dtype",
+    [
+        # Q at N = 40 in segments of at most 8 slots, with b(8) = v: B is
+        # the Mertens function M(n) plus v on [8, 23], M(n) on [24, 39]
+        # and -v at 40, so B reaches v - 1 at 10, v - 3 at 13 and -v at 40
+        (2**15 - 1, np.int16),
+        (2**15, np.int32),  # B(40) = -2^15, in the last segment
+        (2**15 + 1, np.int32),  # B(10) = 2^15, in the second segment
+        (-(2**15) + 4, np.int16),
+        (-(2**15) + 3, np.int32),  # B(13) = -2^15, in the second segment
+    ],
+)
+def test_B_prefix_widens_to_int32_once_B_leaves_int16(tmp_path, monkeypatch, field_q, value, dtype):
+    N = 40
+    b = build_tables(field_q, N).b.astype(np.int64)
+    b[[8, 24, 40]] = value, -value, -value  # b(3) = b(5) = -1
+    monkeypatch.setattr(sieve, "_TABLE_SEGMENT", 8)
+    monkeypatch.setattr(sieve, "local_series", _fake_local_series(2, 3, abs(value), value))
+    table = build_tables(field_q, N)
+    assert table.B_prefix.dtype == dtype
+    assert np.array_equal(table.B_prefix, np.cumsum(b))
+    assert (int(np.abs(np.cumsum(b)).max()) < 2**15) == (dtype == np.int16)
+    path = tmp_path / "q.tab"
+    save_table(table, str(path))
+    loaded = load_table(field_q, str(path))
+    assert loaded.B_prefix.dtype == dtype
+    assert np.array_equal(loaded.B_prefix, table.B_prefix)
+    assert np.array_equal(loaded.I_prefix, table.I_prefix)
+    wide = _with_B_prefix(table, table.B_prefix.astype(np.int32))
+    for x in (1, 8, 9.5, 23, 24, 39, 40):
+        for m in range(1, 5):
+            for r in range(1, 4):
+                # a negative b(8) makes some sums negative, which all three refuse
+                want = _mobius_count_reference(wide, x, m, r)
+                want = want if want >= 0 else "negative tuple count: table corrupt"
+                for t in (wide, table, loaded):
+                    assert _count_or_refusal(t, x, m, r) == want, (x, m, r)
+
+
 @pytest.mark.parametrize(
     "N, error, match",
     [
@@ -319,9 +371,11 @@ def test_build_refuses_cap_outside_its_range(field_q, N, error, match):
 
 @pytest.mark.parametrize("name", ["Q", "Qi", "cubic"])
 def test_build_peak_memory_per_slot(fields, name):
-    # the table keeps 8 B/slot; the int8 lookup of g_1 adds 1 B/slot and
-    # the segment buffers about 3 MB (the uint32 cofactor row and np.take's
-    # int64 copy of it among them), with no table-sized temporary
+    # the table keeps 6 B/slot (I_K in int32, B in int16); the int8 lookup
+    # of g_1 over odd q adds 0.5 B/slot and the segment buffers about 3.5 MB
+    # (the uint32 cofactor and n rows, the int32 b row and one segment's
+    # intp lookup indices among them), with no table-sized temporary:
+    # 8.3-8.4 B/slot measured
     N = 2 * 10**6
     build_tables(fields[name], 1000)  # first-call allocations stay out
     tracemalloc.start()
@@ -331,13 +385,14 @@ def test_build_peak_memory_per_slot(fields, name):
     finally:
         tracemalloc.stop()
     assert table.N == N
-    assert peak <= 11 * N, peak / N
+    assert peak <= 9 * N, peak / N
 
 
 @pytest.mark.parametrize("name", ["Q", "Qi", "cubic"])
 def test_load_peak_memory_per_slot(tmp_path, fields, name):
-    # a and b are read into the table's own arrays (8 B/slot) and summed
-    # there; only the check's segment temporaries come on top
+    # a is read into the table's I_prefix (4 B/slot) and b one segment at
+    # a time into a reused buffer, whose sums go to an int16 B_prefix
+    # (2 B/slot); only segment-sized buffers come on top: 6.6 B/slot measured
     N = 2 * 10**6
     path = tmp_path / "t.tab"
     save_table(build_tables(fields[name], N), str(path))
@@ -349,7 +404,7 @@ def test_load_peak_memory_per_slot(tmp_path, fields, name):
     finally:
         tracemalloc.stop()
     assert table.N == N
-    assert peak <= 9 * N, peak / N
+    assert peak <= 7 * N, peak / N
 
 
 def test_ideal_count_floor_semantics(table_q_1e4):
@@ -795,12 +850,32 @@ def test_a_and_b_are_read_only_int32_differences(tables_all_fields, name):
 
 @pytest.mark.parametrize("name", ["Q", "Qi", "Qsqrt2", "Qsqrtm5", "cubic"])
 def test_prefix_sums_are_int32_read_only_cumsums(tables_all_fields, name):
+    # I_prefix is int32, and B_prefix int16 since every |B(n)| < 2^15 here
     table = tables_all_fields[name]
-    for values, prefix in ((table.a, table.I_prefix), (table.b, table.B_prefix)):
-        assert prefix.dtype == np.int32
+    for values, prefix, dtype in (
+        (table.a, table.I_prefix, np.int32),
+        (table.b, table.B_prefix, np.int16),
+    ):
+        assert prefix.dtype == dtype
         assert np.array_equal(prefix, np.cumsum(values, dtype=np.int64))
         with pytest.raises(ValueError):
             prefix[1] = 0
+
+
+@pytest.mark.parametrize("path", sorted(FIELDS_DIR.glob("*.json")), ids=lambda path: path.stem)
+def test_counts_on_int16_B_equal_counts_on_an_int32_copy(path):
+    table = build_tables(load_field_file(str(path)), 10**4)
+    assert table.B_prefix.dtype == np.int16
+    wide = _with_B_prefix(table, table.B_prefix.astype(np.int32))
+    for x in (1, 7.5, 361, 2024.9, 9999, 10**4):
+        for m in range(1, 7):
+            for r in range(1, 4):
+                assert count_rprime_mobius(table, x, m, r) == count_rprime_mobius(wide, x, m, r), (
+                    path.stem,
+                    x,
+                    m,
+                    r,
+                )
 
 
 def test_load_refuses_ideal_count_past_int32(tmp_path, field_q):
