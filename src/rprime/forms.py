@@ -95,24 +95,43 @@ def kronecker(d: int, n: np.ndarray) -> np.ndarray:
     return out
 
 
+def _isqrt(x: np.ndarray) -> np.ndarray:
+    """floor(sqrt(x)) at each int64 x >= 0, exact for x < 2^63: the
+    float root is within one of it, and the squares are compared in
+    uint64, where (s + 1)^2 cannot wrap."""
+    u = x.view(np.uint64)
+    s = np.sqrt(u).astype(np.uint64)
+    s -= s * s > u
+    t = s + 1
+    s += t * t <= u
+    return s.view(np.int64)
+
+
 def represented(forms, n: np.ndarray) -> np.ndarray:
     """Bool at each n >= 1: True where n = a x^2 + b x y + c y^2 for one
     of the reduced positive definite `forms` (a, b, c) and some integers
     x, y.  Exact for n with 4 a n < 2^63.
 
     With u = 2 a x + b y and D = 4ac - b^2, 4 a f(x, y) = u^2 + D y^2,
-    so the points of values in [w, v] lie, for each y >= 0 with
-    D y^2 <= 4 a v, on the two runs of x with
-    4 a w - D y^2 <= u^2 <= 4 a v - D y^2 (f(-x, -y) = f(x, y) covers
-    y < 0).  The n are taken in windows [w, v] of at most `_WINDOW`
-    integers, w the least n not yet marked and v at most the largest.
-    Each window lists the runs of every form at once, widened by two x
-    at each end against float rounding and truncation, expands them
-    with np.repeat and marks the values that fall in it, computed
-    exactly in int64: a term of f at a point in range is at most 4/3 of
-    its value, since 4ac <= 4/3 D for a reduced form.  A window holds
-    about sqrt(4 a v / D) rows per form and a few times `_WINDOW`
-    points.
+    so the values in [w, v] lie, for each y with D y^2 <= 4 a v, on the
+    x with u^2 in [4 a w - D y^2, 4 a v - D y^2].  Half the lattice
+    points are enough, and one run of x per (form, y), the one with
+    u >= 0, whose ends are integer square roots: u from the least
+    u >= 0 with u^2 >= 4 a w - D y^2 up to isqrt(4 a v - D y^2).
+    - (a, -b, c) takes the values of (a, b, c), by y -> -y, so one form
+      of each such pair is kept.
+    - f(-x, -y) = f(x, y) negates u, so the y with |y| up to its bound
+      cover the runs with u < 0.
+    - Where a divides b (b = 0 or b = a), x -> -x - (b / a) y fixes f and
+      y and negates u, so y >= 0 is enough.  A form with a = c and
+      0 < b < a keeps the y < 0.
+    The n are taken in windows [w, v] of at most `_WINDOW` integers, w
+    the least n not yet marked and v at most the largest.  Each window
+    lists the runs of every form at once, expands them with np.repeat
+    and marks their values, computed exactly in int64 (a term of f at a
+    point in range is at most 4/3 of its value, since 4ac <= 4/3 D for
+    a reduced form) and checked to lie in [w, v].  A window holds about
+    sqrt(4 a v / D) rows per form, twice that where a does not divide b.
     """
     n = np.asarray(n, dtype=np.int64)
     # callers pass primes in order; only unordered n are sorted
@@ -121,29 +140,30 @@ def represented(forms, n: np.ndarray) -> np.ndarray:
         order = np.argsort(n, kind="stable")
         n = n[order]
     out = np.zeros(len(n), dtype=bool)
-    forms = np.array(forms, dtype=np.int64).reshape(-1, 3)
+    forms = np.array(sorted({(a, abs(b), c) for a, b, c in forms}), dtype=np.int64).reshape(-1, 3)
     a, b, c = forms.T
     D = 4 * a * c - b * b
+    both = (b != 0) & (b != a)  # forms that take the y < 0 as well
     mask = np.empty(_WINDOW, dtype=bool)
     i = 0
     while i < len(n):
         w = int(n[i])
         v = min(w + _WINDOW - 1, int(n[-1]))
         j = bisect.bisect_right(n, v, i)
-        # one row (form, y) for each y with D y^2 <= 4 a v
-        rows = np.array([math.isqrt(4 * int(ai) * v // int(Di)) + 1 for ai, Di in zip(a, D)])
+        # one row (form, y) for each y with D y^2 <= 4 a v, y >= 0 unless both
+        Y = np.array([math.isqrt(4 * int(ai) * v // int(Di)) for ai, Di in zip(a, D)], dtype=np.int64)
+        rows = Y + both * Y + 1
         form = np.repeat(np.arange(len(a)), rows)
-        y = np.arange(len(form)) - np.repeat(np.cumsum(rows) - rows, rows)
+        y = np.arange(len(form)) - np.repeat(np.cumsum(rows) - rows + both * Y, rows)
         A, B, C, Dy = a[form], b[form] * y, c[form] * y * y, D[form] * y * y
-        outer = np.sqrt(np.maximum(4 * A * v - Dy, 0))
-        inner = np.sqrt(np.maximum(4 * A * w - Dy, 0))
-        # runs u in [inner, outer] and u in [-outer, -inner], as x ranges;
-        # truncation moves an end by less than 1, and the float one by less
-        twice = np.concatenate([2 * A, 2 * A])
-        starts = (np.concatenate([inner - B, -outer - B]) / twice).astype(np.int64) - 2
-        stops = (np.concatenate([outer - B, -inner - B]) / twice).astype(np.int64) + 2
-        lengths = stops + 1 - starts
-        run = np.repeat(np.arange(len(starts), dtype=np.int32) % len(form), lengths)
+        low = 4 * A * w - Dy
+        ends = _isqrt(np.concatenate([4 * A * v - Dy, np.maximum(low - 1, 0)]))
+        top, bottom = ends[: len(form)], ends[len(form) :] + (low > 0)
+        # x = (u - b y) / 2a at the integer x with u in [bottom, top]
+        twice = 2 * A
+        starts = -((B - bottom) // twice)
+        lengths = np.maximum((top - B) // twice + 1 - starts, 0)
+        run = np.repeat(np.arange(len(form)), lengths)
         x = np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)
         x += np.arange(len(x))
         values = A[run]
@@ -151,8 +171,10 @@ def represented(forms, n: np.ndarray) -> np.ndarray:
         values += B[run]
         values *= x
         values += C[run]
+        if len(values) and not w <= int(values.min()) <= int(values.max()) <= v:
+            raise OverflowError(f"a form value lies outside the window [{w}, {v}]")
         mask.fill(False)
-        mask[values[(values >= w) & (values <= v)] - w] = True
+        mask[values - w] = True
         out[order[i:j]] = mask[n[i:j] - w]
         i = j
     return out

@@ -13,24 +13,33 @@ prod_i (1 - X^{f_i})^{-1} and the b-values those of prod_i (1 - X^{f_i}),
 so a prime p > sqrt(N) gives a = g_1, b = -g_1 with g_1 = #{i: f_i = 1}.
 The build fills the table in the fewest segments of at most 2^17
 slots, of equal length to within one slot, a in place in its prefix
-array and b in a reused int32 segment row, and touches each slot about
-log log N times.  Only the primes p <= sqrt(N) are sieved, once, and 2
-at every N >= 2.  Each segment takes a few strided ops
-per prime p with p^2 <= 2^17 (and 2 at any segment size), and one
-batch of ufunc.at products for all primes from there up to sqrt(N),
-which have few multiples in a segment.  Both also divide a uint32
-cofactor row, which starts at n, by the power of p in n: an odd p^v
-by a product with its inverse mod 2^32, exact because p^v divides the
-row (Granlund and Montgomery, PLDI 1994, section 9), and 2^v by a
-right shift.  The row so ends at n over its sqrt(N)-smooth part, with
-no division.  A slot n > 1 whose cofactor still equals its entry in a
-reused row of n is a prime above sqrt(N): the segment's such primes go
-to `residue_degrees`, and their -g_1 into an int8 lookup at q >> 1
-(0.5 B/slot), exact because 2 is sieved, so every such q is odd.
-Every cofactor is 1 or the one prime factor of n above sqrt(N), which
-is n itself or lies in an earlier segment, so the lookup, gathered at
-the cofactors shifted right by one (into the intp row np.take would
-otherwise copy the uint32 row to), finishes the segment.
+array and b in a reused int32 segment row.  The spread runs over the
+odd n of a segment only, in compact rows half a segment long, and
+touches each odd slot about log log N times.  Only the primes
+p <= sqrt(N) are sieved, once, and 2 at every N >= 2.  Each segment
+takes a few strided ops per odd prime p with p^2 <= 2^17 (its odd
+multiples are 2p apart, every p-th entry of the rows), and one batch
+of ufunc.at products for all primes from there up to sqrt(N), which
+have few multiples in a segment.  Both also divide a uint32 cofactor
+row, which starts at n, by the power of p in n: p^v by a product with
+its inverse mod 2^32, exact because p^v divides the row (Granlund and
+Montgomery, PLDI 1994, section 9).  The row so ends at n over its
+sqrt(N)-smooth part, with no division.  An odd n > 1 whose cofactor
+still equals its entry in a reused row of n is a prime above sqrt(N):
+the segment's such primes go to `residue_degrees`, and their -g_1 into
+an int8 lookup at q >> 1 (0.5 B/slot), exact because 2 is sieved, so
+every such q is odd.  Every cofactor is 1 or the one prime factor of n
+above sqrt(N), which is n itself or lies in an earlier segment, so the
+lookup, gathered at the cofactors shifted right by one (into the intp
+row np.take would otherwise copy the uint32 row to), finishes the odd
+slots.  The even slots are not spread: a and b are multiplicative, so
+a(2^v m) = a_2(v) a(m) and b(2^v m) = b_2(v) b(m) for odd m, and each
+level v takes one strided write of a and one of b from values already
+built (the differences of the finished prefix arrays, since m < L for
+every segment [L, R) but the first, whose odd slots hold them).  A
+level whose coefficient is 0, as b_2(v) is past the degree, is a zero
+fill.  2 is still sieved: its local series gives a_2 and b_2, and with
+it every prime above the sieve bound is odd.
 Each segment is then checked and prefix-summed with the
 running totals in rows of 8 slots: 7 column adds, one short cumsum
 over the row ends and one broadcast add, in place of numpy's
@@ -39,14 +48,15 @@ then stored in int16 while every |B(n)| < 2^15, at the cost of one
 min, one max and one narrowing copy per segment; the first segment past
 that moves B_prefix to int32, copying only the slots before it.  Every
 shipped field keeps B in int16 at N = 1e7 (max |B| = 5,726), so its
-table holds 6 B/slot and a build peaks at 8.3-8.4 B/slot under
-tracemalloc at N = 2e6 (10.3-10.4 with B in int32 and the lookup over
-every slot).  A cache file is one 52-byte header struct and then a and
+table holds 6 B/slot and a build peaks at 7.8 B/slot under
+tracemalloc at N = 2e6 (8.3-8.4 with rows over every slot, 10.3-10.4
+with B in int32 and the lookup over every slot).  A cache file is one
+52-byte header struct and then a and
 b in int32, whatever the width of B_prefix: the writer takes them
 segment by segment from `_differences`, which widens; the reader reads
 a into the new table's I_prefix and b one segment at a time into a
 reused row, and checks, sums and stores them as the build does (a load
-peaks at 6.6 B/slot under tracemalloc at N = 2e6, 8.3 with B in
+peaks at 6.3 B/slot under tracemalloc at N = 2e6, 8.3 with B in
 int32; Q at N = 1e7 loads in 0.09-0.11 s and 92 MB RSS, 111 MB with B
 in int32, shared 2-core Xeon VM, numpy 2.4).
 
@@ -270,8 +280,8 @@ def _prefix_segment(a: np.ndarray, b: np.ndarray, I_before: int, B_before: int) 
     segment, are added to its first slot before the sums.  Returns I_K
     and B at the segment's last slot.
     """
-    # a >= 0 first, so -a cannot wrap
-    if int(a.min()) < 0 or bool(np.any(b > a)) or bool(np.any(b < -a)):
+    # a >= 0 first, which the test of b < -a assumes
+    if int(a.min()) < 0 or bool(np.any(b > a)) or _below_minus(b, a):
         raise OverflowError("coefficient table left its 32-bit layout: some a < 0 or |b| > a")
     total = I_before + int(a.sum(dtype=np.int64))
     if total >= 2**31:
@@ -283,6 +293,18 @@ def _prefix_segment(a: np.ndarray, b: np.ndarray, I_before: int, B_before: int) 
     _running_sum(a)
     _running_sum(b)
     return total, int(b[-1])
+
+
+def _below_minus(b: np.ndarray, a: np.ndarray) -> bool:
+    """Whether some b < -a, for int32 rows with a >= 0, with no negated copy.
+
+    b < -a exactly when ~b = -b - 1 >= a, and ~b never wraps (~(-2^31) is
+    2^31 - 1), where -a or |b| would.  b is inverted in place and back.
+    """
+    np.invert(b, out=b)
+    below = bool(np.any(b >= a))
+    np.invert(b, out=b)
+    return below
 
 
 def _store_B(B_prefix: np.ndarray, seg: slice, B: np.ndarray) -> np.ndarray:
@@ -326,18 +348,17 @@ def _local_factors(field: FieldSpec, N: int) -> tuple[np.ndarray, np.ndarray, np
     Returns (P, C, a_ones).  P holds the primes p <= sqrt(N), and 2 for
     N >= 2, as int64;
     C[:, i, k] is (a_loc[k], b_loc[k], d_k) of P[i], zero past p^k > N,
-    where d_k takes the factor p^k out of a multiple of p^k: the inverse
-    of p^k mod 2^32 for odd p (its bits stored as int32), the shift k
-    for p = 2; a_ones[i] says a_loc of P[i] is all ones.
+    where d_k, the inverse of p^k mod 2^32 for odd p (its bits stored as
+    int32), takes the factor p^k out of an odd multiple of p^k; 2 divides
+    no slot, and its d_k are 0.  a_ones[i] says a_loc of P[i] is all ones.
     """
-    # 2 is sieved at every N >= 2, so every prime left above the sieve
-    # bound is odd, and the g_1 lookup needs odd slots only
+    # 2 is sieved at every N >= 2: its series fills the even slots, and
+    # every prime left above the sieve bound is odd
     P = primes_between(2, max(math.isqrt(N), min(N, 2)))
     series = [local_series(row, p, N) for p, row in zip(P.tolist(), residue_degrees(field, P))]
     C = np.zeros((3, len(P), max((len(a) for a, _ in series), default=0)), np.int32)
     for i, (p, (a_loc, b_loc)) in enumerate(zip(P.tolist(), series)):
-        k = range(len(a_loc))
-        d = k if p == 2 else [pow(p, -j, 2**32) for j in k]
+        d = [0 if p == 2 else pow(p, -j, 2**32) for j in range(len(a_loc))]
         C[:, i, : len(a_loc)] = a_loc, b_loc, np.array(d, np.uint32).view(np.int32)
     a_ones = np.array([a_loc.count(1) == len(a_loc) for a_loc, _ in series], dtype=bool)
     return P, C, a_ones
@@ -347,33 +368,36 @@ def _spread_sparse(
     a: np.ndarray,
     b: np.ndarray,
     cofactor: np.ndarray,
-    L: int,
+    o: int,
     P: np.ndarray,
     C: np.ndarray,
     with_a: bool,
 ) -> None:
-    """Multiply the local coefficients of the primes P onto their
-    multiples in the segment [L, L + len(b)), for primes with p^2 above
-    the segment length, all at once, and divide the cofactor row by the
-    power of p in each multiple.
+    """Multiply the local coefficients of the odd primes P onto their odd
+    multiples among the odd n = o + 2i (o odd) of the rows, for primes
+    with p^2 above the segment length, all at once, and divide the
+    cofactor row by the power of p in each multiple.
 
-    Such a prime has few multiples in a segment and at most one multiple
+    Consecutive odd multiples of p are 2p apart, p entries of the rows.
+    Such a prime has few of them in a segment and at most one multiple
     of p^2, so one index array covers every prime's multiples, the
     coefficient at p is read for all of them and the one at the exact
     valuation overwrites it at each multiple of p^2.  Several of the
     primes can divide one n, so the products go through ufunc.at.
     """
-    R = L + len(b)
-    first = np.maximum(P, -(-L // P) * P)
-    count = np.maximum((R - 1 - first) // P + 1, 0)
+    R = o + 2 * len(b)  # past the last odd n of the rows
+    first = np.maximum(P, -(-o // P) * P)
+    first += (first % 2 == 0) * P  # the first odd multiple
+    count = np.maximum((R - 1 - first) // (2 * P) + 1, 0)
     start = np.cumsum(count) - count  # where each prime's run begins
-    # entry j of the run of p is first - L + (j - start) p
+    # entry j of the run of p is (first - o) / 2 + (j - start) p
     offset = np.repeat(P, count)
     offset *= np.arange(len(offset))
-    offset += np.repeat(first - L - start * P, count)
+    offset += np.repeat((first - o) // 2 - start * P, count)
     mult = np.repeat(C[:, :, 1], count, axis=1)
     squares = P * P
-    m2 = np.maximum(squares, -(-L // squares) * squares)
+    m2 = np.maximum(squares, -(-o // squares) * squares)
+    m2 += (m2 % 2 == 0) * squares
     hit = np.flatnonzero(m2 < R)
     if len(hit):
         p = P[hit]
@@ -385,54 +409,83 @@ def _spread_sparse(
                 break
             v += divides
             q[divides] //= p[divides]
-        mult[:, start[hit] + (m2[hit] - first[hit]) // p] = C[:, hit, v]
+        mult[:, start[hit] + (m2[hit] - first[hit]) // (2 * p)] = C[:, hit, v]
     np.multiply.at(cofactor, offset, mult[2].view(np.uint32))
     np.multiply.at(b, offset, mult[1])
     if with_a:
         np.multiply.at(a, offset, mult[0])
 
 
+def _fill_level(level: np.ndarray, coef: int, row: np.ndarray | None, prefix: np.ndarray, m: slice) -> None:
+    """Write coef * x(m) into level, for the odd m of the slice m: x(m) is
+    row[m] where the segment row is given (the first segment, which holds
+    every such m), else the difference X(m) - X(m - 1) of prefix."""
+    if coef == 0:
+        level.fill(0)
+        return
+    if row is not None:
+        level[...] = row[m]
+    else:
+        # an int16 B is widened before it is subtracted, where it could wrap
+        np.subtract(prefix[m], prefix[m.start - 1 : m.stop - 1 : 2], out=level, dtype=np.int32)
+    if coef != 1:
+        level *= coef
+
+
 def build_tables(field: FieldSpec, N: int) -> CoefficientTable:
     """Sieve the a/b tables for all norms up to N.
 
-    The table is filled one segment [L, R) of `_segments` at a time, a
-    in place in I_prefix and b in a reused int32 row; the work buffers
-    are sized to the longest segment.  Each prime p <= sqrt(N), and 2
-    at every N >= 2, multiplies its local
-    coefficients onto its multiples in the segment, and divides the
-    exact power p^k out of a uint32 cofactor row that starts at n: a
-    product with the inverse of p^k mod 2^32 for odd p, a right shift
-    by k for p = 2.  A prime with p^2 at most `_TABLE_SEGMENT`, and 2
-    always, does so in strided ops, one per row of a pattern that holds
-    each multiple's factor at its exact valuation (no a row where a_loc
-    is all ones); the rest go through `_spread_sparse`.  The cofactor
-    then is n over its sqrt(N)-smooth part.  A slot n > 1 whose
-    cofactor is still n is a prime q > sqrt(N), and `residue_degrees`
-    of the segment's such q writes -g_1(q) into an int8 lookup at
-    q >> 1; with 2 sieved, every such q is odd.  Every n <= N
-    has at most one prime factor q > sqrt(N), and q <= n, so the
-    cofactor is 1 or a q of this segment or an earlier one, and the
-    lookup, gathered at the cofactors shifted right by one with
-    np.take, finishes b, and a once some g_1(q) != 1.  The segment is
-    then checked and prefix-summed in rows of 8 with the running totals
-    (`_prefix_segment`), and its B stored by `_store_B`: int16 while
-    every |B(n)| < 2^15, int32 from the first segment past that.
-    Index-divisor refusals from the splitting computation propagate.
+    The table is filled one segment [L, R) of `_segments` at a time.
+    The spread runs over the odd n = o + 2i of the segment only, in
+    compact rows of a, b, a uint32 cofactor that starts at n, and n,
+    half a segment long.  Each odd prime p <= sqrt(N) multiplies its
+    local coefficients onto its odd multiples, every p-th entry of the
+    rows, and divides the exact power p^k out of the cofactor by a
+    product with the inverse of p^k mod 2^32.  A prime with p^2 at most
+    `_TABLE_SEGMENT` does so in strided ops, one per row of a pattern
+    that holds each odd multiple's factor at its exact valuation (no a
+    row where a_loc is all ones); the rest go through `_spread_sparse`.
+    The cofactor then is n over its sqrt(N)-smooth part.  An entry
+    n > 1 whose cofactor is still n is a prime q > sqrt(N), and
+    `residue_degrees` of the segment's such q writes -g_1(q) into an
+    int8 lookup at q >> 1.  Every n <= N has at most one prime factor
+    q > sqrt(N), and q <= n, so the cofactor is 1 or a q of this
+    segment or an earlier one, and the lookup, gathered at the
+    cofactors shifted right by one with np.take, finishes b, and a once
+    some g_1(q) != 1.
+
+    The odd values are then written into the segment's slice of
+    I_prefix (a) and a reused int32 row (b) at stride 2, and the even
+    n = 2^v m, m odd, are filled level by level, v >= 1: a and b are
+    multiplicative, so a(n) = a_2(v) a(m) and b(n) = b_2(v) b(m) with
+    a_2, b_2 the local series of 2.  Each level is one strided write of
+    a and one of b.  For m < L, a(m) and b(m) are differences of the
+    finished I_prefix and B_prefix, read at stride 2; this covers every
+    segment but the first, as m <= n / 2 < R / 2 <= L there.  In the
+    first segment they are its own odd entries.  A level whose
+    coefficient is 0 is zero-filled with no read (b_2(v) = 0 past the
+    degree, so for Q every v >= 2), and one whose coefficient is 1 is a
+    copy.  2 is still sieved, for a_2 and b_2, and so every q above the
+    sieve bound is odd and the lookup needs odd slots only.
+
+    The segment is then checked and prefix-summed in rows of 8 with the
+    running totals (`_prefix_segment`), and its B stored by `_store_B`:
+    int16 while every |B(n)| < 2^15, int32 from the first segment past
+    that.  Index-divisor refusals from the splitting computation
+    propagate.
     """
     if N < 1:
         raise ValueError(f"table cap must be >= 1, got {N}")
     if N > MAX_TABLE_N:
         raise BudgetExceededError(f"table cap {N} exceeds the documented limit {MAX_TABLE_N}")
     P, C, a_ones = _local_factors(field, N)
-    # 2 is strided at every segment size: it divides by a right shift,
-    # and the sparse pass only multiplies
-    dense = int(np.searchsorted(P * P, max(_TABLE_SEGMENT, 4), side="right"))
+    # a_2(v) and b_2(v) for 2^v <= N; 2 = P[0] fills the even slots, and
+    # only the odd primes spread, strided or sparse
+    a_2, b_2 = C[:2, 0].tolist() if len(P) else ([], [])
+    dense = max(int(np.searchsorted(P * P, _TABLE_SEGMENT, side="right")), 1)
     # column k of coef is (a_loc[k], b_loc[k], d_k), shaped to broadcast
     # over a pattern's rows; a prime whose a_loc is all ones drops its a row
-    strided = [
-        (p, C[int(a_ones[i]) :, i].T[:, :, None], np.right_shift if p == 2 else np.multiply)
-        for i, p in enumerate(P[:dense].tolist())
-    ]
+    strided = [(p, C[int(a_ones[i]) :, i].T[:, :, None]) for i, p in enumerate(P[1:dense].tolist(), 1)]
     sparse_P, sparse_C, sparse_a = P[dense:], C[:, dense:], not a_ones[dense:].all()
     I_prefix = np.empty(N + 1, dtype=np.int32)
     B_prefix = np.empty(N + 1, dtype=np.int16)  # widened by _store_B if B leaves int16
@@ -443,66 +496,87 @@ def build_tables(field: FieldSpec, N: int) -> CoefficientTable:
     large_a = False  # some g_1(q) != 1 so far
     segments = list(_segments(N))
     longest = segments[0].stop
-    # rows a, b and d over the multiples of one prime in a longest segment
-    pattern_buf = np.empty((3, longest // 2 + 1), dtype=np.int32)
-    cofactor_buf = np.empty(longest, dtype=np.uint32)
+    half = (longest + 1) // 2  # odd slots of a longest segment
+    # rows a, b and d over the odd multiples of one odd prime in a segment
+    pattern_buf = np.empty((3, longest // 6 + 1), dtype=np.int32)
+    a_odd_buf = np.empty(half, dtype=np.int32)
+    b_odd_buf = np.empty(half, dtype=np.int32)
+    cofactor_buf = np.empty(half, dtype=np.uint32)
+    n_buf = np.arange(1, 2 * half, 2, dtype=np.uint32)  # the odd n of the segment
     b_buf = np.empty(longest, dtype=np.int32)
-    n_buf = np.arange(longest, dtype=np.uint32)  # n at each slot of the segment
     carry = (0, 0)
     for seg in segments:
         L, R = seg.start, seg.stop
-        a, b, n = I_prefix[seg], b_buf[: R - L], n_buf[: R - L]
-        # n over its sqrt(N)-smooth part once every prime <= sqrt(N) has
-        # divided its power out; p^v divides the row exactly, so its product with p^-v mod
-        # 2^32 is the quotient itself
-        cofactor = cofactor_buf[: R - L]
+        o = L | 1  # the segment's first odd n
+        h = R // 2 - L // 2  # and the number of odd n in it
+        a_odd, b_odd, cofactor, n = a_odd_buf[:h], b_odd_buf[:h], cofactor_buf[:h], n_buf[:h]
+        # n over its sqrt(N)-smooth part once every odd prime <= sqrt(N) has
+        # divided its power out; p^v divides the row exactly, so its product
+        # with p^-v mod 2^32 is the quotient itself
         np.copyto(cofactor, n)
-        a.fill(1)
-        b.fill(1)
-        if L == 0:
-            a[0] = b[0] = 0
-        for p, coef, divide in strided:
-            m = max(p, -(-L // p) * p)  # first multiple of p in the segment
+        a_odd.fill(1)
+        b_odd.fill(1)
+        for p, coef in strided:
+            m = max(p, -(-L // p) * p)
+            m += p * (m % 2 == 0)  # the first odd multiple of p in the segment
             if m >= R:
                 continue
-            # entry j is the multiple m + j p; it takes column k of coef
-            # for the largest k with p^k dividing it
-            pattern = pattern_buf[3 - coef.shape[1] :, : (R - 1 - m) // p + 1]
+            # entry j is the odd multiple m + 2 j p; it takes column k of
+            # coef for the largest k with p^k dividing it
+            pattern = pattern_buf[3 - coef.shape[1] :, : (R - 1 - m) // (2 * p) + 1]
             pattern[...] = coef[1]
             step = p * p
             for k in range(2, len(coef)):
                 mk = -(-m // step) * step
+                mk += step * (mk % 2 == 0)
                 if mk >= R:
                     break
-                pattern[:, (mk - m) // p :: step // p] = coef[k]
+                pattern[:, (mk - m) // (2 * p) :: step // p] = coef[k]
                 step *= p
-            part = cofactor[m - L :: p]
-            divide(part, pattern[-1].view(np.uint32), out=part)
-            b[m - L :: p] *= pattern[-2]
+            i = (m - o) // 2
+            part = cofactor[i::p]
+            np.multiply(part, pattern[-1].view(np.uint32), out=part)
+            b_odd[i::p] *= pattern[-2]
             if len(pattern) == 3:
-                a[m - L :: p] *= pattern[0]
+                a_odd[i::p] *= pattern[0]
         if len(sparse_P):
-            _spread_sparse(a, b, cofactor, L, sparse_P, sparse_C, sparse_a)
-        # no prime <= sqrt(N) divides a slot n > 1 whose cofactor is still
-        # n, so n is a prime
-        lo = max(L, 2)
-        large = np.flatnonzero(cofactor[lo - L :] == n[lo - L :]) + lo
-        g1 = residue_degrees(field, large)[:, 0]
-        lookup[large >> 1] = -g1
+            _spread_sparse(a_odd, b_odd, cofactor, o, sparse_P, sparse_C, sparse_a)
+        # no odd prime <= sqrt(N) divides an odd n > 1 whose cofactor is
+        # still n, so n is a prime
+        skip = int(o == 1)
+        large = np.flatnonzero(cofactor[skip:] == n[skip:])
+        large += skip + (o >> 1)  # q >> 1 of each such prime q
+        g1 = residue_degrees(field, 2 * large + 1)[:, 0]
+        lookup[large] = -g1
         large_a = large_a or bool(np.any(g1 != 1))
         # the cofactor is 1 or the prime above sqrt(N) that divides n,
         # which is in this segment or an earlier one.  np.take would copy
         # the uint32 row to intp anyway, so the shift makes that copy; it is
         # freed at once, so its pages serve the next temporaries, where a
         # kept row would leave them to fault in fresh ones
-        h = np.take(lookup, np.right_shift(cofactor, 1, dtype=np.intp))
-        b *= h
+        g = np.take(lookup, np.right_shift(cofactor, 1, dtype=np.intp))
+        b_odd *= g
         if large_a:
-            np.abs(h, out=h)
-            a *= h
+            np.abs(g, out=g)
+            a_odd *= g
+        a, b = I_prefix[seg], b_buf[: R - L]
+        a[o - L :: 2] = a_odd
+        b[o - L :: 2] = b_odd
+        if L == 0:
+            a[0] = b[0] = 0
+        v = 1
+        while 1 << v < R:
+            # the even n = 2^v m of the segment, m odd, every 2^(v+1)-th slot;
+            # R <= 2L past the first segment, so there every m < L
+            n0 = (max(-(-L >> v), 1) | 1) << v
+            if n0 < R:
+                m = slice(n0 >> v, ((R - 1) >> v) + 1, 2)
+                _fill_level(a[n0 - L :: 2 << v], a_2[v], a if L == 0 else None, I_prefix, m)
+                _fill_level(b[n0 - L :: 2 << v], b_2[v], b if L == 0 else None, B_prefix, m)
+            v += 1
         carry = _prefix_segment(a, b, *carry)
         B_prefix = _store_B(B_prefix, seg, b)
-        n_buf += R - L  # the next segment starts at R
+        n_buf += (R | 1) - o  # the next segment's first odd n
     return CoefficientTable(field=field, N=N, I_prefix=I_prefix, B_prefix=B_prefix)
 
 

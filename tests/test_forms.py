@@ -1,4 +1,6 @@
+import itertools
 import math
+import random
 
 import numpy as np
 import pytest
@@ -81,6 +83,48 @@ def test_represented_matches_a_brute_force_scan(d, monkeypatch):
     n = rng.integers(1, 3001, 400)
     assert (represented(forms, n) == _brute_represented(forms, 3000)[n]).all()
     assert represented(forms, np.array([], dtype=np.int64)).shape == (0,)
+
+
+def _subsets(forms, rng):
+    # every subset, the empty one and those not closed under inverses
+    # included; 2^36 for d = -2516, so there each form alone, each pair
+    # (a, +-b, c), and 64 seeded draws
+    if len(forms) <= 6:
+        return [s for k in range(len(forms) + 1) for s in itertools.combinations(forms, k)]
+    pairs = [tuple(f for f in forms if f[0] == a and f[2] == c) for a, _, c in forms]
+    draws = [tuple(f for f in forms if rng.random() < 0.5) for _ in range(64)]
+    return [(f,) for f in forms] + sorted(set(pairs)) + draws
+
+
+@pytest.mark.parametrize("d", [-3, -4, -20, -23, -84, -87, -2516])
+def test_represented_matches_a_brute_force_scan_on_every_subset(d):
+    # the run ends are exact, one form of each (a, +-b, c) pair is listed,
+    # and a form with b = 0 or b = a lists only u >= 0: each must still
+    # mark every value, for any set of forms
+    forms = reduced_forms(d)
+    n = np.arange(1, 2001)
+    for subset in _subsets(forms, random.Random(d)):
+        want = _brute_represented(subset, 2000)[1:]
+        assert (represented(subset, n) == want).all(), subset
+
+
+def test_represented_refuses_a_value_outside_its_window(monkeypatch):
+    # a run end one past the true root puts a value above the window;
+    # the range check refuses it rather than mark a wrong n
+    isqrt = forms_module._isqrt
+    monkeypatch.setattr(forms_module, "_isqrt", lambda x: isqrt(x) + 1)
+    with pytest.raises(OverflowError, match="outside the window"):
+        represented([(1, 1, 6)], np.arange(1, 100))
+
+
+def test_integer_square_root_is_exact_near_squares():
+    # k^2 - 1, k^2, k^2 + 1 and (k + 1)^2 - 1 up to the top of int64, where
+    # the float root rounds past the integer one
+    roots = [0, 1, 2, 3, 10**4, 3 * 10**9, 3_037_000_499]
+    x = sorted({max(k * k + e, 0) for k in roots for e in (-1, 0, 1, 2 * k)} | {2**63 - 1})
+    x = [v for v in x if v < 2**63]
+    got = forms_module._isqrt(np.array(x, dtype=np.int64))
+    assert got.tolist() == [math.isqrt(v) for v in x]
 
 
 def test_a_prime_is_represented_exactly_where_d_is_a_square_mod_p():

@@ -12,6 +12,7 @@ import pytest
 from rprime import (
     BudgetExceededError,
     CoefficientTable,
+    FieldSpec,
     FieldSpecError,
     build_tables,
     count_rprime_mobius,
@@ -142,35 +143,48 @@ def _spread_per_prime(field, N):
 
 
 # both sides of every p^2 boundary (small set empty below 4, large set
-# almost empty right after it), plus a size where most primes are large
+# almost empty right after it), of every 2^k up to 2^8 (a new level of
+# even slots), plus a size where most primes are large
 _SPREAD_SIZES = [
-    *range(1, 65),
+    *range(1, 66),
     *sorted({p * p + d for p in (2, 3, 5, 7, 31) for d in (-1, 0, 1)}),
+    *(2**k + d for k in (7, 8) for d in (-1, 0, 1)),
     10**4,
 ]
 
+# Q(sqrt-7), where 2 splits completely: every even level multiplies a by
+# a_2(v) = v + 1 and b by 1, -2, 1, 0, ...; in the other fields 2 is
+# inert or ramified, or splits into ideals of degree above 1
+_SPREAD_FIELDS = ["Q", "Qi", "Qsqrt2", "Qsqrtm5", "Qsqrtm7", "cubic", *_MORE_FIELDS]
 
-def _assert_spread_matches_reference(field, name):
-    for N in _SPREAD_SIZES:
+
+def _spread_field(fields, name):
+    return FieldSpec(name=name, poly=(2, 1, 1)) if name == "Qsqrtm7" else _field(fields, name)
+
+
+def _assert_spread_matches_reference(field, name, sizes=_SPREAD_SIZES):
+    for N in sizes:
         table = build_tables(field, N)
         a, b = _spread_per_prime(field, N)
         assert np.array_equal(table.a, a), (name, N)
         assert np.array_equal(table.b, b), (name, N)
 
 
-@pytest.mark.parametrize("name", ["Q", "Qi", "Qsqrt2", "Qsqrtm5", "cubic", *_MORE_FIELDS])
+@pytest.mark.parametrize("name", _SPREAD_FIELDS)
 def test_spread_matches_per_prime_reference(fields, name):
-    _assert_spread_matches_reference(_field(fields, name), name)
+    # in one segment up to 2^17, in two from 2^17 + 1
+    sizes = [*_SPREAD_SIZES, *(2**k + d for k in range(9, 18) for d in (-1, 0, 1))]
+    _assert_spread_matches_reference(_spread_field(fields, name), name, sizes)
 
 
 # segments of 1, 2, 3, 7 and 64 slots put segment ends on and next to
 # every p^2 and p^k boundary of the small sizes, and 10^4 spans many;
 # 49 slots make 7^2 = R in the first segment, where 7 still goes strided
 @pytest.mark.parametrize("segment", [1, 2, 3, 7, 49, 64])
-@pytest.mark.parametrize("name", ["Q", "Qi", "Qsqrt2", "Qsqrtm5", "cubic", *_MORE_FIELDS])
+@pytest.mark.parametrize("name", _SPREAD_FIELDS)
 def test_spread_matches_per_prime_reference_in_segments(fields, monkeypatch, name, segment):
     monkeypatch.setattr(sieve, "_TABLE_SEGMENT", segment)
-    _assert_spread_matches_reference(_field(fields, name), name)
+    _assert_spread_matches_reference(_spread_field(fields, name), name)
 
 
 def test_cubic_table_matches_the_eta_product(field_cubic):
@@ -277,6 +291,34 @@ def test_prefix_segment_refuses_a_running_sum_past_int32(tmp_path, field_q):
         load_table(field_q, str(path))
 
 
+_B_AGAINST_A = {
+    "-a - 1": lambda a: -a - 1,
+    "-2^31": lambda a: -(2**31),  # -b and |b| wrap back to -2^31 here
+    "a + 1": lambda a: a + 1,
+    "a": lambda a: a,
+    "-a": lambda a: -a,
+}
+
+
+@pytest.mark.parametrize("slot", [1, 5])
+@pytest.mark.parametrize("value", list(_B_AGAINST_A))
+def test_prefix_segment_checks_that_b_lies_within_plus_or_minus_a(value, slot):
+    a = np.array([0, 3, 1, 7, 0, 2**20, 9], dtype=np.int32)
+    b = np.zeros_like(a)
+    b[slot] = _B_AGAINST_A[value](int(a[slot]))
+    refused = value not in ("a", "-a")
+    before = b.copy()
+    if refused:
+        with pytest.raises(OverflowError, match="some a < 0 or \\|b\\| > a"):
+            sieve._prefix_segment(a.copy(), b, 5, -2)
+        assert np.array_equal(b, before)  # the check leaves b as it found it
+    else:
+        got_a, got_b = a.copy(), b.copy()
+        sieve._prefix_segment(got_a, got_b, 5, -2)
+        assert np.array_equal(got_a, np.cumsum(a) + 5)
+        assert np.array_equal(got_b, np.cumsum(before) - 2)
+
+
 def _fake_local_series(p, k, value, b_value=None):
     # local_series with its coefficient of a at p^k replaced by value,
     # and that of b by b_value if given
@@ -372,10 +414,12 @@ def test_build_refuses_cap_outside_its_range(field_q, N, error, match):
 @pytest.mark.parametrize("name", ["Q", "Qi", "cubic"])
 def test_build_peak_memory_per_slot(fields, name):
     # the table keeps 6 B/slot (I_K in int32, B in int16); the int8 lookup
-    # of g_1 over odd q adds 0.5 B/slot and the segment buffers about 3.5 MB
-    # (the uint32 cofactor and n rows, the int32 b row and one segment's
-    # intp lookup indices among them), with no table-sized temporary:
-    # 8.3-8.4 B/slot measured
+    # of g_1 over odd q adds 0.5 B/slot and the segment buffers about
+    # 2.5 MB (the int32 b row, the half-length a, b, cofactor and n rows
+    # over the odd slots and their intp lookup indices among them), with
+    # no table-sized temporary and no negated copy of a in the check:
+    # 7.78-7.81 B/slot measured (8.34-8.36 with the rows over every slot
+    # and the check's -a)
     N = 2 * 10**6
     build_tables(fields[name], 1000)  # first-call allocations stay out
     tracemalloc.start()
@@ -385,14 +429,15 @@ def test_build_peak_memory_per_slot(fields, name):
     finally:
         tracemalloc.stop()
     assert table.N == N
-    assert peak <= 9 * N, peak / N
+    assert peak <= 8 * N, peak / N
 
 
 @pytest.mark.parametrize("name", ["Q", "Qi", "cubic"])
 def test_load_peak_memory_per_slot(tmp_path, fields, name):
     # a is read into the table's I_prefix (4 B/slot) and b one segment at
     # a time into a reused buffer, whose sums go to an int16 B_prefix
-    # (2 B/slot); only segment-sized buffers come on top: 6.6 B/slot measured
+    # (2 B/slot); only segment-sized buffers come on top: 6.32 B/slot
+    # measured (6.57 with the check's negated copy of a)
     N = 2 * 10**6
     path = tmp_path / "t.tab"
     save_table(build_tables(fields[name], N), str(path))
@@ -404,7 +449,7 @@ def test_load_peak_memory_per_slot(tmp_path, fields, name):
     finally:
         tracemalloc.stop()
     assert table.N == N
-    assert peak <= 7 * N, peak / N
+    assert peak <= 6.5 * N, peak / N
 
 
 def test_ideal_count_floor_semantics(table_q_1e4):
